@@ -5,20 +5,19 @@ hierarchies, and explicit/implicit time stepping with multiscale contact
 detection, plus a benchmark CLI that reports algorithmic work counters.
 """
 
-from .geometry import RigidMotion, TriangleSoup, apply_motion, flatten, unflatten
+from .geometry import RigidMotion
 from .kernels import (DegenerateTriangle, DistanceResult, KernelCounters,
-                      KernelParams, Kind, batch_closest, closest_comparison,
-                      closest_hybrid, closest_iterative, gradient_of_J)
+                      KernelParams, Kind, closest_comparison, closest_hybrid,
+                      closest_iterative, gradient_of_J)
 from .contact import (ContactPoint, ForceModelParams, MassProperties,
-                      contact_force, find_contacts_single_level,
-                      mass_properties_from_mesh, merge_contacts)
+                      contact_force, mass_properties_from_mesh, merge_contacts)
 from .surrogate import (FitParams, SurrogateNode, SurrogateTree,
                         build_surrogate_tree, cluster_triangles,
                         conservative_epsilon, fit_surrogate_triangle,
                         validate_conservative)
 from .scenes import SceneSpec, build_scene, generate_noisy_sphere
 from .stepping import (PicardDiverged, StepConfig, System, explicit_step,
-                       implicit_step, multiscale_contacts,
-                       multiscale_picard_step, step, system_from_scene)
+                       implicit_step, multiscale_contacts, single_level_contacts,
+                       step, system_from_scene)
 
 __version__ = "0.1.0"

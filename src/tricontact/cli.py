@@ -55,7 +55,6 @@ def _load_config(args) -> RunConfig:
         config.n_surrogate = args.n_surrogate
     config.seed = args.seed
     config.scene.seed = args.seed
-    config.workers = args.workers
     # re-validate after overrides
     return RunConfig.from_dict(config.as_dict())
 
@@ -170,8 +169,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--eta-r", type=float)
     p_run.add_argument("--epsilon", type=float)
     p_run.add_argument("--n-surrogate", type=int)
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="worker hint; output is identical for any value")
     p_run.add_argument("--report", help="write the JSON report here")
     p_run.add_argument("--trace", help="write a per-step CSV trace here")
     p_run.set_defaults(func=cmd_run)

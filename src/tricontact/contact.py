@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import REAL, TriangleSoup, as_triangles
-from .kernels import KernelCounters, KernelParams, Kind, hybrid_batch
+from .geometry import REAL, as_triangles
 
 
 class ZeroNormal(ValueError):
@@ -92,52 +91,6 @@ def contact_from_segment(point_a, point_b, eps_a: float, eps_b: float,
         direction = np.zeros(3, dtype=REAL) if fallback_dir is None else np.asarray(fallback_dir, dtype=REAL)
         normal = 0.0 * direction
     return ContactPoint(position, normal, tuple(pair), tuple(source), tuple(level), (eps_a, eps_b))
-
-
-def find_contacts_single_level(soup_i: TriangleSoup, soup_j: TriangleSoup,
-                               params: KernelParams | None = None,
-                               counters: KernelCounters | None = None,
-                               pair=(0, 1), eps_i: float | None = None,
-                               eps_j: float | None = None,
-                               chunk: int = 262144) -> list[ContactPoint]:
-    """All-pairs hybrid contact detection between two triangle soups.
-
-    Every pair of triangles runs through the batched hybrid kernel; a pair
-    whose closest distance is within the summed halo widths yields one
-    contact.  Passing the same soup twice skips the diagonal (a triangle
-    is never tested against itself).  Output ordering is by (i, j) index.
-    """
-    params = params or KernelParams()
-    eps_i = params.epsilon if eps_i is None else eps_i
-    eps_j = params.epsilon if eps_j is None else eps_j
-    tris_i = soup_i.triangles()
-    tris_j = soup_j.triangles()
-    ni, nj = tris_i.shape[0], tris_j.shape[0]
-    if ni == 0 or nj == 0:
-        return []
-
-    same = soup_i is soup_j or (ni == nj and np.array_equal(soup_i.coords, soup_j.coords))
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    if same:
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-
-    eps_pair = 0.5 * (eps_i + eps_j)
-    contacts: list[ContactPoint] = []
-    for start in range(0, ii.size, chunk):
-        si = ii[start:start + chunk]
-        sj = jj[start:start + chunk]
-        res = hybrid_batch(tris_i[si], tris_j[sj], params, counters, eps_pair)
-        hit = np.nonzero(res.kind == np.int8(Kind.CONTACT))[0]
-        for h in hit:
-            contacts.append(
-                contact_from_segment(
-                    res.point_a[h], res.point_b[h], eps_i, eps_j,
-                    pair=pair, source=(int(si[h]), int(sj[h])),
-                )
-            )
-    return contacts
 
 
 def merge_contacts(contacts: list[ContactPoint], epsilon: float) -> list[ContactPoint]:

@@ -1,12 +1,10 @@
-"""Flat-buffer triangle geometry: vectors, triangle soups, and rigid motions.
+"""Triangle geometry: vectors, triangle batches, rigid motions, and OBJ I/O.
 
 Conventions
 -----------
 A vector is a numpy array of shape ``(3,)``, a triangle an array of shape
 ``(3, 3)`` with one vertex per row, and a batch of triangles an array of
-shape ``(n, 3, 3)``.  The engine streams triangles through kernels as a
-"soup": a contiguous buffer of ``9 * count`` scalars, vertex-major
-(``v1.x v1.y v1.z v2.x ... v3.z`` per triangle).
+shape ``(n, 3, 3)``.  The kernels consume such batches.
 
 The scalar type defaults to double precision.  Set the environment variable
 ``TRICONTACT_REAL=float32`` before import to run the whole engine in single
@@ -77,42 +75,6 @@ def degenerate_mask(tris: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 
 def is_degenerate(tri: np.ndarray, rel_tol: float = 1e-12) -> bool:
     return bool(degenerate_mask(tri, rel_tol)[0])
-
-
-@dataclass
-class TriangleSoup:
-    """Topology-free triangle buffer: ``9 * count`` scalars, vertex-major."""
-
-    coords: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=REAL))
-
-    def __post_init__(self):
-        self.coords = np.ascontiguousarray(self.coords, dtype=REAL).ravel()
-        if self.coords.size % 9 != 0:
-            raise ValueError("soup buffer length must be a multiple of 9")
-
-    @property
-    def count(self) -> int:
-        return self.coords.size // 9
-
-    def triangles(self) -> np.ndarray:
-        """View of the buffer as (count, 3, 3); shares memory."""
-        return self.coords.reshape(-1, 3, 3)
-
-    def copy(self) -> "TriangleSoup":
-        return TriangleSoup(self.coords.copy())
-
-
-def flatten(triangles) -> TriangleSoup:
-    """Flatten an ordered collection of triangles into a soup (input order kept)."""
-    tris = list(triangles) if not isinstance(triangles, np.ndarray) else triangles
-    if len(tris) == 0:
-        return TriangleSoup()
-    return TriangleSoup(as_triangles(np.asarray(tris, dtype=REAL)).ravel())
-
-
-def unflatten(soup: TriangleSoup) -> np.ndarray:
-    """Inverse of :func:`flatten`; returns a (count, 3, 3) array copy."""
-    return soup.triangles().copy()
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +152,6 @@ class RigidMotion:
         )
         t = self.apply_points(other.translation)
         return RigidMotion(q, t)
-
-
-def apply_motion(soup: TriangleSoup, motion: RigidMotion) -> TriangleSoup:
-    """Transform every soup coordinate by rotate-then-translate."""
-    if soup.count == 0:
-        return TriangleSoup()
-    pts = soup.coords.reshape(-1, 3)
-    return TriangleSoup(motion.apply_points(pts).ravel())
 
 
 # ---------------------------------------------------------------------------

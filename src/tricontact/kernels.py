@@ -632,43 +632,6 @@ def closest_hybrid(
     return _scalar(hybrid_batch(as_triangles(t1), as_triangles(t2), params, counters, params.epsilon))
 
 
-def batch_closest(pairs, params: KernelParams | None = None, counters: KernelCounters | None = None):
-    """Hybrid kernel over a sequence of (triangle, triangle) pairs.
-
-    Per-element degenerate-triangle failures are reported positionally as
-    exception instances; the remaining elements are unaffected.
-    """
-    params = params or KernelParams()
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    A = as_triangles(np.asarray([p[0] for p in pairs], dtype=REAL))
-    B = as_triangles(np.asarray([p[1] for p in pairs], dtype=REAL))
-    n = A.shape[0]
-    eps = np.full(n, params.epsilon, dtype=REAL)
-
-    res = iterative_batch(A, B, params, eps)
-    if counters is not None:
-        counters.iterative_invocations += n
-    out: list = [None] * n
-    open_mask = res.kind == np.int8(Kind.NOT_TERMINATED)
-    if open_mask.any():
-        bad = (degenerate_mask(A) | degenerate_mask(B)) & open_mask
-        fallback = open_mask & ~bad
-        if fallback.any():
-            res.splice(fallback, comparison_batch(A[fallback], B[fallback], eps[fallback]))
-            if counters is not None:
-                m = int(fallback.sum())
-                counters.comparison_invocations += m
-                counters.fallback_invocations += m
-        for i in np.nonzero(bad)[0]:
-            out[i] = DegenerateTriangle(f"degenerate triangle in pair {i}")
-    for i in range(n):
-        if out[i] is None:
-            out[i] = _scalar(res, i)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Analytic gradient of the penalised functional (for verification).
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ class RunConfig:
     n_surrogate: int = 8
     n_steps: int = 10
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -47,7 +46,6 @@ class RunConfig:
             "n_surrogate": self.n_surrogate,
             "n_steps": self.n_steps,
             "seed": self.seed,
-            "workers": self.workers,
         }
         return out
 
@@ -72,7 +70,6 @@ class RunConfig:
             n_surrogate=int(data.get("n_surrogate", 8)),
             n_steps=int(data.get("n_steps", 10)),
             seed=int(data.get("seed", 0)),
-            workers=int(data.get("workers", 1)),
         )
 
 

@@ -1,6 +1,12 @@
-"""Time integrators: explicit Euler, multiresolution explicit detection,
-implicit Euler with Picard iterations, and the fused multiscale Picard
-scheme with per-pair active sets and a removal-veto memory.
+"""Time integrators: explicit Euler and implicit Euler with Picard sweeps.
+
+Both explicit modes detect once per step, either over all mesh-triangle
+pairs or by unfolding the surrogate trees from their roots.  The three
+implicit modes share one Picard driver and differ only in how a sweep
+detects contacts: all mesh-triangle pairs (ImplicitSingle), the surrogate
+trees unfolded from their roots in every sweep (ImplicitSurrogateInPicard),
+or per-pair active sets that persist across sweeps under a removal-veto
+memory (ImplicitMultiscalePicard, the fused scheme).
 
 All detection work is batched through the hybrid kernel; comparison-based
 fallbacks run only for pairs of real mesh triangles, never on surrogate
@@ -308,6 +314,46 @@ def single_level_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
     return _sorted_contacts(contacts)
 
 
+def _evaluate_pairings(fi: FlatTree, fj: FlatTree, world_i: np.ndarray, world_j: np.ndarray,
+                       gi: np.ndarray, gj: np.ndarray, pair: tuple[int, int],
+                       params: KernelParams, stats: StepStats, surrogate_contacts: bool):
+    """One hybrid-kernel batch over the tree pairings ``(gi[k], gj[k])``.
+
+    Checks are recorded per height bin (the larger height of the two
+    sides) and the comparison fallback runs on mesh-level pairings only.
+    Hits between mesh triangles always yield contact points, hits on
+    surrogate levels only with ``surrogate_contacts``; a side's source is
+    its mesh triangle index on the mesh level and its node id above it.
+    Returns the contacts, the mask of pairings with contact or an
+    unsettled verdict, and the mesh-level mask of each side.
+    """
+    eps_i = fi.eps[gi]
+    eps_j = fj.eps[gj]
+    fine_i = fi.is_fine(gi)
+    fine_j = fj.is_fine(gj)
+    both_fine = fine_i & fine_j
+    hgt = np.maximum(fi.height[gi], fj.height[gj])
+    for lvl in np.unique(hgt):
+        stats.record_checks(int(lvl), int((hgt == lvl).sum()))
+    res = hybrid_batch(world_i[gi], world_j[gj], params, stats.kernel,
+                       0.5 * (eps_i + eps_j), allow_fallback=both_fine)
+    is_contact = res.kind == np.int8(Kind.CONTACT)
+    hits = is_contact if surrogate_contacts else is_contact & both_fine
+    contacts: list[ContactPoint] = []
+    for h in np.nonzero(hits)[0]:
+        src_i = int(fi.fine_index(gi[h])) if fine_i[h] else int(gi[h])
+        src_j = int(fj.fine_index(gj[h])) if fine_j[h] else int(gj[h])
+        contacts.append(
+            contact_from_segment(
+                res.point_a[h], res.point_b[h], float(eps_i[h]), float(eps_j[h]),
+                pair=pair, source=(src_i, src_j),
+                level=(int(fi.height[gi[h]]), int(fj.height[gj[h]])),
+            )
+        )
+    keep = is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))
+    return contacts, keep, fine_i, fine_j
+
+
 def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
                         params: KernelParams, stats: StepStats,
                         motion_i=None, motion_j=None) -> list[ContactPoint]:
@@ -325,32 +371,12 @@ def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
     ids_j = np.array([fj.root], dtype=np.int64)
     contacts: list[ContactPoint] = []
     while ids_i.size:
-        A = world_i[ids_i]
-        B = world_j[ids_j]
-        eps_i = fi.eps[ids_i]
-        eps_j = fj.eps[ids_j]
-        fine_i = fi.is_fine(ids_i)
-        fine_j = fj.is_fine(ids_j)
-        both_fine = fine_i & fine_j
-        hgt = np.maximum(fi.height[ids_i], fj.height[ids_j])
-        for lvl in np.unique(hgt):
-            stats.record_checks(int(lvl), int((hgt == lvl).sum()))
-        res = hybrid_batch(A, B, params, stats.kernel, 0.5 * (eps_i + eps_j),
-                           allow_fallback=both_fine)
-        is_contact = res.kind == np.int8(Kind.CONTACT)
-        unsettled = res.kind == np.int8(Kind.NOT_TERMINATED)
+        found, keep, fine_i, fine_j = _evaluate_pairings(
+            fi, fj, world_i, world_j, ids_i, ids_j, pair, params, stats,
+            surrogate_contacts=False)
+        contacts.extend(found)
 
-        hits = np.nonzero(both_fine & is_contact)[0]
-        for h in hits:
-            contacts.append(
-                contact_from_segment(
-                    res.point_a[h], res.point_b[h], float(eps_i[h]), float(eps_j[h]),
-                    pair=pair,
-                    source=(int(fi.fine_index(ids_i[h])), int(fj.fine_index(ids_j[h]))),
-                )
-            )
-
-        expand = np.nonzero((is_contact | unsettled) & ~both_fine)[0]
+        expand = np.nonzero(keep & ~(fine_i & fine_j))[0]
         next_i: list[np.ndarray] = []
         next_j: list[np.ndarray] = []
         for k in expand:
@@ -432,9 +458,8 @@ def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
     return RigidMotion(rot.rotation, translation)
 
 
-def _detect_all(system: System, cfg: StepConfig, params: KernelParams,
-                stats: StepStats, motions: list[RigidMotion],
-                multiscale: bool) -> list[ContactPoint]:
+def _detect_all(system: System, params: KernelParams, stats: StepStats,
+                motions: list[RigidMotion], multiscale: bool) -> list[ContactPoint]:
     pairs = broad_phase_pairs(system, motions)
     stats.broad_phase_pairs = len(pairs)
     contacts: list[ContactPoint] = []
@@ -464,7 +489,7 @@ def explicit_step(system: System, cfg: StepConfig,
     stats = StepStats()
     stats.begin_sweep()
     motions = [p.motion for p in system.particles]
-    contacts = _detect_all(system, cfg, params, stats, motions,
+    contacts = _detect_all(system, params, stats, motions,
                            multiscale=cfg.mode == "ExplicitMultiscale")
     stats.contacts_merged = len(contacts)
     omegas = [p.omega for p in system.particles]
@@ -482,96 +507,7 @@ def explicit_step(system: System, cfg: StepConfig,
 
 
 # ---------------------------------------------------------------------------
-# Implicit Euler (Picard loop; single-level or surrogate-accelerated).
-# ---------------------------------------------------------------------------
-
-
-def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
-    scale = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)))
-    if scale < floor:
-        return 0.0
-    return float(np.linalg.norm(new - old)) / scale
-
-
-def implicit_step(system: System, cfg: StepConfig,
-                  params: KernelParams | None = None) -> StepStats:
-    """Implicit Euler via Picard sweeps on guessed end-of-step states."""
-    if cfg.mode not in ("ImplicitSingle", "ImplicitSurrogateInPicard"):
-        raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
-    params = params or KernelParams()
-    multiscale = cfg.mode == "ImplicitSurrogateInPicard"
-    stats = StepStats()
-
-    n = len(system.particles)
-    motions = [p.motion for p in system.particles]
-    v_guess = [p.v.copy() for p in system.particles]
-    w_guess = [p.omega.copy() for p in system.particles]
-    guess_motions = list(motions)
-    theta = np.full(n, cfg.theta_init)
-    prev_raw = np.zeros((n, 6), dtype=REAL)
-    applied = np.zeros((n, 6), dtype=REAL)
-    have_prev = False
-
-    for sweep in range(cfg.max_picard_iterations):
-        stats.begin_sweep()
-        contacts = _detect_all(system, cfg, params, stats, guess_motions, multiscale)
-        force, torque, dv, domega = _rates(system, cfg, contacts, guess_motions, w_guess)
-        raw = np.concatenate([force, torque], axis=1)
-
-        if have_prev:
-            for i in range(n):
-                # zero against zero counts as agreement: pulls theta back up
-                # once transient (surrogate) forces have faded
-                theta[i] = (
-                    min(1.0, cfg.theta_grow * theta[i])
-                    if float(raw[i] @ prev_raw[i]) >= 0.0
-                    else max(cfg.theta_min, cfg.theta_shrink * theta[i])
-                )
-        rates = np.concatenate([dv, domega], axis=1)
-        applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (applied if have_prev else rates)
-        blended_dv = applied[:, :3]
-        blended_dw = applied[:, 3:]
-
-        # converged when the raw forces are stationary and the relaxed rates
-        # have caught up with them (no stale blend left in the commit)
-        converged = have_prev and all(
-            _rel_change(raw[i, :3], prev_raw[i, :3]) <= cfg.convergence_rel_tol
-            and _rel_change(raw[i, 3:], prev_raw[i, 3:]) <= cfg.convergence_rel_tol
-            and _rel_change(applied[i, :3], rates[i, :3]) <= cfg.convergence_rel_tol
-            and _rel_change(applied[i, 3:], rates[i, 3:]) <= cfg.convergence_rel_tol
-            for i in range(n)
-        )
-        if not have_prev and not contacts:
-            converged = True  # force-free step needs a single sweep
-
-        for i, p in enumerate(system.particles):
-            if p.immovable:
-                continue
-            v_guess[i] = p.v + cfg.dt * (blended_dv[i] + system.gravity)
-            w_guess[i] = p.omega + cfg.dt * blended_dw[i]
-            guess_motions[i] = advance_motion(p, motions[i], v_guess[i], w_guess[i], cfg.dt)
-        prev_raw = raw
-        have_prev = True
-        stats.picard_iterations = sweep + 1
-        stats.contacts_merged = len(contacts)
-        if converged:
-            break
-    else:
-        raise PicardDiverged(system.step_index, cfg.max_picard_iterations)
-
-    for i, p in enumerate(system.particles):
-        if p.immovable:
-            continue
-        p.motion = guess_motions[i]
-        p.v = v_guess[i]
-        p.omega = w_guess[i]
-    system.time += cfg.dt
-    system.step_index += 1
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Fused multiscale Picard (active sets persist across sweeps).
+# Fused multiscale detection (active sets persist across Picard sweeps).
 # ---------------------------------------------------------------------------
 
 
@@ -634,41 +570,27 @@ def active_set_cleanup(side: PairSide, flat: FlatTree) -> None:
     side.active = active
 
 
-def multiscale_picard_step(system: System, cfg: StepConfig,
-                           params: KernelParams | None = None) -> StepStats:
-    """Fused Picard/tree-unfolding implicit step (per-pair active sets).
+def _fused_detector(system: System, params: KernelParams, stats: StepStats):
+    """Per-sweep detection of the fused multiscale Picard scheme.
 
-    Active sets start at the roots and persist across Picard sweeps.
-    Pairings with contact or an unsettled verdict widen one level per
-    sweep; no-contact pairings narrow toward the parents subject to the
-    removal veto; halo contacts on surrogate levels feed damped forces
-    into the guess.  Termination needs both state convergence and an
-    unchanged active set.
+    The broad phase runs once, at the start-of-step poses, and each
+    candidate pair keeps one active node set per side across the sweeps,
+    starting at the roots.  A sweep evaluates every active pairing at the
+    guessed poses.  Pairings with contact or an unsettled verdict widen one
+    level; no-contact pairings narrow toward their parents subject to the
+    removal veto.  Halo contacts on surrogate levels are returned as well,
+    so their damped forces feed the guess.  A sweep is settled when no
+    active set changed and only mesh-level contacts remain: a
+    surrogate-level contact always widens some active set.
     """
-    if cfg.mode != "ImplicitMultiscalePicard":
-        raise ValueError(f"multiscale_picard_step cannot run mode {cfg.mode}")
-    params = params or KernelParams()
-    stats = StepStats()
-
-    n = len(system.particles)
-    motions = [p.motion for p in system.particles]
-    v_guess = [p.v.copy() for p in system.particles]
-    w_guess = [p.omega.copy() for p in system.particles]
-    guess_motions = list(motions)
-    theta = np.full(n, cfg.theta_init)
-    prev_raw = np.zeros((n, 6), dtype=REAL)
-    applied = np.zeros((n, 6), dtype=REAL)
-    have_prev = False
-
-    pairs = broad_phase_pairs(system, motions)
+    pairs = broad_phase_pairs(system)
     stats.broad_phase_pairs = len(pairs)
     state: dict[tuple[int, int], PairSide] = {}
     for i, j in pairs:
         state[(i, j)] = PairSide(active={system.particles[i].flat.root})
         state[(j, i)] = PairSide(active={system.particles[j].flat.root})
 
-    for sweep in range(cfg.max_picard_iterations):
-        stats.begin_sweep()
+    def detect(guess_motions: list[RigidMotion]) -> tuple[list[ContactPoint], bool]:
         contacts: list[ContactPoint] = []
         sets_changed = False
         for i, j in pairs:
@@ -679,33 +601,10 @@ def multiscale_picard_step(system: System, cfg: StepConfig,
             ids_j = np.array(sorted(side_j.active), dtype=np.int64)
             gi, gj = np.meshgrid(ids_i, ids_j, indexing="ij")
             gi, gj = gi.ravel(), gj.ravel()
-            world_i = p_i.world_tris(guess_motions[i])
-            world_j = p_j.world_tris(guess_motions[j])
-            eps_i = fi.eps[gi]
-            eps_j = fj.eps[gj]
-            fine_i = fi.is_fine(gi)
-            fine_j = fj.is_fine(gj)
-            both_fine = fine_i & fine_j
-            hgt = np.maximum(fi.height[gi], fj.height[gj])
-            for lvl in np.unique(hgt):
-                stats.record_checks(int(lvl), int((hgt == lvl).sum()))
-            res = hybrid_batch(world_i[gi], world_j[gj], params, stats.kernel,
-                               0.5 * (eps_i + eps_j), allow_fallback=both_fine)
-            is_contact = res.kind == np.int8(Kind.CONTACT)
-            unsettled = res.kind == np.int8(Kind.NOT_TERMINATED)
+            pair_contacts, keep, _, _ = _evaluate_pairings(
+                fi, fj, p_i.world_tris(guess_motions[i]), p_j.world_tris(guess_motions[j]),
+                gi, gj, (i, j), params, stats, surrogate_contacts=True)
 
-            pair_contacts: list[ContactPoint] = []
-            for h in np.nonzero(is_contact)[0]:
-                hi = int(fi.height[gi[h]])
-                hj = int(fj.height[gj[h]])
-                src_i = int(fi.fine_index(gi[h])) if fine_i[h] else int(gi[h])
-                src_j = int(fj.fine_index(gj[h])) if fine_j[h] else int(gj[h])
-                pair_contacts.append(
-                    contact_from_segment(
-                        res.point_a[h], res.point_b[h], float(eps_i[h]), float(eps_j[h]),
-                        pair=(i, j), source=(src_i, src_j), level=(hi, hj),
-                    )
-                )
             # merge within the same representation level only
             by_level: dict[tuple, list[ContactPoint]] = {}
             for c in _sorted_contacts(pair_contacts):
@@ -714,7 +613,6 @@ def multiscale_picard_step(system: System, cfg: StepConfig,
                 contacts.extend(merge_contacts(by_level[lvl], min(p_i.epsilon, p_j.epsilon)))
 
             # widen / narrow per side
-            keep = is_contact | unsettled
             new_i: set = set()
             new_j: set = set()
             for h in np.nonzero(keep)[0]:
@@ -736,64 +634,124 @@ def multiscale_picard_step(system: System, cfg: StepConfig,
                 side.removed |= old - side.active
             if side_i.active != old_i or side_j.active != old_j:
                 sets_changed = True
+        settled = not sets_changed and all(max(c.level) == 0 for c in contacts)
+        return contacts, settled
 
+    return detect
+
+
+# ---------------------------------------------------------------------------
+# Implicit Euler (one Picard driver for the three implicit modes).
+# ---------------------------------------------------------------------------
+
+
+def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
+    scale = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)))
+    if scale < floor:
+        return 0.0
+    return float(np.linalg.norm(new - old)) / scale
+
+
+def _picard(system: System, cfg: StepConfig, stats: StepStats, detect) -> StepStats:
+    """Relaxed Picard sweeps on guessed end-of-step states, then the commit.
+
+    ``detect(guess_motions)`` returns a sweep's contacts and whether the
+    detection itself has settled.  Each particle blends its new rates with
+    the previous ones by a factor theta that grows while successive raw
+    forces agree in direction and shrinks when they flip.
+    """
+    n = len(system.particles)
+    motions = [p.motion for p in system.particles]
+    v_guess = [p.v.copy() for p in system.particles]
+    w_guess = [p.omega.copy() for p in system.particles]
+    guess_motions = list(motions)
+    theta = np.full(n, cfg.theta_init)
+    prev_raw = np.zeros((n, 6), dtype=REAL)
+    applied = np.zeros((n, 6), dtype=REAL)
+    have_prev = False
+
+    for sweep in range(cfg.max_picard_iterations):
+        stats.begin_sweep()
+        contacts, settled = detect(guess_motions)
         force, torque, dv, domega = _rates(system, cfg, contacts, guess_motions, w_guess)
         raw = np.concatenate([force, torque], axis=1)
+
         if have_prev:
-            for k in range(n):
+            for i in range(n):
                 # zero against zero counts as agreement: pulls theta back up
-                # once transient surrogate-level forces have faded
-                theta[k] = (
-                    min(1.0, cfg.theta_grow * theta[k])
-                    if float(raw[k] @ prev_raw[k]) >= 0.0
-                    else max(cfg.theta_min, cfg.theta_shrink * theta[k])
+                # once transient (surrogate) forces have faded
+                theta[i] = (
+                    min(1.0, cfg.theta_grow * theta[i])
+                    if float(raw[i] @ prev_raw[i]) >= 0.0
+                    else max(cfg.theta_min, cfg.theta_shrink * theta[i])
                 )
         rates = np.concatenate([dv, domega], axis=1)
         applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (applied if have_prev else rates)
 
-        # a surrogate-level contact always widens some active set, so a
-        # converged state may only carry mesh-level contacts
-        mesh_level_only = all(max(c.level) == 0 for c in contacts)
-        converged = have_prev and not sets_changed and mesh_level_only and all(
-            _rel_change(raw[k, :3], prev_raw[k, :3]) <= cfg.convergence_rel_tol
-            and _rel_change(raw[k, 3:], prev_raw[k, 3:]) <= cfg.convergence_rel_tol
-            and _rel_change(applied[k, :3], rates[k, :3]) <= cfg.convergence_rel_tol
-            and _rel_change(applied[k, 3:], rates[k, 3:]) <= cfg.convergence_rel_tol
-            for k in range(n)
-        )
-        if not have_prev and not contacts and not sets_changed:
-            converged = True
+        # converged when detection has settled, the raw forces are stationary
+        # and the relaxed rates have caught up with them (no stale blend left
+        # in the commit); a force-free first sweep needs no second one
+        if have_prev:
+            converged = settled and all(
+                _rel_change(raw[i, :3], prev_raw[i, :3]) <= cfg.convergence_rel_tol
+                and _rel_change(raw[i, 3:], prev_raw[i, 3:]) <= cfg.convergence_rel_tol
+                and _rel_change(applied[i, :3], rates[i, :3]) <= cfg.convergence_rel_tol
+                and _rel_change(applied[i, 3:], rates[i, 3:]) <= cfg.convergence_rel_tol
+                for i in range(n)
+            )
+        else:
+            converged = settled and not contacts
 
-        for k, p in enumerate(system.particles):
+        for i, p in enumerate(system.particles):
             if p.immovable:
                 continue
-            v_guess[k] = p.v + cfg.dt * (applied[k, :3] + system.gravity)
-            w_guess[k] = p.omega + cfg.dt * applied[k, 3:]
-            guess_motions[k] = advance_motion(p, motions[k], v_guess[k], w_guess[k], cfg.dt)
+            v_guess[i] = p.v + cfg.dt * (applied[i, :3] + system.gravity)
+            w_guess[i] = p.omega + cfg.dt * applied[i, 3:]
+            guess_motions[i] = advance_motion(p, motions[i], v_guess[i], w_guess[i], cfg.dt)
         prev_raw = raw
         have_prev = True
         stats.picard_iterations = sweep + 1
-        stats.contacts_merged = len([c for c in contacts if max(c.level) == 0])
+        stats.contacts_merged = sum(1 for c in contacts if max(c.level) == 0)
         if converged:
             break
     else:
         raise PicardDiverged(system.step_index, cfg.max_picard_iterations)
 
-    for k, p in enumerate(system.particles):
+    for i, p in enumerate(system.particles):
         if p.immovable:
             continue
-        p.motion = guess_motions[k]
-        p.v = v_guess[k]
-        p.omega = w_guess[k]
+        p.motion = guess_motions[i]
+        p.v = v_guess[i]
+        p.omega = w_guess[i]
     system.time += cfg.dt
     system.step_index += 1
     return stats
+
+
+def implicit_step(system: System, cfg: StepConfig,
+                  params: KernelParams | None = None) -> StepStats:
+    """One implicit Euler step in any implicit mode.
+
+    ImplicitSingle and ImplicitSurrogateInPicard detect afresh in every
+    sweep (flat, or unfolding the trees from their roots) and are always
+    settled; ImplicitMultiscalePicard detects with the fused active sets.
+    """
+    if cfg.mode not in IMPLICIT_MODES:
+        raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
+    params = params or KernelParams()
+    stats = StepStats()
+    if cfg.mode == "ImplicitMultiscalePicard":
+        detect = _fused_detector(system, params, stats)
+    else:
+        multiscale = cfg.mode == "ImplicitSurrogateInPicard"
+
+        def detect(motions):
+            return _detect_all(system, params, stats, motions, multiscale), True
+    return _picard(system, cfg, stats, detect)
 
 
 def step(system: System, cfg: StepConfig, params: KernelParams | None = None) -> StepStats:
     """Advance one step in the configured mode."""
     if cfg.mode in EXPLICIT_MODES:
         return explicit_step(system, cfg, params)
-    if cfg.mode == "ImplicitMultiscalePicard":
-        return multiscale_picard_step(system, cfg, params)
     return implicit_step(system, cfg, params)

@@ -3,11 +3,12 @@ import pytest
 
 from tricontact.contact import (ContactPoint, ForceModelParams, OpenMesh,
                                 ZeroNormal, accumulate, contact_force,
-                                contact_from_segment, find_contacts_single_level,
-                                immovable_mass, mass_properties_from_mesh,
-                                merge_contacts, reduced_mass_sqrt)
-from tricontact.geometry import flatten, triangle
-from tricontact.kernels import KernelCounters, KernelParams
+                                contact_from_segment, immovable_mass,
+                                mass_properties_from_mesh, merge_contacts,
+                                reduced_mass_sqrt)
+from tricontact.geometry import RigidMotion, triangle
+from tricontact.kernels import KernelParams
+from tricontact.stepping import Particle, StepStats, single_level_contacts
 
 
 def unit_cube_triangles():
@@ -18,6 +19,20 @@ def unit_cube_triangles():
         (0, 4, 2), (2, 4, 6), (1, 3, 5), (3, 7, 5),
     ]
     return v[np.asarray(faces)]
+
+
+def mesh_particle(tris, offset=(0.0, 0.0, 0.0), epsilon=1e-2):
+    """A particle for flat detection, which reads neither trees nor masses."""
+    return Particle(body_tris=np.asarray(tris, float), flat=None,
+                    motion=RigidMotion(translation=np.asarray(offset, float)),
+                    v=np.zeros(3), omega=np.zeros(3), mass=immovable_mass(),
+                    epsilon=epsilon)
+
+
+def flat_contacts(tris_i, tris_j, offset_j, stats=None):
+    """Single-level contacts of two meshes, the second one translated."""
+    return single_level_contacts(mesh_particle(tris_i), mesh_particle(tris_j, offset_j),
+                                 (0, 1), KernelParams(), stats or StepStats())
 
 
 def make_contact(position, normal, eps=1e-2, pair=(0, 1)):
@@ -46,34 +61,22 @@ class TestContactPlacement:
 
 class TestSingleLevelDetection:
     def test_separated_spheres_empty(self, sphere80):
-        soup_i = flatten(sphere80)
-        soup_j = flatten(sphere80 + np.array([1.0 + 3.1e-2, 0, 0]))
-        params = KernelParams()
-        contacts = find_contacts_single_level(soup_i, soup_j, params)
-        assert contacts == []
+        assert flat_contacts(sphere80, sphere80, (1.0 + 3.1e-2, 0, 0)) == []
 
     def test_face_to_face_gap(self):
+        # a halo-distance contact between two one-triangle meshes
         t = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
-        params = KernelParams()
-        soup_i = flatten([t])
-        soup_j = flatten([t + np.array([0, 0, params.epsilon])])
-        contacts = find_contacts_single_level(soup_i, soup_j, params)
-        merged = merge_contacts(contacts, params.epsilon)
+        eps = KernelParams().epsilon
+        contacts = flat_contacts([t], [t], (0, 0, eps))
+        merged = merge_contacts(contacts, eps)
         assert len(merged) == 1
-        assert merged[0].position[2] == pytest.approx(params.epsilon / 2, abs=1e-9)
-
-    def test_same_soup_skips_diagonal(self, sphere80):
-        soup = flatten(sphere80)
-        params = KernelParams()
-        contacts = find_contacts_single_level(soup, soup, params)
-        assert all(c.source[0] != c.source[1] for c in contacts)
+        assert merged[0].position[2] == pytest.approx(eps / 2, abs=1e-9)
 
     def test_counters_updated(self, sphere80):
-        counters = KernelCounters()
-        soup_i = flatten(sphere80)
-        soup_j = flatten(sphere80 + np.array([1.05, 0, 0]))
-        find_contacts_single_level(soup_i, soup_j, KernelParams(), counters)
-        assert counters.iterative_invocations == 80 * 80
+        stats = StepStats()
+        flat_contacts(sphere80, sphere80, (1.05, 0, 0), stats)
+        assert stats.kernel.iterative_invocations == 80 * 80
+        assert stats.checks_by_level == {0: 80 * 80}
 
 
 class TestMerge:
@@ -119,11 +122,8 @@ class TestMerge:
     def test_vertex_vertex_redundancy_collapses(self, sphere320):
         # two spheres approaching vertex-on: every incident triangle pair
         # reports the same contact point
-        soup_i = flatten(sphere320)
-        soup_j = flatten(sphere320 + np.array([1.0 + 8e-3, 0, 0]))
-        params = KernelParams()
-        contacts = find_contacts_single_level(soup_i, soup_j, params)
-        merged = merge_contacts(contacts, params.epsilon)
+        contacts = flat_contacts(sphere320, sphere320, (1.0 + 8e-3, 0, 0))
+        merged = merge_contacts(contacts, KernelParams().epsilon)
         assert len(contacts) >= len(merged)
         assert len(merged) >= 1
 

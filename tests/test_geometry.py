@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tricontact.geometry import (RigidMotion, TriangleSoup, apply_motion,
-                                 barycentric_point, flatten, is_degenerate,
+from tricontact.geometry import (RigidMotion, barycentric_point, is_degenerate,
                                  load_obj, mesh_to_triangles, save_obj,
-                                 triangle, triangles_to_mesh, unflatten)
-
-
-def random_soup(rng, n):
-    return flatten(rng.normal(size=(n, 3, 3)))
+                                 triangle, triangles_to_mesh)
 
 
 class TestBarycentric:
@@ -31,65 +24,33 @@ class TestBarycentric:
         assert np.isfinite(p).all()
 
 
-class TestSoup:
-    def test_flatten_empty(self):
-        soup = flatten([])
-        assert soup.count == 0
-        assert soup.coords.size == 0
-
-    def test_flatten_two(self, rng):
-        tris = rng.normal(size=(2, 3, 3))
-        soup = flatten(tris)
-        assert soup.count == 2
-        assert soup.coords.shape == (18,)
-        assert np.array_equal(unflatten(soup), tris)
-
-    def test_layout_vertex_major(self):
-        tri = triangle([1, 2, 3], [4, 5, 6], [7, 8, 9])
-        soup = flatten([tri])
-        assert np.array_equal(soup.coords, np.arange(1.0, 10.0))
-
-    def test_bad_buffer_length(self):
-        with pytest.raises(ValueError):
-            TriangleSoup(np.zeros(10))
-
-    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, n, seed):
-        tris = np.random.default_rng(seed).normal(size=(n, 3, 3))
-        assert np.array_equal(unflatten(flatten(tris)), tris)
-
-
 class TestRigidMotion:
     def test_identity_is_noop(self, rng):
-        soup = random_soup(rng, 5)
-        out = apply_motion(soup, RigidMotion.identity())
-        assert np.array_equal(out.coords, soup.coords)
+        tris = rng.normal(size=(5, 3, 3))
+        assert np.array_equal(RigidMotion.identity().apply_points(tris), tris)
 
     def test_translation_only(self):
-        soup = flatten([triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])])
-        out = apply_motion(soup, RigidMotion(translation=np.array([1.0, 0.0, 0.0])))
-        assert np.allclose(out.triangles()[0][:, 0], soup.triangles()[0][:, 0] + 1.0)
-        assert np.allclose(out.triangles()[0][:, 1:], soup.triangles()[0][:, 1:])
+        tri = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
+        out = RigidMotion(translation=np.array([1.0, 0.0, 0.0])).apply_points(tri)
+        assert np.allclose(out[:, 0], tri[:, 0] + 1.0)
+        assert np.allclose(out[:, 1:], tri[:, 1:])
 
     def test_isometry(self, rng):
-        soup = random_soup(rng, 10)
+        a = rng.normal(size=(30, 3))
         motion = RigidMotion.random_rotation(rng, translation=rng.normal(size=3))
-        out = apply_motion(soup, motion)
-        a = soup.coords.reshape(-1, 3)
-        b = out.coords.reshape(-1, 3)
+        b = motion.apply_points(a)
         da = np.linalg.norm(a[:, None] - a[None, :], axis=2)
         db = np.linalg.norm(b[:, None] - b[None, :], axis=2)
         mask = da > 1e-12
         assert np.max(np.abs(da[mask] - db[mask]) / da[mask]) < 1e-6
 
     def test_composition(self, rng):
-        soup = random_soup(rng, 4)
+        tris = rng.normal(size=(4, 3, 3))
         m1 = RigidMotion.random_rotation(rng, translation=rng.normal(size=3))
         m2 = RigidMotion.random_rotation(rng, translation=rng.normal(size=3))
-        sequential = apply_motion(apply_motion(soup, m1), m2)
-        fused = apply_motion(soup, m2.compose(m1))
-        assert np.allclose(sequential.coords, fused.coords, atol=1e-6)
+        sequential = m2.apply_points(m1.apply_points(tris))
+        fused = m2.compose(m1).apply_points(tris)
+        assert np.allclose(sequential, fused, atol=1e-6)
 
     def test_quaternion_stays_unit(self, rng):
         m = RigidMotion.random_rotation(rng)
@@ -98,8 +59,8 @@ class TestRigidMotion:
         assert abs(np.linalg.norm(m.rotation) - 1.0) < 1e-9
 
     def test_empty_soup(self):
-        out = apply_motion(TriangleSoup(), RigidMotion.identity())
-        assert out.count == 0
+        out = RigidMotion.identity().apply_points(np.empty((0, 3, 3)))
+        assert out.shape == (0, 3, 3)
 
 
 class TestDegeneracy:

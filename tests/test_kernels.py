@@ -5,7 +5,7 @@ from oracles import central_difference, mesh_pair_population, sampling_distance_
 
 from tricontact.geometry import RigidMotion, triangle
 from tricontact.kernels import (DegenerateTriangle, KernelCounters, KernelParams,
-                                Kind, batch_closest, closest_comparison,
+                                Kind, closest_comparison,
                                 closest_hybrid, closest_iterative,
                                 comparison_batch, functional_value, gradient_of_J,
                                 hybrid_batch, iterative_batch)
@@ -257,41 +257,37 @@ class TestHybrid:
 
 
 class TestBatchClosest:
+    """Many pairs in one hybrid batch behave like the pairs one at a time."""
+
     def test_empty(self):
-        assert batch_closest([], KernelParams()) == []
+        empty = np.empty((0, 3, 3))
+        p = KernelParams()
+        assert len(hybrid_batch(empty, empty, p, None, p.epsilon)) == 0
 
     def test_single_pair_equals_hybrid(self):
         p = KernelParams()
         t2 = offset(UNIT, dz=0.005)
         single = closest_hybrid(UNIT, t2, p)
-        batched = batch_closest([(UNIT, t2)], p)
+        batched = hybrid_batch(UNIT, t2, p, None, p.epsilon)
         assert len(batched) == 1
-        assert batched[0].kind == single.kind
-        assert batched[0].distance == pytest.approx(single.distance)
+        assert batched.kind[0] == single.kind
+        assert batched.distance[0] == pytest.approx(single.distance)
 
     def test_elementwise_equals_map(self, rng):
         p = KernelParams()
-        pairs = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))) for _ in range(64)]
-        batched = batch_closest(pairs, p)
-        for got, (a, b) in zip(batched, pairs):
+        A = rng.normal(size=(64, 3, 3))
+        B = rng.normal(size=(64, 3, 3))
+        batched = hybrid_batch(A, B, p, None, p.epsilon)
+        for k, (a, b) in enumerate(zip(A, B)):
             want = closest_hybrid(a, b, p)
-            assert got.kind == want.kind
-            assert got.distance == pytest.approx(want.distance, abs=1e-12)
-
-    def test_positional_errors(self):
-        p = KernelParams()
-        bad = triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        crawler = offset(UNIT, dx=40.0, dz=0.01)
-        good = offset(UNIT, dz=1.0)
-        out = batch_closest([(UNIT, good), (bad, crawler), (UNIT, good)], p)
-        assert isinstance(out[0], type(out[2]))
-        if isinstance(out[1], DegenerateTriangle):
-            assert out[0].distance == pytest.approx(1.0, abs=1e-9)
+            assert batched.kind[k] == want.kind
+            assert batched.distance[k] == pytest.approx(want.distance, abs=1e-12)
 
     def test_counters_accumulate(self, rng):
         p = KernelParams()
         counters = KernelCounters()
-        pairs = [(rng.normal(size=(3, 3)), rng.normal(size=(3, 3))) for _ in range(32)]
-        batch_closest(pairs, p, counters)
+        A = rng.normal(size=(32, 3, 3))
+        B = rng.normal(size=(32, 3, 3))
+        hybrid_batch(A, B, p, counters, p.epsilon)
         assert counters.iterative_invocations == 32
         assert counters.fallback_invocations <= 32

@@ -4,11 +4,11 @@ import pytest
 from tricontact.geometry import RigidMotion
 from tricontact.kernels import KernelParams
 from tricontact.scenes import SceneSpec, build_scene
-from tricontact.stepping import (FlatTree, PairSide, StepConfig,
-                                 StepStats, active_set_cleanup,
-                                 broad_phase_pairs, explicit_step,
-                                 implicit_step, multiscale_contacts,
-                                 multiscale_picard_step, narrow_active_set,
+from tricontact.stepping import (IMPLICIT_MODES, FlatTree, PairSide,
+                                 PicardDiverged, StepConfig, StepStats,
+                                 active_set_cleanup, broad_phase_pairs,
+                                 explicit_step, implicit_step,
+                                 multiscale_contacts, narrow_active_set,
                                  single_level_contacts, step,
                                  system_from_scene)
 
@@ -210,13 +210,19 @@ class TestImplicit:
             assert np.abs(pa.motion.translation - pb.motion.translation).max() < 1e-5
             assert np.abs(pa.v - pb.v).max() < 1e-5
 
-    def test_divergence_guard(self):
+    @pytest.mark.parametrize("mode", IMPLICIT_MODES)
+    def test_divergence_guard(self, mode):
         system = two_sphere_system(gap=2e-3)
-        cfg = StepConfig(dt=1e-4, mode="ImplicitSingle", max_picard_iterations=1)
-        from tricontact.stepping import PicardDiverged
+        cfg = StepConfig(dt=1e-4, mode=mode, max_picard_iterations=1)
         with pytest.raises(PicardDiverged):
             for _ in range(5):
                 implicit_step(system, cfg)
+
+    @pytest.mark.parametrize("mode", ["ExplicitSingle", "ExplicitMultiscale"])
+    def test_wrong_mode_rejected(self, mode):
+        system = two_sphere_system()
+        with pytest.raises(ValueError):
+            implicit_step(system, StepConfig(mode=mode))
 
 
 class TestActiveSetOps:
@@ -292,7 +298,7 @@ class TestMultiscalePicard:
         system = two_sphere_system(gap=0.5, speed=0.1)
         cfg = StepConfig(dt=1e-3, mode="ImplicitMultiscalePicard")
         v0 = system.particles[0].v.copy()
-        stats = multiscale_picard_step(system, cfg)
+        stats = implicit_step(system, cfg)
         assert stats.picard_iterations == 1
         assert np.array_equal(system.particles[0].v, v0)
 
@@ -303,7 +309,7 @@ class TestMultiscalePicard:
         cfg_b = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
         for _ in range(15):
             implicit_step(sys_a, cfg_a)
-            multiscale_picard_step(sys_b, cfg_b)
+            implicit_step(sys_b, cfg_b)
         for pa, pb in zip(sys_a.particles, sys_b.particles):
             scale = max(np.linalg.norm(pa.v), np.linalg.norm(pb.v), 1e-12)
             assert np.linalg.norm(pa.v - pb.v) / scale < 5e-3
@@ -316,7 +322,7 @@ class TestMultiscalePicard:
         system = two_sphere_system(gap=1.9e-2, speed=0.0, count=80)
         cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard",
                          max_picard_iterations=200)
-        stats = multiscale_picard_step(system, cfg)
+        stats = implicit_step(system, cfg)
         assert stats.picard_iterations < 200
 
     def test_iteration_count_bounded(self):
@@ -324,7 +330,7 @@ class TestMultiscalePicard:
         cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
         iters = []
         for _ in range(10):
-            stats = multiscale_picard_step(system, cfg)
+            stats = implicit_step(system, cfg)
             iters.append(stats.picard_iterations)
         assert max(iters) <= 30
 
