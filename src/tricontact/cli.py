@@ -21,13 +21,14 @@ from .report import (RunConfig, build_report, compare_reports, load_report,
                      save_report, step_record, write_trace_csv)
 from .scenes import build_scene, noisy_sphere_by_count
 from .stepping import PicardDiverged, step, system_from_scene
-from .surrogate import (FitParams, build_surrogate_tree, tree_from_json,
-                        tree_to_json, validate_conservative)
+from .surrogate import (FitParams, build_surrogate_tree, mesh_checksum,
+                        tree_from_json, tree_to_json, validate_conservative)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_VALIDATION = 4
+EXIT_WRONG_MESH = 5
 
 
 def _load_config(args) -> RunConfig:
@@ -127,6 +128,9 @@ def cmd_validate_tree(args) -> int:
         tree = tree_from_json(fh.read())
     verts, faces = _mesh_from_args(args)
     tris = mesh_to_triangles(verts, faces)
+    if tree.mesh_checksum != mesh_checksum(tris):
+        print("tree was built for a different mesh")
+        return EXIT_WRONG_MESH
     result = validate_conservative(tree, tris, samples_per_triangle=args.samples)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK if result["ok"] else EXIT_VALIDATION

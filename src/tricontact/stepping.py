@@ -5,8 +5,9 @@ pairs or by unfolding the surrogate trees from their roots.  The three
 implicit modes share one Picard driver and differ only in how a sweep
 detects contacts: all mesh-triangle pairs (ImplicitSingle), the surrogate
 trees unfolded from their roots in every sweep (ImplicitSurrogateInPicard),
-or per-pair active sets that persist across sweeps under a removal-veto
-memory (ImplicitMultiscalePicard, the fused scheme).
+or per-pair frontiers of node pairings that persist across the sweeps of a
+step and widen one level per sweep where contact is possible
+(ImplicitMultiscalePicard, the fused scheme).
 
 All detection work is batched through the hybrid kernel; comparison-based
 fallbacks run only for pairs of real mesh triangles, never on surrogate
@@ -126,6 +127,14 @@ class FlatTree:
             kids = self.children[i]
             self.height[i] = 1 + int(self.height[kids].max()) if kids.size else 1
         self.root = 0
+
+        # the children of every id as one CSR array for vectorised splitting;
+        # a mesh triangle is its own single child
+        self.kid_count = np.array([k.size for k in self.children[:self.n_nodes]]
+                                  + [1] * self.n_fine, dtype=np.int64)
+        self.kid_start = np.cumsum(self.kid_count) - self.kid_count
+        self.kids = np.concatenate(self.children[:self.n_nodes]
+                                   + [np.arange(self.n_nodes, total, dtype=np.int64)])
 
     def is_fine(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(ids) >= self.n_nodes
@@ -324,8 +333,8 @@ def _evaluate_pairings(fi: FlatTree, fj: FlatTree, world_i: np.ndarray, world_j:
     Hits between mesh triangles always yield contact points, hits on
     surrogate levels only with ``surrogate_contacts``; a side's source is
     its mesh triangle index on the mesh level and its node id above it.
-    Returns the contacts, the mask of pairings with contact or an
-    unsettled verdict, and the mesh-level mask of each side.
+    Returns the contacts and the mask of pairings that split: those with
+    contact or an unsettled verdict that are not mesh-mesh.
     """
     eps_i = fi.eps[gi]
     eps_j = fj.eps[gj]
@@ -350,8 +359,29 @@ def _evaluate_pairings(fi: FlatTree, fj: FlatTree, world_i: np.ndarray, world_j:
                 level=(int(fi.height[gi[h]]), int(fj.height[gj[h]])),
             )
         )
-    keep = is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))
-    return contacts, keep, fine_i, fine_j
+    split = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
+    return contacts, split
+
+
+def _split_pairings(fi: FlatTree, fj: FlatTree, gi: np.ndarray, gj: np.ndarray):
+    """Child pairings ``children(gi[k]) x children(gj[k])`` of every pairing.
+
+    Pairings stay in order and each one's children come in row-major
+    order.  A mesh side stays as itself, so a mesh-mesh pairing would
+    split into itself; callers pass only pairings with a surrogate side.
+    """
+    ni = fi.kid_count[gi]
+    nj = fj.kid_count[gj]
+    sizes = ni * nj
+    owner = np.repeat(np.arange(gi.size), sizes)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cols = nj[owner]
+    return (fi.kids[fi.kid_start[gi[owner]] + offset // cols],
+            fj.kids[fj.kid_start[gj[owner]] + offset % cols])
+
+
+def _roots(fi: FlatTree, fj: FlatTree):
+    return np.array([fi.root], dtype=np.int64), np.array([fj.root], dtype=np.int64)
 
 
 def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
@@ -360,37 +390,20 @@ def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
     """Top-down unfolding detection over both surrogate trees.
 
     Pairings start at the roots; a pairing with contact or an unsettled
-    verdict unfolds the surrogate side(s) one level, a no-contact verdict
-    prunes the branch, and only contacts between real mesh triangles yield
-    contact points.  Comparison fallbacks run on mesh-level pairs only.
+    verdict splits into its child pairings, every other pairing retires,
+    and only contacts between real mesh triangles yield contact points.
+    Comparison fallbacks run on mesh-level pairs only.
     """
     fi, fj = p_i.flat, p_j.flat
     world_i = p_i.world_tris(motion_i)
     world_j = p_j.world_tris(motion_j)
-    ids_i = np.array([fi.root], dtype=np.int64)
-    ids_j = np.array([fj.root], dtype=np.int64)
+    gi, gj = _roots(fi, fj)
     contacts: list[ContactPoint] = []
-    while ids_i.size:
-        found, keep, fine_i, fine_j = _evaluate_pairings(
-            fi, fj, world_i, world_j, ids_i, ids_j, pair, params, stats,
-            surrogate_contacts=False)
+    while gi.size:
+        found, split = _evaluate_pairings(fi, fj, world_i, world_j, gi, gj, pair,
+                                          params, stats, surrogate_contacts=False)
         contacts.extend(found)
-
-        expand = np.nonzero(keep & ~(fine_i & fine_j))[0]
-        next_i: list[np.ndarray] = []
-        next_j: list[np.ndarray] = []
-        for k in expand:
-            ci = fi.children[ids_i[k]] if not fine_i[k] else ids_i[k:k + 1]
-            cj = fj.children[ids_j[k]] if not fine_j[k] else ids_j[k:k + 1]
-            gi, gj = np.meshgrid(ci, cj, indexing="ij")
-            next_i.append(gi.ravel())
-            next_j.append(gj.ravel())
-        if next_i:
-            ids_i = np.concatenate(next_i)
-            ids_j = np.concatenate(next_j)
-        else:
-            ids_i = np.empty(0, dtype=np.int64)
-            ids_j = np.empty(0, dtype=np.int64)
+        gi, gj = _split_pairings(fi, fj, gi[split], gj[split])
     return _sorted_contacts(contacts)
 
 
@@ -507,103 +520,46 @@ def explicit_step(system: System, cfg: StepConfig,
 
 
 # ---------------------------------------------------------------------------
-# Fused multiscale detection (active sets persist across Picard sweeps).
+# Fused multiscale detection (per-pair frontiers persist across Picard sweeps).
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairSide:
-    """Active-set bookkeeping of one particle against one partner."""
-
-    active: set = field(default_factory=set)
-    removed: set = field(default_factory=set)   # narrowed away at least once
-    vetoed: set = field(default_factory=set)    # re-added: removal now vetoed
-
-
-def narrow_active_set(side: PairSide, flat: FlatTree, non_contact_nodes) -> set:
-    """Replace no-contact nodes by their parents, honouring the veto.
-
-    Returns the replacement node set for the listed nodes (vetoed nodes and
-    the root stay put); newly removed nodes are recorded for the memory.
-    """
-    out: set = set()
-    for node in non_contact_nodes:
-        if node in side.vetoed or flat.parent[node] < 0:
-            out.add(int(node))
-        else:
-            out.add(int(flat.parent[node]))
-            side.removed.add(int(node))
-    return out
-
-
-def widen_nodes(side: PairSide, flat: FlatTree, node: int) -> set:
-    """Children of a surrogate node (the node itself when already fine).
-
-    Children that were once removed become vetoed on re-entry.
-    """
-    if flat.is_fine(np.array([node]))[0]:
-        return {int(node)}
-    kids = {int(k) for k in flat.children[node]}
-    for k in kids:
-        if k in side.removed:
-            side.vetoed.add(k)
-    return kids
-
-
-def active_set_cleanup(side: PairSide, flat: FlatTree) -> None:
-    """Restore tree consistency: no active node keeps an active ancestor.
-
-    Whenever any child of a surrogate node is active, all its siblings are
-    activated and the parent retires.
-    """
-    active = set(side.active)
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(active):
-            parent = int(flat.parent[node])
-            if parent >= 0 and parent in active:
-                active.discard(parent)
-                active.update(int(k) for k in flat.children[parent])
-                changed = True
-                break
-    side.active = active
-
-
-def _fused_detector(system: System, params: KernelParams, stats: StepStats):
+class _FusedDetector:
     """Per-sweep detection of the fused multiscale Picard scheme.
 
-    The broad phase runs once, at the start-of-step poses, and each
-    candidate pair keeps one active node set per side across the sweeps,
-    starting at the roots.  A sweep evaluates every active pairing at the
-    guessed poses.  Pairings with contact or an unsettled verdict widen one
-    level; no-contact pairings narrow toward their parents subject to the
-    removal veto.  Halo contacts on surrogate levels are returned as well,
-    so their damped forces feed the guess.  A sweep is settled when no
-    active set changed and only mesh-level contacts remain: a
-    surrogate-level contact always widens some active set.
+    The broad phase runs once, at the start-of-step poses.  Each candidate
+    pair keeps a frontier across the sweeps: node pairings ``(gi, gj)``
+    that always form a cut of the pair tree, starting at the roots (each
+    step makes a new detector, so nothing carries across steps).  A
+    sweep evaluates the frontier at the guessed poses; every pairing with
+    contact or an unsettled verdict that is not mesh-mesh splits into its
+    child pairings, every other pairing stays.  The frontier only refines
+    within a step, so it widens at most one level per sweep and cannot
+    oscillate.  Halo contacts on surrogate levels are returned as well, so
+    their damped forces feed the guess.  A sweep is settled when no
+    pairing split: a surrogate-level contact always splits, so a settled
+    sweep is a complete mesh-level detection at that sweep's poses.
     """
-    pairs = broad_phase_pairs(system)
-    stats.broad_phase_pairs = len(pairs)
-    state: dict[tuple[int, int], PairSide] = {}
-    for i, j in pairs:
-        state[(i, j)] = PairSide(active={system.particles[i].flat.root})
-        state[(j, i)] = PairSide(active={system.particles[j].flat.root})
 
-    def detect(guess_motions: list[RigidMotion]) -> tuple[list[ContactPoint], bool]:
+    def __init__(self, system: System, params: KernelParams, stats: StepStats):
+        self.system = system
+        self.params = params
+        self.stats = stats
+        self.pairs = broad_phase_pairs(system)
+        stats.broad_phase_pairs = len(self.pairs)
+        self.frontier = {(i, j): _roots(system.particles[i].flat, system.particles[j].flat)
+                         for i, j in self.pairs}
+
+    def __call__(self, guess_motions: list[RigidMotion]) -> tuple[list[ContactPoint], bool]:
         contacts: list[ContactPoint] = []
-        sets_changed = False
-        for i, j in pairs:
-            p_i, p_j = system.particles[i], system.particles[j]
+        settled = True
+        for i, j in self.pairs:
+            p_i, p_j = self.system.particles[i], self.system.particles[j]
             fi, fj = p_i.flat, p_j.flat
-            side_i, side_j = state[(i, j)], state[(j, i)]
-            ids_i = np.array(sorted(side_i.active), dtype=np.int64)
-            ids_j = np.array(sorted(side_j.active), dtype=np.int64)
-            gi, gj = np.meshgrid(ids_i, ids_j, indexing="ij")
-            gi, gj = gi.ravel(), gj.ravel()
-            pair_contacts, keep, _, _ = _evaluate_pairings(
+            gi, gj = self.frontier[(i, j)]
+            pair_contacts, split = _evaluate_pairings(
                 fi, fj, p_i.world_tris(guess_motions[i]), p_j.world_tris(guess_motions[j]),
-                gi, gj, (i, j), params, stats, surrogate_contacts=True)
+                gi, gj, (i, j), self.params, self.stats, surrogate_contacts=True)
 
             # merge within the same representation level only
             by_level: dict[tuple, list[ContactPoint]] = {}
@@ -612,32 +568,12 @@ def _fused_detector(system: System, params: KernelParams, stats: StepStats):
             for lvl in sorted(by_level):
                 contacts.extend(merge_contacts(by_level[lvl], min(p_i.epsilon, p_j.epsilon)))
 
-            # widen / narrow per side
-            new_i: set = set()
-            new_j: set = set()
-            for h in np.nonzero(keep)[0]:
-                new_i |= widen_nodes(side_i, fi, int(gi[h]))
-                new_j |= widen_nodes(side_j, fj, int(gj[h]))
-            prune_i = set(int(x) for x in gi[~keep]) - set(int(x) for x in gi[keep])
-            prune_j = set(int(x) for x in gj[~keep]) - set(int(x) for x in gj[keep])
-            new_i |= narrow_active_set(side_i, fi, sorted(prune_i))
-            new_j |= narrow_active_set(side_j, fj, sorted(prune_j))
-
-            old_i, old_j = set(side_i.active), set(side_j.active)
-            side_i.active = new_i
-            side_j.active = new_j
-            active_set_cleanup(side_i, fi)
-            active_set_cleanup(side_j, fj)
-            # memory bookkeeping: removal is vetoed once a node re-enters
-            for side, old in ((side_i, old_i), (side_j, old_j)):
-                side.vetoed |= side.active & side.removed
-                side.removed |= old - side.active
-            if side_i.active != old_i or side_j.active != old_j:
-                sets_changed = True
-        settled = not sets_changed and all(max(c.level) == 0 for c in contacts)
+            if split.any():
+                settled = False
+                ki, kj = _split_pairings(fi, fj, gi[split], gj[split])
+                self.frontier[(i, j)] = (np.concatenate([gi[~split], ki]),
+                                         np.concatenate([gj[~split], kj]))
         return contacts, settled
-
-    return detect
 
 
 # ---------------------------------------------------------------------------
@@ -734,14 +670,15 @@ def implicit_step(system: System, cfg: StepConfig,
 
     ImplicitSingle and ImplicitSurrogateInPicard detect afresh in every
     sweep (flat, or unfolding the trees from their roots) and are always
-    settled; ImplicitMultiscalePicard detects with the fused active sets.
+    settled; ImplicitMultiscalePicard keeps per-pair frontiers across the
+    sweeps of the step, widening them one level per sweep.
     """
     if cfg.mode not in IMPLICIT_MODES:
         raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
     params = params or KernelParams()
     stats = StepStats()
     if cfg.mode == "ImplicitMultiscalePicard":
-        detect = _fused_detector(system, params, stats)
+        detect = _FusedDetector(system, params, stats)
     else:
         multiscale = cfg.mode == "ImplicitSurrogateInPicard"
 

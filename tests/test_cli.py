@@ -119,6 +119,19 @@ class TestTreeCommands:
         )
         assert code == 4
 
+    def test_validate_wrong_mesh_fails(self, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        # seeds draw different noisy spheres only when eta_r > 1
+        run_cli("build-tree", "--triangle-count", "80", "--eta-r", "1.4", "--seed", "2",
+                "--out", str(tree_path))
+        capsys.readouterr()
+        code = run_cli(
+            "validate-tree", "--triangle-count", "80", "--eta-r", "1.4", "--seed", "3",
+            "--tree", str(tree_path),
+        )
+        assert code == 5
+        assert "different mesh" in capsys.readouterr().out
+
     def test_obj_round_trip(self, tmp_path):
         tree_path = tmp_path / "tree.json"
         obj_path = tmp_path / "mesh.obj"

@@ -4,11 +4,11 @@ import pytest
 from tricontact.geometry import RigidMotion
 from tricontact.kernels import KernelParams
 from tricontact.scenes import SceneSpec, build_scene
-from tricontact.stepping import (IMPLICIT_MODES, FlatTree, PairSide,
-                                 PicardDiverged, StepConfig, StepStats,
-                                 active_set_cleanup, broad_phase_pairs,
-                                 explicit_step, implicit_step,
-                                 multiscale_contacts, narrow_active_set,
+from tricontact.contact import merge_contacts
+from tricontact.stepping import (IMPLICIT_MODES, FlatTree, PicardDiverged,
+                                 StepConfig, StepStats, _FusedDetector,
+                                 broad_phase_pairs, explicit_step,
+                                 implicit_step, multiscale_contacts,
                                  single_level_contacts, step,
                                  system_from_scene)
 
@@ -225,72 +225,102 @@ class TestImplicit:
             implicit_step(system, StepConfig(mode=mode))
 
 
-class TestActiveSetOps:
-    @pytest.fixture()
-    def flat(self, tree320, sphere320):
-        return FlatTree(tree320, sphere320)
+def mesh_leaves(flat):
+    """Mesh triangle indices under every id, walking ``flat.children``."""
+    out = {}
+    for nid in range(flat.n_nodes + flat.n_fine - 1, -1, -1):
+        if flat.is_fine(np.array([nid]))[0]:
+            out[nid] = [int(flat.fine_index(nid))]
+        else:
+            out[nid] = [t for k in flat.children[nid] for t in out[int(k)]]
+    return out
 
-    def test_narrow_root_unchanged(self, flat):
-        side = PairSide(active={flat.root})
-        out = narrow_active_set(side, flat, [flat.root])
-        assert out == {flat.root}
 
-    def test_narrow_children_to_parent(self, flat):
-        kids = [int(k) for k in flat.children[flat.root]]
-        side = PairSide(active=set(kids))
-        out = narrow_active_set(side, flat, kids)
-        assert out == {flat.root}
-        assert set(kids) <= side.removed
+def random_contact_pose(system, rng):
+    """Place particle 1 at a random rotation next to particle 0."""
+    gap = float(rng.uniform(-0.005, 0.02))
+    offset = np.array([1.0 + gap, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
+    system.particles[1].motion = RigidMotion.random_rotation(
+        rng, translation=system.particles[0].motion.translation + offset)
+    return [p.motion for p in system.particles]
 
-    def test_narrow_vetoed_node_stays(self, flat):
-        kid = int(flat.children[flat.root][0])
-        side = PairSide(active={kid}, vetoed={kid})
-        out = narrow_active_set(side, flat, [kid])
-        assert out == {kid}
 
-    def test_cleanup_identity_on_consistent(self, flat):
-        kids = set(int(k) for k in flat.children[flat.root])
-        side = PairSide(active=set(kids))
-        active_set_cleanup(side, flat)
-        assert side.active == kids
+class TestFusedFrontier:
+    def test_frontier_is_cut_after_every_sweep(self):
+        # every (mesh tri of i, mesh tri of j) pair lies under exactly one
+        # frontier pairing, while the poses move from sweep to sweep
+        rng = np.random.default_rng(41)
+        system = two_sphere_system(count=80)
+        fi, fj = system.particles[0].flat, system.particles[1].flat
+        leaves_i, leaves_j = mesh_leaves(fi), mesh_leaves(fj)
+        swept = 0
+        for _ in range(6):
+            motions = random_contact_pose(system, rng)
+            detect = _FusedDetector(system, KernelParams(), StepStats())
+            for _ in range(8):
+                shift = rng.normal(scale=2e-3, size=3)
+                _, settled = detect([motions[0], RigidMotion(motions[1].rotation,
+                                                             motions[1].translation + shift)])
+                swept += 1
+                gi, gj = detect.frontier[(0, 1)]
+                cover = np.zeros((fi.n_fine, fj.n_fine), dtype=np.int64)
+                for a, b in zip(gi, gj):
+                    cover[np.ix_(leaves_i[int(a)], leaves_j[int(b)])] += 1
+                assert (cover == 1).all()
+                if settled:
+                    break
+        assert swept > 6
 
-    def test_cleanup_parent_with_child(self, flat):
-        kids = [int(k) for k in flat.children[flat.root]]
-        side = PairSide(active={flat.root, kids[0]})
-        active_set_cleanup(side, flat)
-        assert side.active == set(kids)
+    def test_settled_sweep_is_complete_detection(self):
+        # with fixed poses, the first settled sweep finds exactly the merged
+        # single-level contacts (criterion 3's tolerances)
+        rng = np.random.default_rng(42)
+        system = two_sphere_system(count=80)
+        params = KernelParams()
+        p_i, p_j = system.particles
+        found_any = False
+        for _ in range(8):
+            motions = random_contact_pose(system, rng)
+            detect = _FusedDetector(system, params, StepStats())
+            for _ in range(10):
+                contacts, settled = detect(motions)
+                if settled:
+                    break
+            assert settled
+            assert all(max(c.level) == 0 for c in contacts)
+            single = merge_contacts(
+                single_level_contacts(p_i, p_j, (0, 1), params, StepStats()),
+                min(p_i.epsilon, p_j.epsilon))
+            assert len(contacts) == len(single)
+            for a, b in zip(single, contacts):
+                assert a.source == b.source
+                assert np.abs(a.position - b.position).max() < 1e-5
+                assert np.abs(a.normal - b.normal).max() < 1e-5
+            found_any = found_any or bool(single)
+        assert found_any
 
-    def test_cleanup_no_active_ancestor_property(self, flat, rng):
-        # random widening traces always end ancestor-free after cleanup
-        for _ in range(20):
-            side = PairSide(active={flat.root})
-            for _ in range(6):
-                node = int(rng.choice(sorted(side.active)))
-                if not flat.is_fine(np.array([node]))[0]:
-                    side.active |= {int(k) for k in flat.children[node]}
-                if rng.random() < 0.5 and len(side.active) > 1:
-                    side.active.discard(node)
-            active_set_cleanup(side, flat)
-            for node in side.active:
-                anc = int(flat.parent[node])
-                while anc >= 0:
-                    assert anc not in side.active
-                    anc = int(flat.parent[anc])
-            # leaf-descendant union has no duplicates
-            leaves = []
-            for node in side.active:
-                if flat.is_fine(np.array([node]))[0]:
-                    leaves.append(int(node) - flat.n_nodes)
-                else:
-                    stack = [node]
-                    while stack:
-                        cur = stack.pop()
-                        for k in flat.children[cur]:
-                            if flat.is_fine(np.array([k]))[0]:
-                                leaves.append(int(k) - flat.n_nodes)
-                            else:
-                                stack.append(int(k))
-            assert len(leaves) == len(set(leaves))
+    @pytest.mark.parametrize("count,gap", [(80, 1e-2), (80, 2e-2), (320, 2e-2)])
+    def test_no_contact_step_sweep_bound(self, count, gap):
+        # root halos overlap but the meshes do not touch: the frontier widens
+        # one level per sweep, then one settled sweep and one to converge
+        system = two_sphere_system(gap=gap, speed=0.0, count=count)
+        height = max(int(p.flat.height[p.flat.root]) for p in system.particles)
+        stats = implicit_step(system, StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard"))
+        assert stats.broad_phase_pairs == 1 and stats.total_checks > 0
+        assert stats.contacts_merged == 0
+        assert stats.picard_iterations <= height + 2
+
+    def test_checks_within_twice_surrogate_in_picard(self):
+        # criterion-7 scene: fused detection costs at most twice the checks
+        # of restarting the hierarchy in every sweep
+        per_step = {}
+        for mode in ("ImplicitSurrogateInPicard", "ImplicitMultiscalePicard"):
+            spec = SceneSpec(kind="ParticleParticle", triangle_count=320,
+                             initial_gap=2e-3, approach_speed=0.5, seed=3)
+            system = system_from_scene(build_scene(spec), KernelParams())
+            cfg = StepConfig(dt=1e-4, mode=mode)
+            per_step[mode] = np.mean([step(system, cfg).total_checks for _ in range(20)])
+        assert per_step["ImplicitMultiscalePicard"] <= 2.0 * per_step["ImplicitSurrogateInPicard"]
 
 
 class TestMultiscalePicard:
@@ -317,8 +347,8 @@ class TestMultiscalePicard:
             assert np.linalg.norm(pa.omega - pb.omega) / scale_w < 5e-3 or scale_w < 1e-6
 
     def test_veto_blocks_removal_oscillation(self):
-        # adversarial: a pair breathing at the halo rim re-adds and removes
-        # the same nodes; the memory veto must freeze them
+        # adversarial: a pair breathing at the halo rim; the frontier only
+        # refines within a step, so detection cannot oscillate
         system = two_sphere_system(gap=1.9e-2, speed=0.0, count=80)
         cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard",
                          max_picard_iterations=200)
