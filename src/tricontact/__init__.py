@@ -11,10 +11,9 @@ from .kernels import (DegenerateTriangle, DistanceResult, KernelCounters,
                       closest_iterative, gradient_of_J)
 from .contact import (ContactPoint, ForceModelParams, MassProperties,
                       contact_force, mass_properties_from_mesh, merge_contacts)
-from .surrogate import (FitParams, SurrogateNode, SurrogateTree,
-                        build_surrogate_tree, cluster_triangles,
-                        conservative_epsilon, fit_surrogate_triangle,
-                        validate_conservative)
+from .surrogate import (FitParams, SurrogateTree, build_surrogate_tree,
+                        cluster_triangles, conservative_epsilon,
+                        fit_surrogate_triangle, validate_conservative)
 from .scenes import SceneSpec, build_scene, generate_noisy_sphere
 from .stepping import (PicardDiverged, StepConfig, System, explicit_step,
                        implicit_step, multiscale_contacts, single_level_contacts,

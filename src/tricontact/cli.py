@@ -116,7 +116,7 @@ def cmd_build_tree(args) -> int:
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
-    print(f"tree with {sum(1 for _ in tree.nodes())} nodes written to {args.out}")
+    print(f"tree with {tree.n_nodes} nodes written to {args.out}")
     if args.export_obj:
         save_obj(args.export_obj, verts, faces)
         print(f"mesh written to {args.export_obj}")
@@ -124,8 +124,12 @@ def cmd_build_tree(args) -> int:
 
 
 def cmd_validate_tree(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = tree_from_json(fh.read())
+    try:
+        with open(args.tree, "r", encoding="utf-8") as fh:
+            tree = tree_from_json(fh.read())
+    except ValueError as exc:
+        print(f"error: invalid tree file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     verts, faces = _mesh_from_args(args)
     tris = mesh_to_triangles(verts, faces)
     if tree.mesh_checksum != mesh_checksum(tris):

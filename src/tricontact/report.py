@@ -61,7 +61,11 @@ class RunConfig:
         if isinstance(step.surrogate_force_damping, list):
             step.surrogate_force_damping = tuple(step.surrogate_force_damping)
         kernel = KernelParams(**data.get("kernel", {}))
-        fit = FitParams(**data.get("fit", {}))
+        fit_data = dict(data.get("fit", {}))
+        # files written while the fit had a post_scale option hold its no-op 1.0
+        if fit_data.pop("post_scale", 1.0) != 1.0:
+            raise ValueError("fit.post_scale is no longer supported; only 1.0 is accepted")
+        fit = FitParams(**fit_data)
         return RunConfig(
             scene=scene,
             step=step,

@@ -83,58 +83,29 @@ class StepConfig:
 
 
 class FlatTree:
-    """Array view of a surrogate tree with the mesh triangles appended.
+    """A particle's surrogate tree with its mesh triangles appended.
 
-    Ids ``0 .. n_nodes-1`` are surrogate nodes in preorder (root = 0); ids
-    ``n_nodes .. n_nodes + n_fine - 1`` are the real mesh triangles, whose
-    parent is their owning leaf node.  Heights count upward from the mesh
-    level (fine = 0, leaf surrogate = 1, ...).
+    Ids ``0 .. n_nodes-1`` are the tree's nodes (preorder, root = 0) and
+    ids ``n_nodes .. n_nodes + n_fine - 1`` the mesh triangles, which the
+    tree's CSR lists as the children of their leaves.  Each array is the
+    tree's followed by one row per mesh triangle: the triangle, the finest
+    halo, height 0 and, in the CSR, the triangle itself as its only child,
+    so that pairings split alike whatever their sides.
     """
+
+    root = 0
 
     def __init__(self, tree: SurrogateTree, mesh_tris: np.ndarray):
         mesh_tris = as_triangles(mesh_tris)
-        nodes = list(tree.nodes())
-        index = {id(node): i for i, node in enumerate(nodes)}
-        self.n_nodes = len(nodes)
+        self.n_nodes = tree.n_nodes
         self.n_fine = mesh_tris.shape[0]
-        total = self.n_nodes + self.n_fine
-
-        self.tri = np.empty((total, 3, 3), dtype=REAL)
-        self.eps = np.empty(total, dtype=REAL)
-        self.parent = np.full(total, -1, dtype=np.int64)
-        self.level = np.zeros(total, dtype=np.int64)
-        self.height = np.zeros(total, dtype=np.int64)
-        self.children: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * total
-
-        for i, node in enumerate(nodes):
-            self.tri[i] = node.triangle
-            self.eps[i] = node.epsilon
-            self.level[i] = node.level
-            if node.is_leaf:
-                fine_ids = self.n_nodes + node.payload
-                self.children[i] = fine_ids.astype(np.int64)
-                self.parent[fine_ids] = i
-            else:
-                kid_ids = np.array([index[id(c)] for c in node.children], dtype=np.int64)
-                self.children[i] = kid_ids
-                self.parent[kid_ids] = i
-
-        self.tri[self.n_nodes:] = mesh_tris
-        self.eps[self.n_nodes:] = tree.finest_epsilon
-        self.level[self.n_nodes:] = self.level[self.parent[self.n_nodes:]] + 1
-
-        for i in range(self.n_nodes - 1, -1, -1):
-            kids = self.children[i]
-            self.height[i] = 1 + int(self.height[kids].max()) if kids.size else 1
-        self.root = 0
-
-        # the children of every id as one CSR array for vectorised splitting;
-        # a mesh triangle is its own single child
-        self.kid_count = np.array([k.size for k in self.children[:self.n_nodes]]
-                                  + [1] * self.n_fine, dtype=np.int64)
-        self.kid_start = np.cumsum(self.kid_count) - self.kid_count
-        self.kids = np.concatenate(self.children[:self.n_nodes]
-                                   + [np.arange(self.n_nodes, total, dtype=np.int64)])
+        fine = np.arange(self.n_nodes, self.n_nodes + self.n_fine, dtype=np.int64)
+        self.tri, eps = tree.child_rows(mesh_tris)
+        self.eps = eps.astype(REAL)
+        self.height = np.concatenate([tree.height, np.zeros(self.n_fine, dtype=np.int64)])
+        self.kids = np.concatenate([tree.kids, fine])
+        self.kid_start = np.concatenate([tree.kid_start, fine - self.n_nodes + tree.kids.size])
+        self.kid_count = np.concatenate([tree.kid_count, np.ones(self.n_fine, dtype=np.int64)])
 
     def is_fine(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(ids) >= self.n_nodes
@@ -151,6 +122,10 @@ class FlatTree:
 
 @dataclass
 class Particle:
+    """A rigid particle: its mesh in the body frame and the same mesh under
+    its surrogate tree as one :class:`FlatTree` (``flat``), whose rows the
+    detection transforms with the pose."""
+
     body_tris: np.ndarray
     flat: FlatTree
     motion: RigidMotion

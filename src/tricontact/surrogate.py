@@ -10,6 +10,11 @@ Construction is offline: k-means clustering of triangle barycenters splits
 the mesh top-down, then a bottom-up pass fits each node's triangle to its
 immediate children by penalised descent and assigns the smallest halo that
 keeps the conservative chain intact.
+
+A tree is flat arrays over node ids in preorder (root = 0): each node's
+triangle, halo, parent and height, and CSR children (``kids``, ``kid_start``,
+``kid_count``) in which a leaf's children are the fine ids ``n_nodes + t``
+of its mesh triangles ``t``.  Tree files store them as JSON (format 2).
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ class FitParams:
     initial_step: float = 0.05
     shrink: float = 0.5
     grow: float = 1.5
-    post_scale: float = 1.0  # optional shrink about the centroid, (0, 1]
 
     def __post_init__(self):
         if self.beta_size < 2 or self.beta_size % 2 != 0:
@@ -58,8 +62,6 @@ class FitParams:
             raise ValueError("beta_normal must be >= 2")
         if self.alpha_area <= 0.0 or self.alpha_inside < 0.0:
             raise ValueError("bad penalty weights")
-        if not 0.0 < self.post_scale <= 1.0:
-            raise ValueError("post_scale must be in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +194,6 @@ def fit_surrogate_triangle_batch(children: np.ndarray, params: FitParams | None 
             step[trying] *= params.shrink
             trying &= step * gnorm > 1e-14 * diam
         active &= moved
-
-    if params.post_scale < 1.0:
-        center = tris.mean(axis=1, keepdims=True)
-        tris = center + params.post_scale * (tris - center)
     return tris
 
 
@@ -315,44 +313,78 @@ def cluster_triangles(triangles: np.ndarray, k: int, seed: int) -> list[np.ndarr
 # Surrogate tree.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 1
-
-
-@dataclass
-class SurrogateNode:
-    triangle: np.ndarray                  # (3, 3) fitted surrogate
-    epsilon: float                        # conservative halo width
-    level: int                            # distance from the root
-    children: list["SurrogateNode"] = field(default_factory=list)
-    payload: np.ndarray | None = None     # leaf: mesh triangle indices
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.payload is not None
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def leaf_indices(self) -> np.ndarray:
-        if self.is_leaf:
-            return self.payload
-        return np.concatenate([c.leaf_indices() for c in self.children])
+TREE_FORMAT_VERSION = 2
 
 
 @dataclass
 class SurrogateTree:
-    root: SurrogateNode
+    """A surrogate tree as flat arrays over node ids (see the module doc).
+
+    ``parent`` is -1 at the root, ``height`` 1 at a leaf.  The constructor
+    derives both and ``kid_start``, and raises ``ValueError`` unless the
+    given arrays form a tree, each child numbered after its parent, over a
+    permutation of the mesh.
+    """
+
+    tri: np.ndarray
+    eps: np.ndarray
+    kids: np.ndarray
+    kid_count: np.ndarray
     n_surrogate: int
     finest_epsilon: float
     mesh_checksum: str
+    kid_start: np.ndarray = field(init=False)
+    parent: np.ndarray = field(init=False)
+    height: np.ndarray = field(init=False)
 
-    def nodes(self):
-        yield from self.root.walk()
+    def __post_init__(self):
+        n = self.n_nodes
+        if (n == 0 or self.tri.shape != (n, 3, 3) or self.eps.shape != (n,)
+                or self.kid_count.shape != (n,) or self.kids.ndim != 1
+                or int(self.kid_count.sum()) != self.kids.size):
+            raise ValueError("tree arrays have inconsistent lengths")
+        if (self.kid_count < 1).any():
+            raise ValueError("a tree node has no children")
+        n_fine = self.kids.size - (n - 1)
+        if self.kids.min() < 1 or self.kids.max() >= n + n_fine:
+            raise ValueError("tree child id out of range")
+        owner = np.repeat(np.arange(n), self.kid_count)
+        inner = self.kids < n
+        if not np.array_equal(np.sort(self.kids[inner]), np.arange(1, n)):
+            raise ValueError("every tree node but the root needs exactly one parent")
+        if (self.kids[inner] <= owner[inner]).any():
+            raise ValueError("tree children must come after their parent")
+        if not np.array_equal(np.sort(self.kids[~inner]), np.arange(n, n + n_fine)):
+            raise ValueError("tree leaf payloads are not a permutation of the mesh")
 
-    def depth(self) -> int:
-        return max(node.level for node in self.nodes())
+        self.kid_start = np.cumsum(self.kid_count) - self.kid_count
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.parent[self.kids[inner]] = owner[inner]
+        # one above the tallest child; each pass settles one more level
+        self.height = np.ones(n, dtype=np.int64)
+        while True:
+            up = np.ones(n, dtype=np.int64)
+            np.maximum.at(up, self.parent[1:], self.height[1:] + 1)
+            if np.array_equal(up, self.height):
+                break
+            self.height = up
+
+    @property
+    def n_nodes(self) -> int:
+        return self.tri.shape[0]
+
+    def nodes(self) -> range:
+        """Node ids, in preorder."""
+        return range(self.n_nodes)
+
+    def kids_of(self, node: int) -> np.ndarray:
+        start = self.kid_start[node]
+        return self.kids[start:start + self.kid_count[node]]
+
+    def child_rows(self, triangles: np.ndarray):
+        """Triangle and halo of every child id: the nodes', then the mesh's."""
+        return (np.concatenate([self.tri, triangles]),
+                np.concatenate([self.eps, np.full(len(triangles), self.finest_epsilon)]))
 
 
 def mesh_checksum(triangles: np.ndarray) -> str:
@@ -365,41 +397,43 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 def _split_skeleton(triangles, indices, n_surrogate, seed, level, out):
-    """Top-down clustering into an unfitted node skeleton."""
-    node = SurrogateNode(np.zeros((3, 3), dtype=REAL), 0.0, level)
-    out.append(node)
+    """Top-down clustering into preorder nodes; returns this node's id.
+
+    Appends ``(level, is_leaf, kids)`` per node to ``out``: a leaf's kids
+    are its mesh triangle indices, an internal node's its child node ids.
+    """
+    node = len(out)
+    out.append(None)
     if indices.size <= n_surrogate:
-        node.payload = indices.copy()
+        out[node] = (level, True, indices.copy())
         return node
     k = min(n_surrogate, int(np.ceil(indices.size / n_surrogate)))
     groups = cluster_triangles(triangles[indices], k, seed)
-    node.children = [
-        _split_skeleton(triangles, indices[g], n_surrogate, _child_seed(seed, i), level + 1, out)
-        for i, g in enumerate(groups)
-    ]
+    kids = [_split_skeleton(triangles, indices[g], n_surrogate, _child_seed(seed, i), level + 1, out)
+            for i, g in enumerate(groups)]
+    out[node] = (level, False, np.array(kids, dtype=np.int64))
     return node
 
 
-def _batch_fit_and_chain(nodes, child_sets, child_eps, fit):
-    """Fit the nodes' triangles to their child sets and chain the halos.
+def _batch_fit_and_chain(tree, ids, tri, eps, fit):
+    """Fit the triangles of nodes ``ids`` to their children and chain the halos.
 
-    ``child_sets[i]`` is an (c_i, 3, 3) array, ``child_eps[i]`` the halo of
-    each child; nodes are grouped by child count so the descent vectorises.
+    ``tri`` and ``eps`` hold the rows of every child id, mesh triangles
+    included, and receive the fitted nodes; nodes are grouped by child
+    count so the descent vectorises.
     """
-    by_count: dict[int, list[int]] = {}
-    for i, cs in enumerate(child_sets):
-        by_count.setdefault(cs.shape[0], []).append(i)
-    for count, members in sorted(by_count.items()):
-        batch = np.stack([child_sets[i] for i in members])
-        tris = fit_surrogate_triangle_batch(batch, fit)
-        pts = batch.reshape(len(members) * count * 3, 3)
-        tiled = np.repeat(tris, count * 3, axis=0)
+    counts = tree.kid_count[ids]
+    for count in np.unique(counts):
+        group = ids[counts == count]
+        rows = tree.kids[tree.kid_start[group][:, None] + np.arange(count)]
+        batch = tri[rows]
+        fitted = fit_surrogate_triangle_batch(batch, fit)
+        pts = batch.reshape(group.size * count * 3, 3)
+        tiled = np.repeat(fitted, count * 3, axis=0)
         closest, _ = closest_point_triangle_batch(pts, tiled)
-        dist = np.linalg.norm(pts - closest, axis=1).reshape(len(members), count, 3)
-        for row, i in enumerate(members):
-            eps = float((dist[row] + np.asarray(child_eps[i])[:, None]).max())
-            nodes[i].triangle = tris[row]
-            nodes[i].epsilon = eps
+        dist = np.linalg.norm(pts - closest, axis=1).reshape(group.size, count, 3)
+        tri[group] = fitted
+        eps[group] = (dist + eps[rows][:, :, None]).max(axis=(1, 2))
 
 
 def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
@@ -418,30 +452,25 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
     if n_surrogate < 1:
         raise ValueError("n_surrogate must be >= 1")
     fit = fit or FitParams()
-    indices = np.arange(triangles.shape[0], dtype=np.int64)
-    all_nodes: list[SurrogateNode] = []
-    root = _split_skeleton(triangles, indices, n_surrogate, seed, 0, all_nodes)
+    skeleton: list = []
+    _split_skeleton(triangles, np.arange(triangles.shape[0], dtype=np.int64),
+                    n_surrogate, seed, 0, skeleton)
+    level, leaf, kid_lists = zip(*skeleton)
+    level, leaf, n = np.array(level), np.array(leaf), len(skeleton)
+    kid_count = np.array([k.size for k in kid_lists], dtype=np.int64)
+    tree = SurrogateTree(np.zeros((n, 3, 3), dtype=REAL), np.zeros(n),
+                         np.concatenate(kid_lists) + np.repeat(np.where(leaf, n, 0), kid_count),
+                         kid_count, n_surrogate, finest_epsilon, mesh_checksum(triangles))
 
-    # bottom-up: fit leaves against mesh payloads, then internals per level
-    for level in range(max(n.level for n in all_nodes), -1, -1):
-        tier = [n for n in all_nodes if n.level == level]
-        leaves = [n for n in tier for _ in [0] if n.is_leaf]
-        if leaves:
-            _batch_fit_and_chain(
-                leaves,
-                [triangles[n.payload] for n in leaves],
-                [np.full(n.payload.size, finest_epsilon) for n in leaves],
-                fit,
-            )
-        internals = [n for n in tier if not n.is_leaf]
-        if internals:
-            _batch_fit_and_chain(
-                internals,
-                [np.stack([c.triangle for c in n.children]) for n in internals],
-                [np.array([c.epsilon for c in n.children]) for n in internals],
-                fit,
-            )
-    return SurrogateTree(root, n_surrogate, finest_epsilon, mesh_checksum(triangles))
+    # fit the node rows bottom-up: per level, leaves first and then
+    # internals, each in preorder
+    tri, eps = tree.child_rows(triangles)
+    for lvl in range(int(level.max()), -1, -1):
+        for ids in (np.nonzero((level == lvl) & leaf)[0], np.nonzero((level == lvl) & ~leaf)[0]):
+            if ids.size:
+                _batch_fit_and_chain(tree, ids, tri, eps, fit)
+    tree.tri[:], tree.eps[:] = tri[:n], eps[:n]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +503,16 @@ def validate_conservative(tree: SurrogateTree, triangles: np.ndarray,
     """
     triangles = as_triangles(triangles)
     bary = _bary_samples(samples_per_triangle)
+    n = tree.n_nodes
+    child_tri, child_eps = tree.child_rows(triangles)
+    below = [None] * n  # mesh triangles under each node
     worst = np.inf
     checked = 0
-    for node in tree.nodes():
-        idx = node.leaf_indices()
-        tris = triangles[idx]
+    # children come after their parent, so visit them first
+    for i in reversed(tree.nodes()):
+        kids = tree.kids_of(i)
+        below[i] = np.concatenate([kids[kids >= n] - n] + [below[k] for k in kids[kids < n]])
+        tris = triangles[below[i]]
         v0 = tris[:, 0]
         e1 = tris[:, 1] - tris[:, 0]
         e2 = tris[:, 2] - tris[:, 0]
@@ -487,20 +521,13 @@ def validate_conservative(tree: SurrogateTree, triangles: np.ndarray,
             + bary[None, :, 0, None] * e1[:, None, :]
             + bary[None, :, 1, None] * e2[:, None, :]
         ).reshape(-1, 3)
-        tiled = np.broadcast_to(node.triangle.astype(REAL), (pts.shape[0], 3, 3))
+        tiled = np.broadcast_to(tree.tri[i], (pts.shape[0], 3, 3))
         closest, _ = closest_point_triangle_batch(pts, tiled)
         dist = np.linalg.norm(pts - closest, axis=1)
-        slack = node.epsilon - (dist + tree.finest_epsilon)
+        slack = tree.eps[i] - (dist + tree.finest_epsilon)
         worst = min(worst, float(slack.min()))
-        if node.is_leaf:
-            need = conservative_epsilon(node.triangle, tris, tree.finest_epsilon)
-        else:
-            need = conservative_epsilon(
-                node.triangle,
-                np.stack([c.triangle for c in node.children]),
-                [c.epsilon for c in node.children],
-            )
-        worst = min(worst, float(node.epsilon - need))
+        need = conservative_epsilon(tree.tri[i], child_tri[kids], child_eps[kids])
+        worst = min(worst, float(tree.eps[i] - need))
         checked += 1
     return {"ok": worst >= -1e-6, "worst_slack": worst, "checked_nodes": checked}
 
@@ -510,46 +537,35 @@ def validate_conservative(tree: SurrogateTree, triangles: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(node: SurrogateNode) -> dict:
-    out = {
-        "triangle": [float(c) for c in node.triangle.ravel()],
-        "epsilon": float(node.epsilon),
-    }
-    if node.is_leaf:
-        out["payload"] = [int(i) for i in node.payload]
-    else:
-        out["children"] = [_node_to_dict(c) for c in node.children]
-    return out
-
-
-def _node_from_dict(data: dict, level: int) -> SurrogateNode:
-    tri = np.asarray(data["triangle"], dtype=REAL).reshape(3, 3)
-    if "payload" in data:
-        return SurrogateNode(tri, float(data["epsilon"]), level,
-                             payload=np.asarray(data["payload"], dtype=np.int64))
-    children = [_node_from_dict(c, level + 1) for c in data["children"]]
-    return SurrogateNode(tri, float(data["epsilon"]), level, children=children)
-
-
 def tree_to_json(tree: SurrogateTree) -> str:
     doc = {
         "version": TREE_FORMAT_VERSION,
         "n_surrogate": tree.n_surrogate,
         "finest_epsilon": tree.finest_epsilon,
         "mesh_checksum": tree.mesh_checksum,
-        "root": _node_to_dict(tree.root),
+        "tri": tree.tri.reshape(-1, 9).tolist(),
+        "eps": tree.eps.tolist(),
+        "kids": tree.kids.tolist(),
+        "kid_count": tree.kid_count.tolist(),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def tree_from_json(text: str) -> SurrogateTree:
+    """Parse a tree file; raises ``ValueError`` unless it holds a valid tree."""
     doc = json.loads(text)
-    version = doc.get("version")
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != TREE_FORMAT_VERSION:
         raise ValueError(f"unsupported tree format version {version!r}")
-    return SurrogateTree(
-        root=_node_from_dict(doc["root"], 0),
-        n_surrogate=int(doc["n_surrogate"]),
-        finest_epsilon=float(doc["finest_epsilon"]),
-        mesh_checksum=str(doc["mesh_checksum"]),
-    )
+    try:
+        return SurrogateTree(
+            tri=np.asarray(doc["tri"], dtype=REAL).reshape(-1, 3, 3),
+            eps=np.asarray(doc["eps"], dtype=np.float64),
+            kids=np.asarray(doc["kids"], dtype=np.int64),
+            kid_count=np.asarray(doc["kid_count"], dtype=np.int64),
+            n_surrogate=int(doc["n_surrogate"]),
+            finest_epsilon=float(doc["finest_epsilon"]),
+            mesh_checksum=str(doc["mesh_checksum"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed tree file: {exc!r}") from exc

@@ -173,7 +173,7 @@ def test_criterion_4_conservativeness():
             result = validate_conservative(tree, tris)
             if not (result["ok"] and result["worst_slack"] >= -1e-6):
                 failures.append((eta, count, result["worst_slack"]))
-            tree.root.epsilon *= 0.5
+            tree.eps[0] *= 0.5
             halved = validate_conservative(tree, tris)
             if halved["ok"]:
                 halved_ok = False

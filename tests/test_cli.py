@@ -85,6 +85,20 @@ class TestRun:
         assert report["config"]["seed"] == 5
         assert report["config"]["scene"]["triangle_count"] == 20
 
+    @pytest.mark.parametrize("post_scale, expected", [(1.0, 0), (0.8, 2)])
+    def test_fit_post_scale_in_config(self, tmp_path, post_scale, expected):
+        # configs and reports written while the fit had a post_scale option
+        # hold 1.0 and still load; any other value would change the tree
+        config = RunConfig()
+        config.scene.triangle_count = 20
+        data = config.as_dict()
+        data["fit"]["post_scale"] = post_scale
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        code = run_cli("run", "--config", str(cfg_path), "--seed", "5", "--steps", "1",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == expected
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"scene": {"kind": "Nope"}}))
@@ -111,13 +125,32 @@ class TestTreeCommands:
         run_cli("build-tree", "--triangle-count", "80", "--seed", "2",
                 "--out", str(tree_path))
         doc = json.loads(tree_path.read_text())
-        doc["root"]["epsilon"] *= 0.5
+        doc["eps"][0] *= 0.5
         tree_path.write_text(json.dumps(doc))
         code = run_cli(
             "validate-tree", "--triangle-count", "80", "--seed", "2",
             "--tree", str(tree_path),
         )
         assert code == 4
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(version=1),
+        lambda d: d["kids"].__setitem__(0, 10**6),
+    ], ids=["version-1", "child-out-of-range"])
+    def test_validate_malformed_tree_is_config_error(self, tmp_path, capsys, corrupt):
+        tree_path = tmp_path / "tree.json"
+        run_cli("build-tree", "--triangle-count", "80", "--seed", "2",
+                "--out", str(tree_path))
+        doc = json.loads(tree_path.read_text())
+        corrupt(doc)
+        tree_path.write_text(json.dumps(doc))
+        code = run_cli(
+            "validate-tree", "--triangle-count", "80", "--seed", "2",
+            "--tree", str(tree_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid tree file") and err.count("\n") == 1
 
     def test_validate_wrong_mesh_fails(self, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"

@@ -28,16 +28,24 @@ class TestFlatTree:
     def test_structure(self, tree320, sphere320):
         flat = FlatTree(tree320, sphere320)
         assert flat.root == 0
-        assert flat.parent[0] == -1
+        assert tree320.parent[0] == -1
         assert flat.n_fine == 320
+        # the tree's rows come first, the mesh rows are appended
+        assert np.array_equal(flat.tri[: flat.n_nodes], tree320.tri)
+        assert np.array_equal(flat.tri[flat.n_nodes:], sphere320)
         # fine ids map back to mesh indices, parents are leaves
         fine_ids = np.arange(flat.n_nodes, flat.n_nodes + flat.n_fine)
         assert flat.is_fine(fine_ids).all()
         assert (flat.height[fine_ids] == 0).all()
         assert (flat.height[: flat.n_nodes] >= 1).all()
+        assert np.array_equal(flat.kids[flat.kid_start[fine_ids]], fine_ids)
         # every non-root node's parent lists it as a child
+        owner = np.repeat(np.arange(flat.n_nodes), flat.kid_count[: flat.n_nodes])
+        node_kids = flat.kids[: owner.size]
         for nid in range(1, flat.n_nodes + flat.n_fine):
-            assert nid in flat.children[flat.parent[nid]]
+            parents = owner[node_kids == nid]
+            assert parents.size == 1
+            assert nid >= flat.n_nodes or parents[0] == tree320.parent[nid]
 
 
 class TestBroadPhase:
@@ -121,12 +129,20 @@ class TestMultiscaleDetection:
 
         system = two_sphere_system(gap=1e-3, count=80)
         params = KernelParams()
+        p0, p1 = system.particles
         for trial in range(5):
-            rot = RigidMotion.random_rotation(rng,
-                                              translation=(1.0 + rng.uniform(0, 2e-2), 0, 0))
-            system.particles[1].motion = rot
+            # particle 1's lowest vertex along x sits at particle 0's highest
+            # one, from pressed in by two halo widths to a halo width apart
+            rot = RigidMotion.random_rotation(rng)
+            verts0 = p0.motion.apply_points(p0.body_tris.reshape(-1, 3))
+            verts1 = rot.apply_points(p1.body_tris.reshape(-1, 3))
+            tip0 = verts0[np.argmax(verts0[:, 0])]
+            tip1 = verts1[np.argmin(verts1[:, 0])]
+            gap = np.array([rng.uniform(-2.0 * params.epsilon, params.epsilon), 0.0, 0.0])
+            p1.motion = RigidMotion(rot.rotation, tip0 - tip1 + gap)
             single = single_level_contacts(system.particles[0], system.particles[1],
                                            (0, 1), params, StepStats())
+            assert single
             multi = multiscale_contacts(system.particles[0], system.particles[1],
                                         (0, 1), params, StepStats())
             ms = merge_contacts(single, params.epsilon)
@@ -226,13 +242,14 @@ class TestImplicit:
 
 
 def mesh_leaves(flat):
-    """Mesh triangle indices under every id, walking ``flat.children``."""
+    """Mesh triangle indices under every id, walking the CSR children."""
     out = {}
     for nid in range(flat.n_nodes + flat.n_fine - 1, -1, -1):
         if flat.is_fine(np.array([nid]))[0]:
             out[nid] = [int(flat.fine_index(nid))]
         else:
-            out[nid] = [t for k in flat.children[nid] for t in out[int(k)]]
+            kids = flat.kids[flat.kid_start[nid]:flat.kid_start[nid] + flat.kid_count[nid]]
+            out[nid] = [t for k in kids for t in out[int(k)]]
     return out
 
 

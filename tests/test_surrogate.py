@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import central_difference
 
 from conftest import cached_tree
 from tricontact.geometry import triangle, triangle_normals
 from tricontact.kernels import closest_point_triangle_batch
-from tricontact.surrogate import (EmptyInput, EmptyMesh, FitParams,
-                                  build_surrogate_tree, cluster_triangles,
-                                  conservative_epsilon, fit_energy,
-                                  fit_energy_gradient, fit_surrogate_triangle,
-                                  seed_triangle, tree_from_json, tree_to_json,
+from tricontact.surrogate import (TREE_FORMAT_VERSION, EmptyInput, EmptyMesh,
+                                  FitParams, build_surrogate_tree,
+                                  cluster_triangles, conservative_epsilon,
+                                  fit_energy, fit_energy_gradient,
+                                  fit_surrogate_triangle, seed_triangle,
+                                  tree_from_json, tree_to_json,
                                   validate_conservative)
 
 
@@ -69,14 +74,6 @@ class TestFit:
         fitted = fit_surrogate_triangle(octant, FitParams())
         eps = conservative_epsilon(fitted, octant, 1e-2)
         assert eps < 0.7  # coarsest sphere surrogates sit near half a diameter
-
-    def test_post_scale_shrinks(self, rng):
-        children = rng.normal(scale=0.2, size=(4, 3, 3))
-        full = fit_surrogate_triangle(children, FitParams())
-        shrunk = fit_surrogate_triangle(children, FitParams(post_scale=0.8))
-        def edge_len(t):
-            return np.linalg.norm(t[[1, 2, 0]] - t, axis=1).sum()
-        assert edge_len(shrunk) < edge_len(full) + 1e-12
 
 
 class TestConservativeEpsilon:
@@ -142,6 +139,23 @@ class TestClustering:
         assert all(g.size > 0 for g in groups)
 
 
+def is_leaf(tree, node):
+    return bool((tree.kids_of(node) >= tree.n_nodes).all())
+
+
+def payload(tree, node):
+    """Mesh triangle indices of a leaf."""
+    return tree.kids_of(node) - tree.n_nodes
+
+
+def node_levels(tree):
+    """Distance of every node from the root (preorder: parents come first)."""
+    level = np.zeros(tree.n_nodes, dtype=np.int64)
+    for node in range(1, tree.n_nodes):
+        level[node] = level[tree.parent[node]] + 1
+    return level
+
+
 class TestTree:
     def test_empty_mesh(self):
         with pytest.raises(EmptyMesh):
@@ -150,23 +164,22 @@ class TestTree:
     def test_recursion_base(self, rng):
         tris = rng.normal(scale=0.3, size=(8, 3, 3))
         tree = build_surrogate_tree(tris, 8, seed=0)
-        assert tree.root.is_leaf
-        assert np.array_equal(np.sort(tree.root.payload), np.arange(8))
+        assert is_leaf(tree, 0)
+        assert np.array_equal(np.sort(payload(tree, 0)), np.arange(8))
 
     def test_level_structure_1280(self, sphere1280):
         tree = cached_tree("sphere1280", sphere1280)
-        counts: dict[int, int] = {}
-        for node in tree.nodes():
-            counts[node.level] = counts.get(node.level, 0) + 1
+        counts = np.bincount(node_levels(tree))
         assert counts[0] == 1
         assert counts[1] == 8
         assert 48 <= counts[2] <= 80
-        leaves = [n for n in tree.nodes() if n.is_leaf]
+        leaves = [n for n in tree.nodes() if is_leaf(tree, n)]
         assert 120 <= len(leaves) <= 320
-        assert max(n.payload.size for n in leaves) <= 8
+        assert max(payload(tree, n).size for n in leaves) <= 8
 
     def test_leaf_union_is_permutation(self, tree320, sphere320):
-        union = np.sort(np.concatenate([n.payload for n in tree320.nodes() if n.is_leaf]))
+        union = np.sort(np.concatenate([payload(tree320, n) for n in tree320.nodes()
+                                        if is_leaf(tree320, n)]))
         assert np.array_equal(union, np.arange(sphere320.shape[0]))
 
     def test_determinism(self, sphere80):
@@ -181,16 +194,16 @@ class TestTree:
 
     def test_conservative_chain_invariant(self, tree320):
         for node in tree320.nodes():
-            if node.is_leaf:
+            if is_leaf(tree320, node):
                 continue
-            child_tris = np.stack([c.triangle for c in node.children])
-            chain = conservative_epsilon(node.triangle, child_tris,
-                                         [c.epsilon for c in node.children])
-            assert chain <= node.epsilon + 1e-6
+            kids = tree320.kids_of(node)
+            chain = conservative_epsilon(tree320.tri[node], tree320.tri[kids],
+                                         tree320.eps[kids])
+            assert chain <= tree320.eps[node] + 1e-6
 
     def test_epsilon_at_least_finest(self, tree320):
         for node in tree320.nodes():
-            assert node.epsilon >= tree320.finest_epsilon - 1e-12
+            assert tree320.eps[node] >= tree320.finest_epsilon - 1e-12
 
 
 class TestValidation:
@@ -201,7 +214,7 @@ class TestValidation:
 
     def test_halved_root_fails(self, sphere320):
         tree = build_surrogate_tree(sphere320, 8, seed=0)
-        tree.root.epsilon *= 0.5
+        tree.eps[0] *= 0.5
         report = validate_conservative(tree, sphere320)
         assert not report["ok"]
         assert report["worst_slack"] < 0.0
@@ -212,7 +225,7 @@ class TestValidation:
         report = validate_conservative(tree, t[None])
         assert report["ok"]
         # a one-triangle mesh needs exactly the finest halo
-        assert tree.root.epsilon == pytest.approx(1e-2, abs=1e-9)
+        assert tree.eps[0] == pytest.approx(1e-2, abs=1e-9)
         assert report["worst_slack"] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -226,8 +239,61 @@ class TestSerialization:
         assert back.mesh_checksum == tree320.mesh_checksum
 
     def test_version_gate(self, tree320):
-        import json
         doc = json.loads(tree_to_json(tree320))
         doc["version"] = 999
         with pytest.raises(ValueError):
             tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["eps"].pop(), "inconsistent lengths"),
+        (lambda d: d.pop("kids"), "malformed"),
+        (lambda d: d["kids"].__setitem__(0, 10**6), "out of range"),
+        (lambda d: d["kids"].__setitem__(1, d["kids"][0]), "exactly one parent"),
+        (lambda d: d["kids"].__setitem__(-1, d["kids"][-2]), "permutation"),
+    ])
+    def test_malformed_rejected(self, tree320, corrupt, message):
+        doc = json.loads(tree_to_json(tree320))
+        corrupt(doc)
+        with pytest.raises(ValueError, match=message):
+            tree_from_json(json.dumps(doc))
+
+    def test_child_before_parent_rejected(self):
+        # root -> node 2 -> (node 1, triangle 1), node 1 -> triangle 0: one
+        # parent each, but node 1 comes before its parent
+        doc = {"version": TREE_FORMAT_VERSION, "n_surrogate": 8, "finest_epsilon": 0.01,
+               "mesh_checksum": "0", "tri": np.zeros((3, 9)).tolist(), "eps": [1.0] * 3,
+               "kids": [2, 3, 1, 4], "kid_count": [1, 1, 2]}
+        with pytest.raises(ValueError, match="after their parent"):
+            tree_from_json(json.dumps(doc))
+
+
+ARRAYS = ("tri", "eps", "parent", "height", "kids", "kid_start", "kid_count")
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_tris=st.integers(1, 40), n_surrogate=st.integers(2, 8),
+       seed=st.integers(0, 2**16), mesh_seed=st.integers(0, 2**32 - 1))
+def test_tree_properties(n_tris, n_surrogate, seed, mesh_seed):
+    tris = np.random.default_rng(mesh_seed).normal(size=(n_tris, 3, 3))
+    tree = build_surrogate_tree(tris, n_surrogate, seed=seed)
+    n = tree.n_nodes
+    # the CSR and parent describe the same tree
+    owner = np.repeat(np.arange(n), tree.kid_count)
+    inner = tree.kids < n
+    assert tree.parent[0] == -1
+    assert np.array_equal(tree.parent[tree.kids[inner]], owner[inner])
+    assert np.array_equal(np.sort(tree.kids[inner]), np.arange(1, n))
+    # leaf payloads are a permutation of the mesh, each at most n_surrogate
+    assert np.array_equal(np.sort(tree.kids[~inner]), np.arange(n, n + n_tris))
+    assert max(payload(tree, i).size for i in tree.nodes() if is_leaf(tree, i)) <= n_surrogate
+    # every node's chain halo over its children fits inside its own halo
+    rows_tri, rows_eps = tree.child_rows(tris)
+    for i in tree.nodes():
+        kids = tree.kids_of(i)
+        assert conservative_epsilon(tree.tri[i], rows_tri[kids], rows_eps[kids]) <= tree.eps[i] + 1e-6
+    # the JSON round trip reproduces every array bitwise and stays conservative
+    back = tree_from_json(tree_to_json(tree))
+    for name in ARRAYS:
+        a, b = getattr(tree, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert validate_conservative(back, tris)["ok"]
