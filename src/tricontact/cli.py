@@ -52,7 +52,7 @@ def _load_config(args) -> RunConfig:
         config.n_steps = args.steps
     if args.epsilon is not None:
         config.kernel.epsilon = args.epsilon
-    if args.n_surrogate:
+    if args.n_surrogate is not None:
         config.n_surrogate = args.n_surrogate
     config.seed = args.seed
     config.scene.seed = args.seed
@@ -110,10 +110,14 @@ def _mesh_from_args(args):
 def cmd_build_tree(args) -> int:
     verts, faces = _mesh_from_args(args)
     tris = mesh_to_triangles(verts, faces)
-    tree = build_surrogate_tree(
-        tris, args.n_surrogate, fit=FitParams(), seed=args.seed,
-        finest_epsilon=args.epsilon,
-    )
+    try:
+        tree = build_surrogate_tree(
+            tris, args.n_surrogate, fit=FitParams(), seed=args.seed,
+            finest_epsilon=args.epsilon,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
     print(f"tree with {tree.n_nodes} nodes written to {args.out}")

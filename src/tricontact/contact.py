@@ -174,22 +174,30 @@ def contact_force(c: ContactPoint, m_i: MassProperties, m_j: MassProperties,
     return direction * (params.k_s * engagement * reduced_mass_sqrt(m_i.mass, m_j.mass))
 
 
+def contact_wrench(contacts: list[ContactPoint], forces: list[np.ndarray],
+                   com_world: np.ndarray):
+    """Total force and torque about ``com_world`` of forces applied at the
+    contact positions: one ``np.cross`` over the stacked lever arms, both
+    sums in contact order."""
+    forces = np.asarray(forces, dtype=REAL).reshape(-1, 3)
+    arms = np.asarray([c.position for c in contacts], dtype=REAL).reshape(-1, 3) - com_world
+    return forces.sum(axis=0), np.cross(arms, forces).sum(axis=0)
+
+
 def accumulate(contacts: list[ContactPoint], forces: list[np.ndarray],
                mass: MassProperties, com_world: np.ndarray,
-               rotation_matrix: np.ndarray, omega: np.ndarray):
+               rotation_matrix: np.ndarray, omega: np.ndarray, wrench=None):
     """Velocity and angular-velocity rates from a particle's contact forces.
 
     ``dv = sum(F) / M``; the torque about the world-frame centre of mass
     feeds ``domega = I_w^-1 (tau - omega x I_w omega)`` with the inertia
-    rotated to the world frame.  Immovable particles return zero rates.
+    rotated to the world frame.  ``wrench`` is the contacts'
+    :func:`contact_wrench` when the caller has it already.  Immovable
+    particles return zero rates.
     """
     if mass.immovable:
         return np.zeros(3, dtype=REAL), np.zeros(3, dtype=REAL)
-    total_f = np.zeros(3, dtype=REAL)
-    torque = np.zeros(3, dtype=REAL)
-    for c, f in zip(contacts, forces):
-        total_f += f
-        torque += np.cross(c.position - com_world, f)
+    total_f, torque = wrench if wrench is not None else contact_wrench(contacts, forces, com_world)
     dv = total_f / mass.mass
     inertia_w = rotation_matrix @ mass.inertia_tensor @ rotation_matrix.T
     gyro = np.cross(omega, inertia_w @ omega)

@@ -80,11 +80,6 @@ class KernelCounters:
     comparison_invocations: int = 0
     fallback_invocations: int = 0
 
-    def merge(self, other: "KernelCounters") -> None:
-        self.iterative_invocations += other.iterative_invocations
-        self.comparison_invocations += other.comparison_invocations
-        self.fallback_invocations += other.fallback_invocations
-
     def as_dict(self) -> dict:
         return {
             "iterative_invocations": self.iterative_invocations,

@@ -36,6 +36,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.n_surrogate < 2:
+            raise ValueError("n_surrogate must be >= 2")
 
     def as_dict(self) -> dict:
         out = {
@@ -87,6 +89,7 @@ def step_record(stats, wall_time_ms: float) -> dict:
         ],
         "kernel": stats.kernel.as_dict(),
         "broad_phase_pairs": stats.broad_phase_pairs,
+        "culled": stats.culled,
         "wall_time_ms": wall_time_ms,
     }
 
@@ -123,6 +126,7 @@ def build_report(config: RunConfig, steps: list[dict], system, wall_time_ms: flo
             "checks_by_level": {k: agg_checks[k] for k in sorted(agg_checks)},
             **kernel,
             "fallback_rate": fallback_rate,
+            "culled": sum(s["culled"] for s in steps),
             "picard_iterations_total": picard_total,
             "picard_iterations_mean": picard_total / len(steps) if steps else 0.0,
             "contacts_total": contacts_total,

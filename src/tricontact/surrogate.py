@@ -444,13 +444,14 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
     Leaves keep at most ``n_surrogate`` mesh triangle indices; their halo
     covers the payload plus the finest halo width.  Internal halos chain
     over the immediate children, which by transitivity contains all leaf
-    geometry.  Identical inputs yield identical trees.
+    geometry.  Identical inputs yield identical trees.  ``n_surrogate``
+    must be at least 2, or a split would never shrink a node.
     """
     triangles = as_triangles(triangles)
     if triangles.shape[0] == 0:
         raise EmptyMesh("cannot build a surrogate tree over an empty mesh")
-    if n_surrogate < 1:
-        raise ValueError("n_surrogate must be >= 1")
+    if n_surrogate < 2:
+        raise ValueError("n_surrogate must be >= 2")
     fit = fit or FitParams()
     skeleton: list = []
     _split_skeleton(triangles, np.arange(triangles.shape[0], dtype=np.int64),

@@ -105,8 +105,34 @@ class TestRun:
         code = run_cli("run", "--config", str(cfg_path), "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("n_surrogate", ["1", "0"])
+    def test_n_surrogate_below_two_is_config_error(self, n_surrogate, capsys):
+        code = run_cli("run", "--seed", "1", "--steps", "1", "--triangle-count", "12",
+                       "--n-surrogate", n_surrogate)
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "n_surrogate must be >= 2" in err[0]
+
+    def test_culled_in_steps_and_aggregate(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("run", "--seed", "3", "--steps", "2", "--triangle-count", "80",
+                       "--mode", "ExplicitMultiscale", "--report", str(out))
+        assert code == 0
+        report = load_report(out)
+        assert report["aggregate"]["culled"] == sum(s["culled"] for s in report["steps"]) > 0
+
 
 class TestTreeCommands:
+    @pytest.mark.parametrize("n_surrogate", ["1", "0"])
+    def test_build_n_surrogate_below_two_is_config_error(self, tmp_path, n_surrogate, capsys):
+        tree_path = tmp_path / "tree.json"
+        code = run_cli("build-tree", "--triangle-count", "80", "--seed", "2",
+                       "--n-surrogate", n_surrogate, "--out", str(tree_path))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "n_surrogate must be >= 2" in err[0]
+        assert not tree_path.exists()
+
     def test_build_and_validate(self, tmp_path):
         tree_path = tmp_path / "tree.json"
         code = run_cli(

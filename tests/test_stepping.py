@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from tricontact.geometry import RigidMotion
-from tricontact.kernels import KernelParams
+from tricontact import stepping
+from tricontact.geometry import RigidMotion, degenerate_mask
+from tricontact.kernels import KernelParams, Kind, comparison_batch
 from tricontact.scenes import SceneSpec, build_scene
 from tricontact.contact import merge_contacts
 from tricontact.stepping import (IMPLICIT_MODES, FlatTree, PicardDiverged,
@@ -380,6 +385,103 @@ class TestMultiscalePicard:
             stats = implicit_step(system, cfg)
             iters.append(stats.picard_iterations)
         assert max(iters) <= 30
+
+
+def _triangle(rng, size, sliver):
+    """A random triangle; with ``sliver``, its third vertex sits that
+    fraction of the first edge's length off the first edge."""
+    tri = rng.normal(size=(3, 3))
+    if sliver:
+        edge = tri[1] - tri[0]
+        off = np.cross(edge, rng.normal(size=3))
+        tri[2] = (tri[0] + rng.uniform(0.05, 0.95) * edge
+                  + sliver * np.linalg.norm(edge) * off / np.linalg.norm(off))
+    return size * tri
+
+
+NEAR = [0.0] + [s * r for r in (1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3) for s in (-1.0, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.floats(1e-3, 1.0),
+       slivers=st.tuples(*[st.sampled_from([0.0, 1e-2, 1e-4, 1e-5])] * 2),
+       shift=st.sampled_from([0.0, 1.0, 100.0]), eps=st.tuples(*[st.floats(1e-5, 0.1)] * 2),
+       rel_gap=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(NEAR)),
+       dtype=st.sampled_from([np.float64, np.float32]))
+# float32 rounding at the threshold, found with no rounding slack in the cull
+@example(seed=1, size=0.001, slivers=(1e-4, 1e-2), shift=100.0, eps=(0.09375, 1e-5),
+         rel_gap=0.0, dtype=np.float32)
+def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap, dtype):
+    # place B along a random axis u so that its projection gap to A along
+    # the centroid line is the halo reach times (1 + rel_gap); whenever the
+    # cull clears the pairing, the exact kernel must find the two halos apart
+    rng = np.random.default_rng(seed)
+    a = _triangle(rng, size, slivers[0])
+    b = _triangle(rng, size, slivers[1])
+    reach = eps[0] + eps[1]
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    a -= a.mean(axis=0)
+    b -= b.mean(axis=0)
+    b += (reach * (1.0 + rel_gap) + (a @ u).max() - (b @ u).min()) * u
+    offset = shift * rng.normal(size=3)
+    tri_a = (a + offset)[None].astype(dtype)
+    tri_b = (b + offset)[None].astype(dtype)
+    assume(not degenerate_mask(np.concatenate([tri_a, tri_b])).any())
+    clear = stepping._separated(tri_a, tri_b, np.array([reach], dtype=dtype))
+    if clear[0]:
+        res = comparison_batch(tri_a, tri_b, 0.5 * float(dtype(reach)))
+        assert res.kind[0] == np.int8(Kind.NO_CONTACT)
+        assert res.distance[0] > float(dtype(reach))
+
+
+class TestSeparatingAxisCull:
+    def test_clears_apart_keeps_near_and_coincident(self, sphere80):
+        a = sphere80[:4]
+        reach = np.full(4, 2e-2)
+        assert stepping._separated(a, a + [0.0, 0.0, 1.0], reach).all()
+        assert not stepping._separated(a, a + [0.0, 0.0, 1e-2], reach).any()
+        assert not stepping._separated(a, a, reach).any()
+
+    @pytest.mark.parametrize("mode", ["ExplicitMultiscale", "ImplicitSurrogateInPicard",
+                                      "ImplicitMultiscalePicard"])
+    @pytest.mark.parametrize("scene", ["pair", "grid"])
+    def test_cull_changes_no_result(self, scene, mode, monkeypatch):
+        # against a helper that clears nothing: same contacts and sweeps in
+        # every step, bitwise-equal final states, less kernel work
+        def run():
+            system = copy.deepcopy(_cull_scene(scene))
+            cfg = StepConfig(dt=1e-4, mode=mode)
+            return [step(system, cfg) for _ in range(12)], system
+
+        with_cull, sys_a = run()
+        monkeypatch.setattr(stepping, "_separated",
+                            lambda a, b, reach: np.zeros(len(a), dtype=bool))
+        without, sys_b = run()
+        assert [s.contacts_merged for s in with_cull] == [s.contacts_merged for s in without]
+        assert [s.picard_iterations for s in with_cull] == [s.picard_iterations for s in without]
+        for pa, pb in zip(sys_a.particles, sys_b.particles):
+            assert np.array_equal(pa.motion.translation, pb.motion.translation)
+            assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
+            assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+        assert sum(s.culled for s in with_cull) > 0
+        assert sum(s.culled for s in without) == 0
+        assert (sum(s.kernel.iterative_invocations for s in with_cull)
+                < sum(s.kernel.iterative_invocations for s in without))
+        assert sum(s.contacts_merged for s in with_cull) > 0
+
+
+_CULL_SCENES: dict = {}
+
+
+def _cull_scene(name):
+    """The criterion-7 pair or the 2x2x2 grid of 80-triangle particles."""
+    if name not in _CULL_SCENES:
+        spec = (SceneSpec(kind="ParticleParticle", triangle_count=320, initial_gap=2e-3,
+                          approach_speed=0.5, seed=3) if name == "pair" else
+                SceneSpec(kind="CartesianGrid", triangle_count=80, grid_shape=(2, 2, 2), seed=3))
+        _CULL_SCENES[name] = system_from_scene(build_scene(spec), KernelParams())
+    return _CULL_SCENES[name]
 
 
 class TestDeterminism:
