@@ -99,32 +99,34 @@ def merge_contacts(contacts: list[ContactPoint], epsilon: float) -> list[Contact
     Greedy in input order: each contact joins the first cluster (of the
     same particle pair) whose representative — the cluster's first member —
     lies within ``epsilon``; clusters average positions and normals, with
-    the merged normal rescaled to the members' mean magnitude.
+    the merged normal rescaled to the members' mean magnitude.  Equivalently,
+    each first contact not yet placed becomes a representative and takes,
+    in one array operation, every later unplaced contact within reach.
     """
-    reps: list[ContactPoint] = []
+    pos = np.array([c.position for c in contacts], dtype=REAL).reshape(-1, 3)
+    pairs = np.array([c.pair for c in contacts], dtype=np.int64).reshape(-1, 2)
+    placed = np.zeros(len(contacts), dtype=bool)
     groups: list[list[ContactPoint]] = []
-    for c in contacts:
-        placed = False
-        for rep, group in zip(reps, groups):
-            if rep.pair == c.pair and np.linalg.norm(rep.position - c.position) <= epsilon:
-                group.append(c)
-                placed = True
-                break
-        if not placed:
-            reps.append(c)
-            groups.append([c])
+    for r in range(len(contacts)):
+        if not placed[r]:
+            rest = r + 1 + np.flatnonzero(~placed[r + 1:])
+            near = rest[(pairs[rest] == pairs[r]).all(axis=1)
+                        & (np.linalg.norm(pos[rest] - pos[r], axis=1) <= epsilon)]
+            placed[near] = True
+            groups.append([contacts[k] for k in (r, *near)])
 
     merged: list[ContactPoint] = []
-    for rep, group in zip(reps, groups):
+    for group in groups:
+        rep = group[0]
         if len(group) == 1:
-            merged.append(group[0])
+            merged.append(rep)
             continue
         pos = np.mean([g.position for g in group], axis=0)
         normals = np.stack([g.normal for g in group])
         mean_dir = normals.mean(axis=0)
         mean_mag = float(np.linalg.norm(normals, axis=1).mean())
         dn = float(np.linalg.norm(mean_dir))
-        normal = mean_dir / dn * mean_mag if dn > 1e-300 else group[0].normal.copy()
+        normal = mean_dir / dn * mean_mag if dn > 1e-300 else rep.normal.copy()
         merged.append(
             ContactPoint(pos.astype(REAL), normal.astype(REAL), rep.pair, rep.source,
                          rep.level, rep.eps)

@@ -11,15 +11,19 @@ step and widen one level per sweep where contact is possible
 
 All detection work is batched through the hybrid kernel; comparison-based
 fallbacks run only for pairs of real mesh triangles, never on surrogate
-levels.  Tree pairings whose halos a separating axis proves apart skip
-the kernel; they still count as checks (pairings examined) and also as
-``StepStats.culled``.  Flat detection, the brute-force baseline, does not
-cull.  Counter reports are deterministic for identical configurations.
+levels.  The tree modes batch all broad-phase pairs together: one batch
+per level (per sweep in the fused mode), in kernel slices of at most
+``_SLICE`` pairings.  Tree pairings whose halos a separating axis proves
+apart skip the kernel; they still count as checks (pairings examined) and
+also as ``StepStats.culled``.  Flat detection, the brute-force baseline,
+does not cull.  Counter reports are deterministic for identical configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -110,12 +114,42 @@ class FlatTree:
         self.kid_start = np.concatenate([tree.kid_start, fine - self.n_nodes + tree.kids.size])
         self.kid_count = np.concatenate([tree.kid_count, np.ones(self.n_fine, dtype=np.int64)])
 
-    def is_fine(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(ids) >= self.n_nodes
 
-    def fine_index(self, ids: np.ndarray) -> np.ndarray:
-        """Mesh triangle index of fine ids."""
-        return np.asarray(ids) - self.n_nodes
+class Forest:
+    """:class:`FlatTree` rows of several particles stacked into one id space.
+
+    Tree ``k`` holds the int32 ids ``offset[k] .. offset[k + 1] - 1`` in
+    its own order, root first, and its rows' owner is particle
+    ``labels[k]``; a row's source is its node id, or its mesh triangle
+    index on the mesh level (height 0).  A tree pairing is a pair of ids.
+    """
+
+    def __init__(self, flats: list[FlatTree], labels):
+        self.flats = flats
+        sizes = [f.kid_count.size for f in flats]
+        self.offset = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+        kid_base = np.cumsum([0] + [f.kids.size for f in flats])
+        self.eps = np.concatenate([f.eps for f in flats])
+        self.height = np.concatenate([f.height for f in flats]).astype(np.int32)
+        self.source = np.concatenate([np.r_[:f.n_nodes, :f.n_fine] for f in flats])
+        self.owner = np.repeat(np.asarray(labels, dtype=np.int32), sizes)
+        self.kids = np.concatenate([f.kids + o for f, o in zip(flats, self.offset)], dtype=np.int32)
+        self.kid_start = np.concatenate([f.kid_start + b for f, b in zip(flats, kid_base)])
+        self.kid_count = np.concatenate([f.kid_count for f in flats])
+
+    def roots(self, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Root pairings of the tree pairs ``(k, l)`` (positions in ``flats``)."""
+        pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+        return self.offset[pairs[:, 0]], self.offset[pairs[:, 1]]
+
+    def world(self, motions: list[RigidMotion], pairs) -> np.ndarray:
+        """World-frame triangles: each tree that ``pairs`` names is moved
+        once by its motion, the other rows are left unset."""
+        world = np.empty((int(self.offset[-1]), 3, 3), dtype=REAL)
+        for k in {k for pair in pairs for k in pair}:
+            moved = motions[k].apply_points(self.flats[k].tri.reshape(-1, 3))
+            world[self.offset[k]:self.offset[k + 1]] = moved.reshape(-1, 3, 3)
+        return world
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +161,7 @@ class FlatTree:
 class Particle:
     """A rigid particle: its mesh in the body frame and the same mesh under
     its surrogate tree as one :class:`FlatTree` (``flat``), whose rows the
-    detection transforms with the pose."""
+    detection transforms with the pose (:meth:`Forest.world`)."""
 
     body_tris: np.ndarray
     flat: FlatTree
@@ -147,10 +181,6 @@ class Particle:
         # the root halo already covers the geometry; either bound works
         return float(r) + self.epsilon
 
-    def world_tris(self, motion: RigidMotion | None = None) -> np.ndarray:
-        motion = motion or self.motion
-        return motion.apply_points(self.flat.tri.reshape(-1, 3)).reshape(-1, 3, 3)
-
 
 @dataclass
 class System:
@@ -158,6 +188,11 @@ class System:
     gravity: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=REAL))
     time: float = 0.0
     step_index: int = 0
+
+    @cached_property
+    def forest(self) -> Forest:
+        """All particles' tree rows in one id space, owners = particle ids."""
+        return Forest([p.flat for p in self.particles], range(len(self.particles)))
 
 
 def system_from_scene(scene, kernel_params: KernelParams | None = None,
@@ -273,7 +308,7 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
 
 
 def _sorted_contacts(contacts: list[ContactPoint]) -> list[ContactPoint]:
-    return sorted(contacts, key=lambda c: (c.pair, c.source))
+    return sorted(contacts, key=lambda c: (c.pair, c.level, c.source))
 
 
 def single_level_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
@@ -307,9 +342,9 @@ def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.nd
 
     The axis is the unit vector u between the triangles' centroids (none
     if they coincide); as ``|b - a| >= (b - a).u``, a gap ``min(b.u) -
-    max(a.u)`` beyond ``reach`` plus a few rounding units of the largest
-    coordinate proves the pairing clear (Gottschalk, Lin and Manocha,
-    SIGGRAPH 1996; Ericson, *Real-Time Collision Detection*, 5.2)."""
+    max(a.u)`` beyond ``reach`` plus a few rounding units of the pairing's
+    own largest coordinate proves the pairing clear (Gottschalk, Lin and
+    Manocha, SIGGRAPH 1996; Ericson, *Real-Time Collision Detection*, 5.2)."""
     # vertex by vertex: numpy's reductions over short inner axes are slow
     axis = tri_b[:, 0] + tri_b[:, 1] + tri_b[:, 2] - (tri_a[:, 0] + tri_a[:, 1] + tri_a[:, 2])
     length = np.sqrt(np.einsum("ij,ij->i", axis, axis))
@@ -318,78 +353,95 @@ def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.nd
     pb = np.einsum("ikj,ij->ik", tri_b, u)
     gap = (np.minimum(np.minimum(pb[:, 0], pb[:, 1]), pb[:, 2])
            - np.maximum(np.maximum(pa[:, 0], pa[:, 1]), pa[:, 2]))
-    scale = max(np.abs(tri_a).max(initial=0.0), np.abs(tri_b).max(initial=0.0))
+    scale = np.maximum.reduce([np.abs(t[:, v, k]) for t in (tri_a, tri_b)
+                               for v in range(3) for k in range(3)])
     return (length > 0.0) & (gap > reach + 64.0 * np.finfo(tri_a.dtype).eps * scale)
 
 
-def _evaluate_pairings(fi: FlatTree, fj: FlatTree, world_i: np.ndarray, world_j: np.ndarray,
-                       gi: np.ndarray, gj: np.ndarray, pair: tuple[int, int],
+# Pairings per cull call, kernel call and split slice: bounds the working set.
+_SLICE = 1024
+
+
+def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
                        params: KernelParams, stats: StepStats, surrogate_contacts: bool):
-    """Examine the tree pairings ``(gi[k], gj[k])``, culling before the kernel.
+    """Examine the :class:`Forest` pairings ``(gi[k], gj[k])`` of any pairs.
 
     Every pairing counts as a check in its height bin (the larger height
     of the two sides).  Pairings whose halos :func:`_separated` proves
     apart are culled: no contact, no split, no kernel work.  The rest go
-    through one hybrid-kernel batch, whose comparison fallback runs on
-    mesh-level pairings only.  Hits between mesh triangles always yield
-    contact points, hits on surrogate levels only with
-    ``surrogate_contacts``; a side's source is its mesh triangle index on
-    the mesh level and its node id above it.  Returns the contacts and the
-    mask of pairings that split: those with contact or an unsettled
-    verdict that are not mesh-mesh.
+    through the hybrid kernel ``_SLICE`` at a time, with the comparison
+    fallback on mesh-level pairings only.  Mesh-level hits always yield
+    contacts (pair = the two owners), surrogate-level hits only with
+    ``surrogate_contacts``.  Returns the contacts and the mask of pairings
+    that split: those with contact or an unsettled verdict, not mesh-mesh.
     """
-    hgt = np.maximum(fi.height[gi], fj.height[gj])
-    for lvl in np.unique(hgt):
-        stats.record_checks(int(lvl), int((hgt == lvl).sum()))
-    tri_i, tri_j = world_i[gi], world_j[gj]
-    reach = fi.eps[gi] + fj.eps[gj]
-    live = np.nonzero(~_separated(tri_i, tri_j, reach))[0]
+    for lvl, count in enumerate(np.bincount(np.maximum(forest.height[gi], forest.height[gj]))):
+        stats.record_checks(lvl, int(count))
+    kept = [np.zeros(0, dtype=bool)]
+    for s in range(0, gi.size, _SLICE):
+        a, b = gi[s:s + _SLICE], gj[s:s + _SLICE]
+        kept.append(~_separated(world[a], world[b], forest.eps[a] + forest.eps[b]))
+    live = np.flatnonzero(np.concatenate(kept))
     stats.culled += gi.size - live.size
     split = np.zeros(gi.size, dtype=bool)
     contacts: list[ContactPoint] = []
-    if not live.size:
-        return contacts, split
-    gi, gj = gi[live], gj[live]
-    fine_i = fi.is_fine(gi)
-    fine_j = fj.is_fine(gj)
-    both_fine = fine_i & fine_j
-    res = hybrid_batch(tri_i[live], tri_j[live], params, stats.kernel,
-                       0.5 * reach[live], allow_fallback=both_fine)
-    is_contact = res.kind == np.int8(Kind.CONTACT)
-    hits = is_contact if surrogate_contacts else is_contact & both_fine
-    for h in np.nonzero(hits)[0]:
-        src_i = int(fi.fine_index(gi[h])) if fine_i[h] else int(gi[h])
-        src_j = int(fj.fine_index(gj[h])) if fine_j[h] else int(gj[h])
-        contacts.append(
-            contact_from_segment(
-                res.point_a[h], res.point_b[h], float(fi.eps[gi[h]]), float(fj.eps[gj[h]]),
-                pair=pair, source=(src_i, src_j),
-                level=(int(fi.height[gi[h]]), int(fj.height[gj[h]])),
+    for s in range(0, live.size, _SLICE):
+        rows = live[s:s + _SLICE]
+        a, b = gi[rows], gj[rows]
+        both_fine = np.maximum(forest.height[a], forest.height[b]) == 0
+        res = hybrid_batch(world[a], world[b], params, stats.kernel,
+                           0.5 * (forest.eps[a] + forest.eps[b]), allow_fallback=both_fine)
+        is_contact = res.kind == np.int8(Kind.CONTACT)
+        hits = is_contact if surrogate_contacts else is_contact & both_fine
+        for h in np.flatnonzero(hits):
+            ga, gb = a[h], b[h]
+            contacts.append(
+                contact_from_segment(
+                    res.point_a[h], res.point_b[h], float(forest.eps[ga]), float(forest.eps[gb]),
+                    pair=(int(forest.owner[ga]), int(forest.owner[gb])),
+                    source=(int(forest.source[ga]), int(forest.source[gb])),
+                    level=(int(forest.height[ga]), int(forest.height[gb])),
+                )
             )
-        )
-    split[live] = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
+        split[rows] = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
     return contacts, split
 
 
-def _split_pairings(fi: FlatTree, fj: FlatTree, gi: np.ndarray, gj: np.ndarray):
+def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
     """Child pairings ``children(gi[k]) x children(gj[k])`` of every pairing.
 
     Pairings stay in order and each one's children come in row-major
-    order.  A mesh side stays as itself, so a mesh-mesh pairing would
-    split into itself; callers pass only pairings with a surrogate side.
+    order, ``_SLICE`` parents at a time.  A mesh side stays as itself, so
+    a mesh-mesh pairing would split into itself; callers pass only
+    pairings with a surrogate side.
     """
-    ni = fi.kid_count[gi]
-    nj = fj.kid_count[gj]
-    sizes = ni * nj
-    owner = np.repeat(np.arange(gi.size), sizes)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cols = nj[owner]
-    return (fi.kids[fi.kid_start[gi[owner]] + offset // cols],
-            fj.kids[fj.kid_start[gj[owner]] + offset % cols])
+    out_i, out_j = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for s in range(0, gi.size, _SLICE):
+        pi, pj = gi[s:s + _SLICE], gj[s:s + _SLICE]
+        ni = forest.kid_count[pi]
+        nj = forest.kid_count[pj]
+        sizes = ni * nj
+        parent = np.repeat(np.arange(pi.size), sizes)
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        cols = nj[parent]
+        out_i.append(forest.kids[forest.kid_start[pi[parent]] + offset // cols])
+        out_j.append(forest.kids[forest.kid_start[pj[parent]] + offset % cols])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _roots(fi: FlatTree, fj: FlatTree):
-    return np.array([fi.root], dtype=np.int64), np.array([fj.root], dtype=np.int64)
+def _unfold(forest: Forest, motions: list[RigidMotion], pairs, params: KernelParams,
+            stats: StepStats) -> list[ContactPoint]:
+    """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
+    together from their roots: one :func:`_evaluate_pairings` per level."""
+    world = forest.world(motions, pairs)
+    gi, gj = forest.roots(pairs)
+    contacts: list[ContactPoint] = []
+    while gi.size:
+        found, split = _evaluate_pairings(forest, world, gi, gj, params, stats,
+                                          surrogate_contacts=False)
+        contacts.extend(found)
+        gi, gj = _split_pairings(forest, gi[split], gj[split])
+    return contacts
 
 
 def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
@@ -402,17 +454,19 @@ def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
     and only contacts between real mesh triangles yield contact points.
     Comparison fallbacks run on mesh-level pairs only.
     """
-    fi, fj = p_i.flat, p_j.flat
-    world_i = p_i.world_tris(motion_i)
-    world_j = p_j.world_tris(motion_j)
-    gi, gj = _roots(fi, fj)
-    contacts: list[ContactPoint] = []
-    while gi.size:
-        found, split = _evaluate_pairings(fi, fj, world_i, world_j, gi, gj, pair,
-                                          params, stats, surrogate_contacts=False)
-        contacts.extend(found)
-        gi, gj = _split_pairings(fi, fj, gi[split], gj[split])
-    return _sorted_contacts(contacts)
+    forest = Forest([p_i.flat, p_j.flat], pair)
+    motions = [motion_i or p_i.motion, motion_j or p_j.motion]
+    return _sorted_contacts(_unfold(forest, motions, [(0, 1)], params, stats))
+
+
+def _merged_per_pair(contacts: list[ContactPoint], particles: list[Particle]) -> list[ContactPoint]:
+    """Contacts merged per particle pair and per pair of levels, in
+    :func:`_sorted_contacts` order, with the pair's smaller halo."""
+    merged: list[ContactPoint] = []
+    by_pair_level = groupby(_sorted_contacts(contacts), key=lambda c: (c.pair, c.level))
+    for ((i, j), _), group in by_pair_level:
+        merged.extend(merge_contacts(list(group), min(particles[i].epsilon, particles[j].epsilon)))
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +536,14 @@ def _detect_all(system: System, params: KernelParams, stats: StepStats,
                 motions: list[RigidMotion], multiscale: bool) -> list[ContactPoint]:
     pairs = broad_phase_pairs(system, motions)
     stats.broad_phase_pairs = len(pairs)
-    contacts: list[ContactPoint] = []
-    for i, j in pairs:
-        p_i, p_j = system.particles[i], system.particles[j]
-        if multiscale:
-            found = multiscale_contacts(p_i, p_j, (i, j), params, stats,
-                                        motion_i=motions[i], motion_j=motions[j])
-        else:
-            found = single_level_contacts(p_i, p_j, (i, j), params, stats,
-                                          motion_i=motions[i], motion_j=motions[j])
-        contacts.extend(merge_contacts(found, min(p_i.epsilon, p_j.epsilon)))
-    return contacts
+    if multiscale:
+        found = _unfold(system.forest, motions, pairs, params, stats)
+    else:
+        found = [c for i, j in pairs
+                 for c in single_level_contacts(system.particles[i], system.particles[j], (i, j),
+                                                params, stats, motion_i=motions[i],
+                                                motion_j=motions[j])]
+    return _merged_per_pair(found, system.particles)
 
 
 # ---------------------------------------------------------------------------
@@ -534,53 +585,38 @@ def explicit_step(system: System, cfg: StepConfig,
 class _FusedDetector:
     """Per-sweep detection of the fused multiscale Picard scheme.
 
-    The broad phase runs once, at the start-of-step poses.  Each candidate
-    pair keeps a frontier across the sweeps: node pairings ``(gi, gj)``
-    that always form a cut of the pair tree, starting at the roots (each
-    step makes a new detector, so nothing carries across steps).  A
-    sweep evaluates the frontier at the guessed poses; every pairing with
-    contact or an unsettled verdict that is not mesh-mesh splits into its
-    child pairings, every other pairing stays.  The frontier only refines
-    within a step, so it widens at most one level per sweep and cannot
-    oscillate.  Halo contacts on surrogate levels are returned as well, so
-    their damped forces feed the guess.  A sweep is settled when no
-    pairing split: a surrogate-level contact always splits, so a settled
-    sweep is a complete mesh-level detection at that sweep's poses.
+    The broad phase runs once, at the start-of-step poses.  One frontier
+    of :class:`Forest` pairings ``(gi, gj)`` serves all candidate pairs;
+    each pair's part always forms a cut of its pair tree, starting at the
+    roots (each step makes a new detector).  A sweep evaluates the whole
+    frontier at the guessed poses as one batch; every pairing with contact
+    or an unsettled verdict that is not mesh-mesh splits into its child
+    pairings, every other pairing stays.  The frontier only refines within
+    a step, so it widens at most one level per sweep and cannot oscillate.
+    Halo contacts on surrogate levels are returned as well, merged per
+    level, so their damped forces feed the guess.  A sweep is settled when
+    no pairing split: a surrogate-level contact always splits, so a
+    settled sweep is a complete mesh-level detection at that sweep's poses.
     """
 
     def __init__(self, system: System, params: KernelParams, stats: StepStats):
         self.system = system
         self.params = params
         self.stats = stats
+        self.forest = system.forest
         self.pairs = broad_phase_pairs(system)
         stats.broad_phase_pairs = len(self.pairs)
-        self.frontier = {(i, j): _roots(system.particles[i].flat, system.particles[j].flat)
-                         for i, j in self.pairs}
+        self.frontier = self.forest.roots(self.pairs)
 
     def __call__(self, guess_motions: list[RigidMotion]) -> tuple[list[ContactPoint], bool]:
-        contacts: list[ContactPoint] = []
-        settled = True
-        for i, j in self.pairs:
-            p_i, p_j = self.system.particles[i], self.system.particles[j]
-            fi, fj = p_i.flat, p_j.flat
-            gi, gj = self.frontier[(i, j)]
-            pair_contacts, split = _evaluate_pairings(
-                fi, fj, p_i.world_tris(guess_motions[i]), p_j.world_tris(guess_motions[j]),
-                gi, gj, (i, j), self.params, self.stats, surrogate_contacts=True)
-
-            # merge within the same representation level only
-            by_level: dict[tuple, list[ContactPoint]] = {}
-            for c in _sorted_contacts(pair_contacts):
-                by_level.setdefault(c.level, []).append(c)
-            for lvl in sorted(by_level):
-                contacts.extend(merge_contacts(by_level[lvl], min(p_i.epsilon, p_j.epsilon)))
-
-            if split.any():
-                settled = False
-                ki, kj = _split_pairings(fi, fj, gi[split], gj[split])
-                self.frontier[(i, j)] = (np.concatenate([gi[~split], ki]),
-                                         np.concatenate([gj[~split], kj]))
-        return contacts, settled
+        gi, gj = self.frontier
+        found, split = _evaluate_pairings(
+            self.forest, self.forest.world(guess_motions, self.pairs), gi, gj,
+            self.params, self.stats, surrogate_contacts=True)
+        if split.any():
+            ki, kj = _split_pairings(self.forest, gi[split], gj[split])
+            self.frontier = (np.concatenate([gi[~split], ki]), np.concatenate([gj[~split], kj]))
+        return _merged_per_pair(found, self.system.particles), not split.any()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class TestFlatTree:
         assert np.array_equal(flat.tri[flat.n_nodes:], sphere320)
         # fine ids map back to mesh indices, parents are leaves
         fine_ids = np.arange(flat.n_nodes, flat.n_nodes + flat.n_fine)
-        assert flat.is_fine(fine_ids).all()
         assert (flat.height[fine_ids] == 0).all()
         assert (flat.height[: flat.n_nodes] >= 1).all()
         assert np.array_equal(flat.kids[flat.kid_start[fine_ids]], fine_ids)
@@ -250,8 +249,8 @@ def mesh_leaves(flat):
     """Mesh triangle indices under every id, walking the CSR children."""
     out = {}
     for nid in range(flat.n_nodes + flat.n_fine - 1, -1, -1):
-        if flat.is_fine(np.array([nid]))[0]:
-            out[nid] = [int(flat.fine_index(nid))]
+        if nid >= flat.n_nodes:
+            out[nid] = [nid - flat.n_nodes]
         else:
             kids = flat.kids[flat.kid_start[nid]:flat.kid_start[nid] + flat.kid_count[nid]]
             out[nid] = [t for k in kids for t in out[int(k)]]
@@ -284,7 +283,9 @@ class TestFusedFrontier:
                 _, settled = detect([motions[0], RigidMotion(motions[1].rotation,
                                                              motions[1].translation + shift)])
                 swept += 1
-                gi, gj = detect.frontier[(0, 1)]
+                # the global frontier in each tree's own ids
+                gi, gj = detect.frontier
+                gi, gj = gi - detect.forest.offset[0], gj - detect.forest.offset[1]
                 cover = np.zeros((fi.n_fine, fj.n_fine), dtype=np.int64)
                 for a, b in zip(gi, gj):
                     cover[np.ix_(leaves_i[int(a)], leaves_j[int(b)])] += 1
@@ -469,6 +470,63 @@ class TestSeparatingAxisCull:
         assert (sum(s.kernel.iterative_invocations for s in with_cull)
                 < sum(s.kernel.iterative_invocations for s in without))
         assert sum(s.contacts_merged for s in with_cull) > 0
+
+
+class TestBatchedUnfolding:
+    def test_all_pairs_pass_matches_pair_by_pair(self):
+        # jittered poses of the 2x2x2 grid: unfolding every broad-phase pair
+        # in one batch per level gives each pair bitwise the contacts of a
+        # one-pair call, and the counters of all one-pair calls together
+        rng = np.random.default_rng(8)
+        system = _cull_scene("grid")
+        params = KernelParams()
+        touching = 0
+        for _ in range(3):
+            motions = [stepping.advance_motion(p, p.motion, rng.normal(scale=2e-3, size=3),
+                                               rng.normal(scale=2e-2, size=3), 1.0)
+                       for p in system.particles]
+            pairs = broad_phase_pairs(system, motions)
+            batched, summed = StepStats(), StepStats()
+            found = stepping._unfold(system.forest, motions, pairs, params, batched)
+            for i, j in pairs:
+                one = StepStats()
+                alone = multiscale_contacts(system.particles[i], system.particles[j], (i, j),
+                                            params, one, motion_i=motions[i], motion_j=motions[j])
+                mine = sorted((c for c in found if c.pair == (i, j)), key=lambda c: c.source)
+                assert [(c.source, c.level) for c in mine] == [(c.source, c.level) for c in alone]
+                for a, b in zip(mine, alone):
+                    assert np.array_equal(a.position, b.position)
+                    assert np.array_equal(a.normal, b.normal)
+                for lvl, count in one.checks_by_level.items():
+                    summed.record_checks(lvl, count)
+                summed.culled += one.culled
+                for key, count in one.kernel.as_dict().items():
+                    setattr(summed.kernel, key, getattr(summed.kernel, key) + count)
+                touching += bool(alone)
+            assert len(found) == sum(1 for c in found if c.pair in pairs)
+            assert batched.checks_by_level == summed.checks_by_level
+            assert batched.culled == summed.culled
+            assert batched.kernel == summed.kernel
+        assert touching > 0
+
+    def test_one_kernel_batch_per_level(self, monkeypatch):
+        # one ExplicitMultiscale step on the grid: the hybrid-kernel calls
+        # stay within the pair tree's levels plus the slices the cap forces,
+        # a bound that does not grow with the number of broad-phase pairs
+        sizes = []
+        original = stepping.hybrid_batch
+
+        def recording(A, B, params, counters, eps, allow_fallback=True):
+            sizes.append(A.shape[0])
+            return original(A, B, params, counters, eps, allow_fallback)
+
+        monkeypatch.setattr(stepping, "hybrid_batch", recording)
+        system = copy.deepcopy(_cull_scene("grid"))
+        stats = explicit_step(system, StepConfig(dt=1e-4, mode="ExplicitMultiscale"))
+        levels = 1 + max(int(p.flat.height[p.flat.root]) for p in system.particles)
+        assert stats.broad_phase_pairs > levels and stats.contacts_merged > 0
+        assert max(sizes) <= stepping._SLICE
+        assert len(sizes) <= levels + sum(sizes) // stepping._SLICE
 
 
 _CULL_SCENES: dict = {}
