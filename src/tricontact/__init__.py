@@ -9,7 +9,7 @@ from .geometry import RigidMotion
 from .kernels import (DegenerateTriangle, DistanceResult, KernelCounters,
                       KernelParams, Kind, closest_comparison, closest_hybrid,
                       closest_iterative, gradient_of_J)
-from .contact import (ContactPoint, ForceModelParams, MassProperties,
+from .contact import (Contacts, ForceModelParams, MassProperties,
                       contact_force, mass_properties_from_mesh, merge_contacts)
 from .surrogate import (FitParams, SurrogateTree, build_surrogate_tree,
                         cluster_triangles, conservative_epsilon,

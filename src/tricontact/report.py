@@ -56,12 +56,13 @@ class RunConfig:
         data = dict(data)
         scene = SceneSpec.from_dict(data.get("scene", {}))
         step_data = dict(data.get("step", {}))
-        force = step_data.pop("force", None)
+        force = dict(step_data.pop("force", None) or {})
+        force.pop("epsilon", None)  # a retired no-op option: any value loads
+        if step_data.pop("surrogate_force_damping", None) is not None:  # retired, null loads
+            raise ValueError("step.surrogate_force_damping is retired; only null is accepted")
         step = StepConfig(**step_data)
         if force:
             step.force = ForceModelParams(**force)
-        if isinstance(step.surrogate_force_damping, list):
-            step.surrogate_force_damping = tuple(step.surrogate_force_damping)
         kernel = KernelParams(**data.get("kernel", {}))
         fit_data = dict(data.get("fit", {}))
         # files written while the fit had a post_scale option hold its no-op 1.0

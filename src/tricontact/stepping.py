@@ -17,19 +17,22 @@ per level (per sweep in the fused mode), in kernel slices of at most
 apart skip the kernel; they still count as checks (pairings examined) and
 also as ``StepStats.culled``.  Flat detection, the brute-force baseline,
 does not cull.  Counter reports are deterministic for identical configurations.
+
+Contacts stay one :class:`~tricontact.contact.Contacts` struct of arrays
+from the kernel hits to the wrench: built per kernel call, merged by one
+:func:`merge_contacts` call per detection, and turned into per-particle
+forces, torques and rates by ``_rates`` in two array passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
-from .contact import (ContactPoint, ForceModelParams, MassProperties,
-                      accumulate, contact_from_segment, contact_force,
-                      contact_wrench, immovable_mass,
+from .contact import (Contacts, ForceModelParams, MassProperties, accumulate,
+                      contact_force, contacts_from_segments, immovable_mass,
                       mass_properties_from_mesh, merge_contacts)
 from .geometry import REAL, RigidMotion, as_triangles
 from .kernels import KernelCounters, KernelParams, Kind, hybrid_batch
@@ -64,7 +67,6 @@ class StepConfig:
     theta_min: float = 0.05
     theta_grow: float = 1.2
     theta_shrink: float = 0.5
-    surrogate_force_damping: tuple | None = None  # per-height scales, default 2**-h
     force: ForceModelParams = field(default_factory=ForceModelParams)
 
     def __post_init__(self):
@@ -74,14 +76,6 @@ class StepConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.convergence_rel_tol <= 0.0:
             raise ValueError("convergence tolerance must be positive")
-
-    def damping_for_height(self, height: int) -> float:
-        if height <= 0:
-            return 1.0
-        if self.surrogate_force_damping is not None:
-            idx = min(height, len(self.surrogate_force_damping) - 1)
-            return float(self.surrogate_force_damping[idx])
-        return float(2.0 ** (-height))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +165,6 @@ class Particle:
     mass: MassProperties
     epsilon: float
     immovable: bool = False
-
-    def com_world(self) -> np.ndarray:
-        return self.motion.apply_points(self.mass.center_of_mass)
 
     def bound_radius(self) -> float:
         com = self.mass.center_of_mass
@@ -307,34 +298,31 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _sorted_contacts(contacts: list[ContactPoint]) -> list[ContactPoint]:
-    return sorted(contacts, key=lambda c: (c.pair, c.level, c.source))
+# Mesh-triangle pairs per flat kernel call: bounds the working set.
+_FLAT_SLICE = 262144
 
 
 def single_level_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
                           params: KernelParams, stats: StepStats,
-                          motion_i=None, motion_j=None,
-                          chunk: int = 262144) -> list[ContactPoint]:
-    """All fine-triangle pairs through the hybrid kernel (flat detection)."""
+                          motion_i=None, motion_j=None) -> Contacts:
+    """All fine-triangle pairs through the hybrid kernel (flat detection),
+    in kernel calls of ``_FLAT_SLICE`` pairs; contacts in source order."""
     world_i = (motion_i or p_i.motion).apply_points(p_i.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
     world_j = (motion_j or p_j.motion).apply_points(p_j.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
     ni, nj = world_i.shape[0], world_j.shape[0]
     eps_pair = 0.5 * (p_i.epsilon + p_j.epsilon)
     ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
-    contacts: list[ContactPoint] = []
-    for start in range(0, ii.size, chunk):
-        si, sj = ii[start:start + chunk], jj[start:start + chunk]
+    found = []
+    for start in range(0, ii.size, _FLAT_SLICE):
+        si, sj = ii[start:start + _FLAT_SLICE], jj[start:start + _FLAT_SLICE]
         res = hybrid_batch(world_i[si], world_j[sj], params, stats.kernel, eps_pair)
         stats.record_checks(0, si.size)
-        for h in np.nonzero(res.kind == np.int8(Kind.CONTACT))[0]:
-            contacts.append(
-                contact_from_segment(
-                    res.point_a[h], res.point_b[h], p_i.epsilon, p_j.epsilon,
-                    pair=pair, source=(int(si[h]), int(sj[h])),
-                )
-            )
-    return _sorted_contacts(contacts)
+        h = res.kind == np.int8(Kind.CONTACT)
+        found.append(contacts_from_segments(
+            res.point_a[h], res.point_b[h], (p_i.epsilon, p_j.epsilon), pair,
+            np.stack([si[h], sj[h]], axis=1), 0))
+    return Contacts.concat(found)
 
 
 def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -384,7 +372,7 @@ def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np
     live = np.flatnonzero(np.concatenate(kept))
     stats.culled += gi.size - live.size
     split = np.zeros(gi.size, dtype=bool)
-    contacts: list[ContactPoint] = []
+    found = []
     for s in range(0, live.size, _SLICE):
         rows = live[s:s + _SLICE]
         a, b = gi[rows], gj[rows]
@@ -393,18 +381,11 @@ def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np
                            0.5 * (forest.eps[a] + forest.eps[b]), allow_fallback=both_fine)
         is_contact = res.kind == np.int8(Kind.CONTACT)
         hits = is_contact if surrogate_contacts else is_contact & both_fine
-        for h in np.flatnonzero(hits):
-            ga, gb = a[h], b[h]
-            contacts.append(
-                contact_from_segment(
-                    res.point_a[h], res.point_b[h], float(forest.eps[ga]), float(forest.eps[gb]),
-                    pair=(int(forest.owner[ga]), int(forest.owner[gb])),
-                    source=(int(forest.source[ga]), int(forest.source[gb])),
-                    level=(int(forest.height[ga]), int(forest.height[gb])),
-                )
-            )
+        sides = (np.stack([row[a[hits]], row[b[hits]]], axis=1)  # eps, pair, source, level
+                 for row in (forest.eps, forest.owner, forest.source, forest.height))
+        found.append(contacts_from_segments(res.point_a[hits], res.point_b[hits], *sides))
         split[rows] = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
-    return contacts, split
+    return Contacts.concat(found), split
 
 
 def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
@@ -430,43 +411,34 @@ def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
 
 
 def _unfold(forest: Forest, motions: list[RigidMotion], pairs, params: KernelParams,
-            stats: StepStats) -> list[ContactPoint]:
+            stats: StepStats) -> Contacts:
     """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
     together from their roots: one :func:`_evaluate_pairings` per level."""
     world = forest.world(motions, pairs)
     gi, gj = forest.roots(pairs)
-    contacts: list[ContactPoint] = []
+    found = []
     while gi.size:
-        found, split = _evaluate_pairings(forest, world, gi, gj, params, stats,
-                                          surrogate_contacts=False)
-        contacts.extend(found)
+        contacts, split = _evaluate_pairings(forest, world, gi, gj, params, stats,
+                                             surrogate_contacts=False)
+        found.append(contacts)
         gi, gj = _split_pairings(forest, gi[split], gj[split])
-    return contacts
+    return Contacts.concat(found)
 
 
 def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
                         params: KernelParams, stats: StepStats,
-                        motion_i=None, motion_j=None) -> list[ContactPoint]:
+                        motion_i=None, motion_j=None) -> Contacts:
     """Top-down unfolding detection over both surrogate trees.
 
     Pairings start at the roots; a pairing with contact or an unsettled
     verdict splits into its child pairings, every other pairing retires,
-    and only contacts between real mesh triangles yield contact points.
-    Comparison fallbacks run on mesh-level pairs only.
+    and only contacts between real mesh triangles yield contacts, returned
+    in (pair, level, source) order.  Comparison fallbacks run on mesh-level
+    pairs only.
     """
     forest = Forest([p_i.flat, p_j.flat], pair)
     motions = [motion_i or p_i.motion, motion_j or p_j.motion]
-    return _sorted_contacts(_unfold(forest, motions, [(0, 1)], params, stats))
-
-
-def _merged_per_pair(contacts: list[ContactPoint], particles: list[Particle]) -> list[ContactPoint]:
-    """Contacts merged per particle pair and per pair of levels, in
-    :func:`_sorted_contacts` order, with the pair's smaller halo."""
-    merged: list[ContactPoint] = []
-    by_pair_level = groupby(_sorted_contacts(contacts), key=lambda c: (c.pair, c.level))
-    for ((i, j), _), group in by_pair_level:
-        merged.extend(merge_contacts(list(group), min(particles[i].epsilon, particles[j].epsilon)))
-    return merged
+    return _unfold(forest, motions, [(0, 1)], params, stats).sorted()
 
 
 # ---------------------------------------------------------------------------
@@ -474,47 +446,19 @@ def _merged_per_pair(contacts: list[ContactPoint], particles: list[Particle]) ->
 # ---------------------------------------------------------------------------
 
 
-def _pair_forces(contacts: list[ContactPoint], system: System, cfg: StepConfig,
-                 motions: list[RigidMotion]) -> dict[int, list]:
-    """Per-particle (contact, force) lists; opposite signs per pair side."""
-    per_particle: dict[int, list] = {}
-    for c in contacts:
-        i, j = c.pair
-        p_i, p_j = system.particles[i], system.particles[j]
-        com_i = motions[i].apply_points(p_i.mass.center_of_mass)
-        com_j = motions[j].apply_points(p_j.mass.center_of_mass)
-        f = contact_force(
-            c, p_i.mass, p_j.mass,
-            ForceModelParams(cfg.force.k_s, c.eps[0]),
-            centers_fallback=com_i - com_j,
-        )
-        scale = cfg.damping_for_height(max(c.level))
-        f = f * scale
-        per_particle.setdefault(i, []).append((c, f))
-        per_particle.setdefault(j, []).append((c, -f))
-    return per_particle
-
-
-def _rates(system: System, cfg: StepConfig, contacts: list[ContactPoint],
+def _rates(system: System, cfg: StepConfig, contacts: Contacts,
            motions: list[RigidMotion], omegas: list[np.ndarray]):
-    """Raw force/torque and the induced (dv, domega) per particle."""
-    per_particle = _pair_forces(contacts, system, cfg, motions)
-    n = len(system.particles)
-    force = np.zeros((n, 3), dtype=REAL)
-    torque = np.zeros((n, 3), dtype=REAL)
-    dv = np.zeros((n, 3), dtype=REAL)
-    domega = np.zeros((n, 3), dtype=REAL)
-    for i, p in enumerate(system.particles):
-        items = per_particle.get(i, [])
-        if p.immovable:
-            continue
-        com_w = motions[i].apply_points(p.mass.center_of_mass)
-        cs = [c for c, _ in items]
-        fs = [f for _, f in items]
-        force[i], torque[i] = contact_wrench(cs, fs, com_w)
-        dv[i], domega[i] = accumulate(cs, fs, p.mass, com_w, motions[i].rotation_matrix(),
-                                      omegas[i], wrench=(force[i], torque[i]))
-    return force, torque, dv, domega
+    """Raw force/torque and the induced (dv, domega) per particle.
+
+    A contact of surrogate height ``h`` (the larger side's) pushes at
+    ``2**-h`` of its spring; each centre of mass moves to the world once."""
+    masses = [p.mass for p in system.particles]
+    com = np.array([m.apply_points(p.mass.center_of_mass)
+                    for m, p in zip(motions, system.particles)])
+    forces = contact_force(contacts, masses, com, cfg.force.k_s)
+    forces *= 0.5 ** contacts.level.max(axis=1)[:, None]
+    return accumulate(contacts, forces, masses, com, [m.rotation_matrix() for m in motions],
+                      omegas)
 
 
 def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
@@ -533,17 +477,17 @@ def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
 
 
 def _detect_all(system: System, params: KernelParams, stats: StepStats,
-                motions: list[RigidMotion], multiscale: bool) -> list[ContactPoint]:
+                motions: list[RigidMotion], multiscale: bool) -> Contacts:
     pairs = broad_phase_pairs(system, motions)
     stats.broad_phase_pairs = len(pairs)
     if multiscale:
         found = _unfold(system.forest, motions, pairs, params, stats)
     else:
-        found = [c for i, j in pairs
-                 for c in single_level_contacts(system.particles[i], system.particles[j], (i, j),
-                                                params, stats, motion_i=motions[i],
-                                                motion_j=motions[j])]
-    return _merged_per_pair(found, system.particles)
+        found = Contacts.concat(
+            single_level_contacts(system.particles[i], system.particles[j], (i, j), params,
+                                  stats, motion_i=motions[i], motion_j=motions[j])
+            for i, j in pairs)
+    return merge_contacts(found, [p.epsilon for p in system.particles])
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +552,7 @@ class _FusedDetector:
         stats.broad_phase_pairs = len(self.pairs)
         self.frontier = self.forest.roots(self.pairs)
 
-    def __call__(self, guess_motions: list[RigidMotion]) -> tuple[list[ContactPoint], bool]:
+    def __call__(self, guess_motions: list[RigidMotion]) -> tuple[Contacts, bool]:
         gi, gj = self.frontier
         found, split = _evaluate_pairings(
             self.forest, self.forest.world(guess_motions, self.pairs), gi, gj,
@@ -616,7 +560,7 @@ class _FusedDetector:
         if split.any():
             ki, kj = _split_pairings(self.forest, gi[split], gj[split])
             self.frontier = (np.concatenate([gi[~split], ki]), np.concatenate([gj[~split], kj]))
-        return _merged_per_pair(found, self.system.particles), not split.any()
+        return merge_contacts(found, [p.epsilon for p in self.system.particles]), not split.any()
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +634,7 @@ def _picard(system: System, cfg: StepConfig, stats: StepStats, detect) -> StepSt
         prev_raw = raw
         have_prev = True
         stats.picard_iterations = sweep + 1
-        stats.contacts_merged = sum(1 for c in contacts if max(c.level) == 0)
+        stats.contacts_merged = int((contacts.level.max(axis=1) == 0).sum())
         if converged:
             break
     else:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the production code paths they check: distances
 come from dense barycentric sampling, gradients from central finite
-differences.
+differences, contact wrenches from a loop over single contacts.
 """
+
+import math
 
 import numpy as np
 
@@ -186,3 +188,31 @@ def mesh_pair_population(rng: np.random.Generator, n_pairs: int,
         A[k] = wa[ia]
         B[k] = wb[ib]
     return A, B
+
+
+def contact_wrench_reference(pairs, levels, positions, normals, eps, masses, coms,
+                             k_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-particle contact force and torque about each centre of mass, one
+    contact at a time, for movable particles.
+
+    Each contact pushes its first particle with the normal spring
+    ``k_s * (1 - |n| / eps_first) * sqrt(reduced mass)`` along ``n`` (along
+    the line between the centres of mass, at full strength, when ``n`` is
+    zero), scaled by ``2**-h`` for the larger surrogate height ``h`` of its
+    sides; its second particle takes the negated force.
+    """
+    force = np.zeros((len(masses), 3))
+    torque = np.zeros((len(masses), 3))
+    for (i, j), level, x, n, (eps_first, _) in zip(pairs, levels, positions, normals, eps):
+        length = math.sqrt(float(n @ n))
+        if length < 1e-12:
+            axis = coms[i] - coms[j]
+            direction, engagement = axis / math.sqrt(float(axis @ axis)), 1.0
+        else:
+            direction, engagement = n / length, 1.0 - length / eps_first
+        reduced = 1.0 / (1.0 / masses[i] + 1.0 / masses[j])
+        f = direction * (k_s * engagement * math.sqrt(reduced) * 0.5 ** int(max(level)))
+        for p, fp in ((i, f), (j, -f)):
+            force[p] += fp
+            torque[p] += np.cross(x - coms[p], fp)
+    return force, torque

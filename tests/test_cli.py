@@ -85,19 +85,32 @@ class TestRun:
         assert report["config"]["seed"] == 5
         assert report["config"]["scene"]["triangle_count"] == 20
 
-    @pytest.mark.parametrize("post_scale, expected", [(1.0, 0), (0.8, 2)])
-    def test_fit_post_scale_in_config(self, tmp_path, post_scale, expected):
-        # configs and reports written while the fit had a post_scale option
-        # hold 1.0 and still load; any other value would change the tree
+    @pytest.mark.parametrize("section, key, value, expected", [
+        pytest.param("fit", "post_scale", 1.0, 0, id="1.0-0"),
+        pytest.param("fit", "post_scale", 0.8, 2, id="0.8-2"),
+        pytest.param("force", "epsilon", 0.01, 0, id="force-epsilon-0.01-0"),
+        pytest.param("force", "epsilon", 0.5, 0, id="force-epsilon-0.5-0"),
+        pytest.param("step", "surrogate_force_damping", None, 0, id="damping-null-0"),
+        pytest.param("step", "surrogate_force_damping", [1.0, 0.5], 2, id="damping-list-2"),
+    ])
+    def test_fit_post_scale_in_config(self, tmp_path, capsys, section, key, value, expected):
+        # configs and reports written while these retired options existed
+        # still load when they hold a no-op: fit.post_scale 1.0, any
+        # step.force.epsilon, a null step.surrogate_force_damping; any other
+        # value would change the run, so it is a config error
         config = RunConfig()
         config.scene.triangle_count = 20
         data = config.as_dict()
-        data["fit"]["post_scale"] = post_scale
+        owner = data["step"]["force"] if section == "force" else data[section]
+        owner[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         code = run_cli("run", "--config", str(cfg_path), "--seed", "5", "--steps", "1",
                        "--report", str(tmp_path / "r.json"))
         assert code == expected
+        if expected:
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and key in err[0]
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -1,14 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tricontact.contact import (ContactPoint, ForceModelParams, OpenMesh,
-                                ZeroNormal, accumulate, contact_force,
-                                contact_from_segment, immovable_mass,
-                                mass_properties_from_mesh, merge_contacts,
-                                reduced_mass_sqrt)
+from oracles import contact_wrench_reference
+from tricontact import stepping
+from tricontact.contact import (Contacts, MassProperties, OpenMesh, ZeroNormal,
+                                accumulate, contact_force, contacts_from_segments,
+                                immovable_mass, mass_properties_from_mesh,
+                                merge_contacts, reduced_mass_sqrt)
 from tricontact.geometry import RigidMotion, triangle
 from tricontact.kernels import KernelParams
-from tricontact.stepping import Particle, StepStats, single_level_contacts
+from tricontact.stepping import (Particle, StepConfig, StepStats, System,
+                                 single_level_contacts)
 
 
 def unit_cube_triangles():
@@ -35,33 +41,61 @@ def flat_contacts(tris_i, tris_j, offset_j, stats=None):
                                  (0, 1), KernelParams(), stats or StepStats())
 
 
-def make_contact(position, normal, eps=1e-2, pair=(0, 1)):
-    return ContactPoint(np.asarray(position, float), np.asarray(normal, float),
-                        pair, eps=(eps, eps))
+def make_contacts(positions, normals, eps=1e-2, pair=(0, 1), level=(0, 0)):
+    """Contacts with the given rows, numbered by their sources."""
+    positions = np.asarray(positions, float).reshape(-1, 3)
+    n = positions.shape[0]
+    return Contacts(*(np.array(np.broadcast_to(np.asarray(x, np.int64), (n, 2)))
+                      for x in (pair, np.arange(n)[:, None], level)),
+                    positions, np.asarray(normals, float).reshape(-1, 3), np.full((n, 2), eps))
+
+
+def mass_of(m):
+    return MassProperties(m, np.zeros(3), np.eye(3))
+
+
+def force_on_first(contacts, masses, coms=None):
+    """Spring forces of ``contacts`` with k_s = 1000."""
+    coms = np.zeros((len(masses), 3)) if coms is None else np.asarray(coms, float)
+    return contact_force(contacts, masses, coms, 1000.0)
 
 
 class TestContactPlacement:
     def test_equal_halos_midpoint(self):
-        c = contact_from_segment([0, 0, 0], [0, 0, 1], 0.5, 0.5)
-        assert np.allclose(c.position, [0, 0, 0.5])
-        assert np.allclose(c.normal, [0, 0, -0.5])
+        c = contacts_from_segments([0, 0, 0], [0, 0, 1], (0.5, 0.5), (0, 1), (-1, -1), 0)
+        assert np.allclose(c.position, [[0, 0, 0.5]])
+        assert np.allclose(c.normal, [[0, 0, -0.5]])
 
     def test_unequal_halos_ratio(self):
         # the contact splits the segment eps_a : eps_b from the first side
-        c = contact_from_segment([0, 0, 0], [0, 0, 1.0], 0.02, 0.08)
-        assert np.allclose(c.position, [0, 0, 0.2])
+        c = contacts_from_segments([0, 0, 0], [0, 0, 1.0], (0.02, 0.08), (0, 1), (-1, -1), 0)
+        assert np.allclose(c.position, [[0, 0, 0.2]])
         # halo-overlap condition reads identically from both sides
-        assert np.linalg.norm(c.normal) / c.eps[0] == pytest.approx(
-            np.linalg.norm(np.asarray([0, 0, 1.0]) - c.position) / c.eps[1])
+        assert np.linalg.norm(c.normal[0]) / c.eps[0, 0] == pytest.approx(
+            np.linalg.norm(np.asarray([0, 0, 1.0]) - c.position[0]) / c.eps[0, 1])
 
     def test_coincident_points_zero_normal(self):
-        c = contact_from_segment([1, 1, 1], [1, 1, 1], 0.01, 0.01, fallback_dir=[1, 0, 0])
-        assert np.linalg.norm(c.normal) == 0.0
+        c = contacts_from_segments([[1, 1, 1], [0, 0, 0]], [[1, 1, 1], [0, 0, 1]], 0.01,
+                                   (0, 1), (-1, -1), 0)
+        assert np.linalg.norm(c.normal[0]) == 0.0
+        assert np.linalg.norm(c.normal[1]) == pytest.approx(0.5)
+
+    def test_rows(self):
+        # iterating yields one row per contact, its ids as int tuples
+        c = contacts_from_segments([[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [1, 0, 1]],
+                                   [(0.01, 0.02), (0.03, 0.04)], [(0, 1), (2, 3)],
+                                   [(5, 6), (7, 8)], [(0, 1), (2, 0)])
+        rows = list(c)
+        assert len(c) == len(rows) == 2
+        assert [(r.pair, r.source, r.level, r.eps) for r in rows] == [
+            ((0, 1), (5, 6), (0, 1), (0.01, 0.02)), ((2, 3), (7, 8), (2, 0), (0.03, 0.04))]
+        assert all(type(k) is int for r in rows for k in r.pair + r.source + r.level)
+        assert np.array_equal(rows[1].position, c.position[1])
 
 
 class TestSingleLevelDetection:
     def test_separated_spheres_empty(self, sphere80):
-        assert flat_contacts(sphere80, sphere80, (1.0 + 3.1e-2, 0, 0)) == []
+        assert len(flat_contacts(sphere80, sphere80, (1.0 + 3.1e-2, 0, 0))) == 0
 
     def test_face_to_face_gap(self):
         # a halo-distance contact between two one-triangle meshes
@@ -70,7 +104,7 @@ class TestSingleLevelDetection:
         contacts = flat_contacts([t], [t], (0, 0, eps))
         merged = merge_contacts(contacts, eps)
         assert len(merged) == 1
-        assert merged[0].position[2] == pytest.approx(eps / 2, abs=1e-9)
+        assert merged.position[0, 2] == pytest.approx(eps / 2, abs=1e-9)
 
     def test_counters_updated(self, sphere80):
         stats = StepStats()
@@ -81,43 +115,69 @@ class TestSingleLevelDetection:
 
 class TestMerge:
     def test_empty(self):
-        assert merge_contacts([], 1e-2) == []
+        assert len(merge_contacts(make_contacts([], []), 1e-2)) == 0
 
     def test_identical_contacts_fuse(self):
-        c = make_contact([1, 2, 3], [0, 0, 5e-3])
-        merged = merge_contacts([c, c, c], 1e-2)
+        c = make_contacts([[1, 2, 3]] * 3, [[0, 0, 5e-3]] * 3)
+        merged = merge_contacts(c, 1e-2)
         assert len(merged) == 1
-        assert np.allclose(merged[0].position, c.position)
-        assert np.allclose(merged[0].normal, c.normal)
+        assert np.allclose(merged.position, [[1, 2, 3]])
+        assert np.allclose(merged.normal, [[0, 0, 5e-3]])
 
     def test_nearby_points_average(self):
-        a = make_contact([0, 0, 0], [0, 0, 4e-3])
-        b = make_contact([5e-3, 0, 0], [0, 0, 6e-3])
-        merged = merge_contacts([a, b], 1e-2)
+        merged = merge_contacts(make_contacts([[0, 0, 0], [5e-3, 0, 0]],
+                                              [[0, 0, 4e-3], [0, 0, 6e-3]]), 1e-2)
         assert len(merged) == 1
-        assert np.allclose(merged[0].position, [2.5e-3, 0, 0])
-        assert np.linalg.norm(merged[0].normal) == pytest.approx(5e-3)
+        assert np.allclose(merged.position, [[2.5e-3, 0, 0]])
+        assert np.linalg.norm(merged.normal[0]) == pytest.approx(5e-3)
 
     def test_distant_points_stay(self):
-        a = make_contact([0, 0, 0], [0, 0, 4e-3])
-        b = make_contact([1, 0, 0], [0, 0, 4e-3])
-        assert len(merge_contacts([a, b], 1e-2)) == 2
+        c = make_contacts([[0, 0, 0], [1, 0, 0]], [[0, 0, 4e-3]] * 2)
+        assert len(merge_contacts(c, 1e-2)) == 2
 
     def test_different_pairs_never_merge(self):
-        a = make_contact([0, 0, 0], [0, 0, 4e-3], pair=(0, 1))
-        b = make_contact([0, 0, 0], [0, 0, 4e-3], pair=(0, 2))
-        assert len(merge_contacts([a, b], 1e-2)) == 2
+        c = make_contacts([[0, 0, 0]] * 2, [[0, 0, 4e-3]] * 2, pair=[(0, 1), (0, 2)])
+        assert len(merge_contacts(c, 1e-2)) == 2
 
-    def test_idempotent(self, rng):
-        contacts = [
-            make_contact(rng.normal(scale=2e-2, size=3), rng.normal(scale=3e-3, size=3))
-            for _ in range(30)
-        ]
-        once = merge_contacts(contacts, 1e-2)
-        twice = merge_contacts(once, 1e-2)
-        assert len(once) == len(twice)
-        for a, b in zip(once, twice):
-            assert np.allclose(a.position, b.position)
+    def test_different_levels_never_merge(self):
+        c = make_contacts([[0, 0, 0]] * 2, [[0, 0, 4e-3]] * 2, level=[(0, 0), (1, 0)])
+        assert len(merge_contacts(c, 1e-2)) == 2
+
+    def test_pair_uses_smaller_halo(self):
+        # per-particle halos: pair (0, 1) merges within 1e-2, pair (0, 2) within 1e-3
+        c = make_contacts([[0, 0, 0], [5e-3, 0, 0]] * 2, [[0, 0, 4e-3]] * 4,
+                          pair=[(0, 1), (0, 1), (0, 2), (0, 2)])
+        assert len(merge_contacts(c, [1e-2, 1e-2, 1e-3])) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_greedy_rule_guarantees(self, seed, n):
+        # the greedy rule is not idempotent (a mean position can come within
+        # epsilon of another representative), but it guarantees: its
+        # representatives of one pair and level lie farther apart than
+        # epsilon, every input lies within epsilon of one of its pair and
+        # level, and inputs already that far apart come back unchanged
+        rng = np.random.default_rng(seed)
+        eps = 1e-2
+        pair = np.array([(0, 1), (0, 2), (1, 2)])[rng.integers(3, size=n)]
+        level = np.array([(0, 0), (1, 0), (2, 1)])[rng.integers(3, size=n)]
+        c = make_contacts(rng.normal(scale=2e-2, size=(n, 3)),
+                          rng.normal(scale=3e-3, size=(n, 3)), eps, pair, level)
+        merged = merge_contacts(c, eps)
+        reps = merged.source[:, 0]  # a cluster keeps its representative's ids
+        assert np.array_equal(merged.pair, pair[reps])
+        assert np.array_equal(merged.level, level[reps])
+        kin = np.concatenate([pair, level], axis=1)
+        for a, b in combinations(reps, 2):
+            if (kin[a] == kin[b]).all():
+                assert np.linalg.norm(c.position[a] - c.position[b]) > eps
+        for k in range(n):
+            mine = reps[(kin[reps] == kin[k]).all(axis=1)]
+            assert (np.linalg.norm(c.position[mine] - c.position[k], axis=1) <= eps).any()
+        again = merge_contacts(c.take(reps), eps)
+        assert np.array_equal(again.source, merged.source)
+        assert np.array_equal(again.position, c.position[reps])
+        assert np.array_equal(again.normal, c.normal[reps])
 
     def test_vertex_vertex_redundancy_collapses(self, sphere320):
         # two spheres approaching vertex-on: every incident triangle pair
@@ -130,69 +190,65 @@ class TestMerge:
 
 class TestForce:
     def test_zero_at_halo_rim(self):
-        c = make_contact([0, 0, 0], [0, 0, 1e-2])
-        f = contact_force(c, mass_of(2.0), mass_of(2.0), ForceModelParams(1000.0, 1e-2))
+        f = force_on_first(make_contacts([0, 0, 0], [0, 0, 1e-2]), [mass_of(2.0), mass_of(2.0)])
         assert np.linalg.norm(f) == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_magnitude(self):
         # |n| = eps/2, equal masses 2 -> reduced-mass sqrt = 1 -> magnitude 500
-        c = make_contact([0, 0, 0], [0, 0, 5e-3])
-        f = contact_force(c, mass_of(2.0), mass_of(2.0), ForceModelParams(1000.0, 1e-2))
+        f = force_on_first(make_contacts([0, 0, 0], [0, 0, 5e-3]), [mass_of(2.0), mass_of(2.0)])
         assert np.linalg.norm(f) == pytest.approx(500.0)
-        assert np.allclose(f / np.linalg.norm(f), [0, 0, 1])
+        assert np.allclose(f / np.linalg.norm(f), [[0, 0, 1]])
 
     def test_immovable_limit(self):
-        c = make_contact([0, 0, 0], [0, 0, 5e-3])
-        f = contact_force(c, immovable_mass(), mass_of(4.0), ForceModelParams(1000.0, 1e-2))
+        f = force_on_first(make_contacts([0, 0, 0], [0, 0, 5e-3]), [immovable_mass(), mass_of(4.0)])
         assert np.linalg.norm(f) == pytest.approx(1000.0 * 0.5 * 2.0)
 
     def test_zero_normal_uses_center_fallback(self):
-        c = make_contact([0, 0, 0], [0, 0, 0])
+        c = make_contacts([0, 0, 0], [0, 0, 0])
         with pytest.raises(ZeroNormal):
-            contact_force(c, mass_of(1.0), mass_of(1.0), ForceModelParams(1000.0, 1e-2))
-        f = contact_force(c, mass_of(1.0), mass_of(1.0), ForceModelParams(1000.0, 1e-2),
-                          centers_fallback=np.array([2.0, 0, 0]))
-        assert np.allclose(f, [1000.0 * reduced_mass_sqrt(1, 1), 0, 0])
+            force_on_first(c, [mass_of(1.0), mass_of(1.0)])
+        f = force_on_first(c, [mass_of(1.0), mass_of(1.0)], coms=[[2.0, 0, 0], [0, 0, 0]])
+        assert np.allclose(f, [[1000.0 * reduced_mass_sqrt(1, 1), 0, 0]])
 
     def test_reduced_mass_two_immovable(self):
         with pytest.raises(ValueError):
             reduced_mass_sqrt(np.inf, np.inf)
 
 
-def mass_of(m):
-    from tricontact.contact import MassProperties
-    return MassProperties(m, np.zeros(3), np.eye(3))
+def rates_of(contacts, forces, masses, omega=(0.0, 0.0, 0.0)):
+    """accumulate() with every centre of mass at the origin, unrotated."""
+    n = len(masses)
+    return accumulate(contacts, np.asarray(forces, float).reshape(-1, 3), masses,
+                      np.zeros((n, 3)), [np.eye(3)] * n, [np.asarray(omega, float)] * n)
 
 
 class TestAccumulate:
     def test_no_contacts(self):
-        dv, dw = accumulate([], [], mass_of(2.0), np.zeros(3), np.eye(3), np.zeros(3))
+        _, _, dv, dw = rates_of(make_contacts([], []), [], [mass_of(2.0)])
         assert np.allclose(dv, 0) and np.allclose(dw, 0)
 
     def test_force_through_com(self):
-        c = make_contact([0, 0, 0], [0, 0, 5e-3])
-        f = np.array([0.0, 0.0, 10.0])
-        dv, dw = accumulate([c], [f], mass_of(2.0), np.zeros(3), np.eye(3), np.zeros(3))
-        assert np.allclose(dv, [0, 0, 5.0])
+        c = make_contacts([0, 0, 0], [0, 0, 5e-3])
+        force, torque, dv, dw = rates_of(c, [0.0, 0.0, 10.0], [mass_of(2.0), immovable_mass()])
+        assert np.allclose(dv[0], [0, 0, 5.0])
         assert np.allclose(dw, 0)
+        # the immovable side takes no force and no rates
+        assert not force[1].any() and not torque[1].any() and not dv[1].any()
 
     def test_mirror_symmetric_contacts_cancel_torque(self):
-        c1 = make_contact([1, 0, 0], [0, 0, 5e-3])
-        c2 = make_contact([-1, 0, 0], [0, 0, 5e-3])
-        f = np.array([0.0, 0.0, 7.0])
-        dv, dw = accumulate([c1, c2], [f, f], mass_of(2.0), np.zeros(3), np.eye(3), np.zeros(3))
-        assert np.allclose(dw, 0, atol=1e-12)
-        assert np.allclose(dv, [0, 0, 7.0])
+        c = make_contacts([[1, 0, 0], [-1, 0, 0]], [[0, 0, 5e-3]] * 2)
+        _, _, dv, dw = rates_of(c, [[0.0, 0.0, 7.0]] * 2, [mass_of(2.0), immovable_mass()])
+        assert np.allclose(dw[0], 0, atol=1e-12)
+        assert np.allclose(dv[0], [0, 0, 7.0])
 
     def test_gyroscopic_term(self):
         # spinning asymmetric body precesses even without contacts
-        from tricontact.contact import MassProperties
         inertia = np.diag([1.0, 2.0, 3.0])
         mass = MassProperties(1.0, np.zeros(3), inertia)
         omega = np.array([0.1, 0.2, 0.3])
-        dv, dw = accumulate([], [], mass, np.zeros(3), np.eye(3), omega)
+        _, _, _, dw = rates_of(make_contacts([], []), [], [mass], omega)
         expected = np.linalg.solve(inertia, -np.cross(omega, inertia @ omega))
-        assert np.allclose(dw, expected)
+        assert np.allclose(dw[0], expected)
 
 
 class TestMassProperties:
@@ -224,8 +280,54 @@ class TestMassProperties:
 
 class TestNewtonThirdLaw:
     def test_pairwise_forces_cancel_exactly(self, rng):
-        params = ForceModelParams(1000.0, 1e-2)
-        for _ in range(20):
-            c = make_contact(rng.normal(size=3), rng.normal(scale=3e-3, size=3))
-            f = contact_force(c, mass_of(1.3), mass_of(2.7), params)
-            assert np.allclose(f + (-f), 0.0)
+        # both sides sum the same forces in the same order, negated
+        c = make_contacts(rng.normal(size=(20, 3)), rng.normal(scale=3e-3, size=(20, 3)))
+        masses = [mass_of(1.3), mass_of(2.7)]
+        force, _, _, _ = rates_of(c, force_on_first(c, masses), masses)
+        assert np.array_equal(force[0], -force[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_particles=st.integers(3, 4),
+       n_contacts=st.integers(0, 40))
+def test_force_assembly_properties(seed, n_particles, n_contacts):
+    # random contacts among movable particles, at every surrogate height
+    # and some with zero normals: the forces sum to zero and the torques
+    # about the origin, sum(tau_i + c_i x F_i), to zero, both to round-off,
+    # and the array path matches a per-contact reference loop
+    rng = np.random.default_rng(seed)
+    particles = []
+    for _ in range(n_particles):
+        a = rng.normal(size=(3, 3))
+        mass = MassProperties(rng.uniform(0.5, 3.0), rng.normal(scale=0.1, size=3),
+                              a @ a.T + 0.1 * np.eye(3))
+        particles.append(Particle(body_tris=None, flat=None,
+                                  motion=RigidMotion.random_rotation(rng, rng.normal(size=3)),
+                                  v=np.zeros(3), omega=rng.normal(size=3), mass=mass,
+                                  epsilon=1e-2))
+    i = rng.integers(n_particles, size=n_contacts)
+    j = (i + rng.integers(1, n_particles, size=n_contacts)) % n_particles
+    eps = rng.uniform(1e-3, 2e-2, size=(n_contacts, 2))
+    normal = rng.normal(size=(n_contacts, 3))
+    normal *= (rng.uniform(0.0, 1.0, size=n_contacts) * eps[:, 0]
+               / np.linalg.norm(normal, axis=1))[:, None]
+    normal[rng.random(n_contacts) < 0.1] = 0.0
+    contacts = Contacts(np.stack([i, j], axis=1), np.zeros((n_contacts, 2), dtype=np.int64),
+                        rng.integers(0, 5, size=(n_contacts, 2)),
+                        rng.normal(size=(n_contacts, 3)), normal, eps)
+    motions = [p.motion for p in particles]
+    force, torque, _, _ = stepping._rates(System(particles), StepConfig(), contacts, motions,
+                                          [p.omega for p in particles])
+
+    coms = np.array([m.apply_points(p.mass.center_of_mass) for m, p in zip(motions, particles)])
+    ref_force, ref_torque = contact_wrench_reference(
+        contacts.pair, contacts.level, contacts.position, contacts.normal, contacts.eps,
+        [p.mass.mass for p in particles], coms, StepConfig().force.k_s)
+    # bounds on the summed terms: |f| <= k_s sqrt(M), lever arms <= |x| + |c|
+    f_scale = 1.0 + n_contacts * StepConfig().force.k_s * np.sqrt(3.0)
+    t_scale = f_scale * (np.abs(contacts.position).max(initial=0.0) + np.abs(coms).max())
+    assert np.abs(force.sum(axis=0)).max() <= 1e-12 * f_scale
+    angular = (torque + np.cross(coms, force)).sum(axis=0)
+    assert np.abs(angular).max() <= 1e-12 * t_scale
+    assert np.abs(force - ref_force).max() <= 1e-12 * f_scale
+    assert np.abs(torque - ref_torque).max() <= 1e-12 * t_scale

@@ -122,7 +122,7 @@ class TestMultiscaleDetection:
         stats = StepStats()
         found = multiscale_contacts(system.particles[0], system.particles[1], (0, 1),
                                     KernelParams(), stats)
-        assert found == []
+        assert len(found) == 0
         assert stats.finest_checks == 0
         assert stats.checks_by_level.get(max(stats.checks_by_level), 0) >= 1
 
