@@ -11,10 +11,25 @@ Three routes to the same answer:
 * a hybrid wrapper that runs the minimiser and falls back to the
   comparison kernel for the pairs that did not settle.
 
-All kernels operate on batches ``(n, 3, 3)`` internally; the scalar API
-wraps batches of one.  Classification against the contact threshold uses a
-per-pair halo width ``eps``: a pair is in contact when the closest distance
-is at most ``2 * eps`` (two equal halos of width ``eps`` touching).
+The batch API takes ``(n, 3, 3)`` triangles and returns ``(n, ...)`` rows;
+the scalar API wraps batches of one.  Classification against the contact
+threshold uses a per-pair halo width ``eps``: a pair is in contact when the
+closest distance is at most ``2 * eps`` (two equal halos of width ``eps``
+touching).
+
+Layout.  The minimiser works per coordinate: each vertex, edge and iterate
+is a ``(3, n)`` array whose rows are contiguous, updated in place in a few
+preallocated length-n buffers, so that every numpy call streams whole rows
+instead of ``(n, 3)`` temporaries and strided columns.  Its 3-term dot
+products are summed as ``(u0*v0 + u2*v2) + u1*v1``, the order in which
+numpy's ``einsum("ij,ij->i")`` sums them in float64 (measured with numpy
+2.4 on x86-64), and its norms as ``sqrt((u0² + u1²) + u2²)``, as
+``np.linalg.norm`` sums a row: the kernel rounds as its row-wise first
+version did, so verdicts and contacts do not move.  The comparison
+kernel stacks each kind of feature test into one batch (6n vertex-triangle
+rows, 9n edge-edge rows, 6n edge-plane rows), so the number of numpy calls
+it makes does not grow with the number of feature tests; every operation
+is row by row, so stacking changes no result.
 """
 
 from __future__ import annotations
@@ -68,6 +83,8 @@ class KernelParams:
             raise ValueError("n_iterative must be at least 1")
         if self.c_factor <= 0.0:
             raise ValueError("c_factor must be positive")
+        if self.move_factor <= 0.0:
+            raise ValueError("move_factor must be positive")
         if self.alpha_iterative <= 0.0 or self.alpha_regulariser <= 0.0:
             raise ValueError("penalty weights must be positive")
 
@@ -247,18 +264,29 @@ def _closest_segment_segment(p1, q1, p2, q2):
     return s, t, c1, c2
 
 
-# Edge k of a triangle runs from vertex _EDGE_START[k] to vertex _EDGE_END[k];
-# _edge_bary maps the segment parameter back to barycentric coordinates.
-_EDGE_START = (0, 1, 2)
-_EDGE_END = (1, 2, 0)
+# Edge k of a triangle runs from vertex _EDGE_START[k] to vertex _EDGE_END[k].
+# The nine edge-edge tests pair the first triangle's edge _EE_A[r] with the
+# second's edge _EE_B[r], first triangle's edge outermost.
+_EDGE_START = np.array([0, 1, 2])
+_EDGE_END = np.array([1, 2, 0])
+_EE_A = np.repeat(np.arange(3), 3)
+_EE_B = np.tile(np.arange(3), 3)
 
 
-def _edge_bary(k: int, s: np.ndarray) -> np.ndarray:
-    if k == 0:  # v1 -> v2
-        return np.stack([s, np.zeros_like(s)], axis=1)
-    if k == 1:  # v2 -> v3
-        return np.stack([1.0 - s, s], axis=1)
-    return np.stack([np.zeros_like(s), 1.0 - s], axis=1)  # v3 -> v1
+def _rows(tris: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Vertex ``vertices[r]`` of every triangle, block ``r`` after block:
+    shape ``(len(vertices) * n, 3)``."""
+    return tris[:, vertices].transpose(1, 0, 2).reshape(-1, 3)
+
+
+def _edge_bary(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of parameter ``s`` along edge ``k[r]`` of the
+    rows ``s[r]``: ``(s, 0)``, ``(1 - s, s)`` or ``(0, 1 - s)``."""
+    k = k[:, None]
+    r = 1.0 - s
+    u = np.where(k == 0, s, np.where(k == 1, r, 0.0))
+    w = np.where(k == 0, 0.0, np.where(k == 1, s, r))
+    return np.stack([u, w], axis=-1)
 
 
 def _segment_triangle_crossings(p, q, tris):
@@ -296,57 +324,36 @@ def _segment_triangle_crossings(p, q, tris):
 def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     """Exact closest distance via feature tests; classifies against ``2*eps``.
 
-    Degenerate triangles must be filtered by the caller.
+    Each kind of feature test runs as one stacked batch over all pairs:
+    the six vertex-triangle tests, the nine edge-edge tests and the six
+    edge-plane crossings.  Every operation works row by row, so stacking
+    changes no result.  Degenerate triangles must be filtered by the caller.
     """
     A = as_triangles(tri_a)
     B = as_triangles(tri_b)
     n = A.shape[0]
     eps = _as_eps(eps, n)
-
-    cand_d2 = np.empty((15, n), dtype=REAL)
-    cand_pa = np.empty((15, n, 3), dtype=REAL)
-    cand_pb = np.empty((15, n, 3), dtype=REAL)
-    cand_ba = np.empty((15, n, 2), dtype=REAL)
-    cand_bb = np.empty((15, n, 2), dtype=REAL)
     vertex_bary = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=REAL)
+    vertices = np.arange(3)
 
-    row = 0
-    # six point-to-triangle tests
-    for k in range(3):
-        pt = A[:, k]
-        closest, bb = closest_point_triangle_batch(pt, B)
-        diff = pt - closest
-        cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
-        cand_pa[row] = pt
-        cand_pb[row] = closest
-        cand_ba[row] = vertex_bary[k]
-        cand_bb[row] = bb
-        row += 1
-    for k in range(3):
-        pt = B[:, k]
-        closest, ba = closest_point_triangle_batch(pt, A)
-        diff = pt - closest
-        cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
-        cand_pa[row] = closest
-        cand_pb[row] = pt
-        cand_ba[row] = ba
-        cand_bb[row] = vertex_bary[k]
-        row += 1
-    # nine edge-to-edge tests
-    for ka in range(3):
-        pa0 = A[:, _EDGE_START[ka]]
-        pa1 = A[:, _EDGE_END[ka]]
-        for kb in range(3):
-            pb0 = B[:, _EDGE_START[kb]]
-            pb1 = B[:, _EDGE_END[kb]]
-            s, t, c1, c2 = _closest_segment_segment(pa0, pa1, pb0, pb1)
-            diff = c1 - c2
-            cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
-            cand_pa[row] = c1
-            cand_pb[row] = c2
-            cand_ba[row] = _edge_bary(ka, s)
-            cand_bb[row] = _edge_bary(kb, t)
-            row += 1
+    # the triangle each vertex or edge of the other triangle is tested against
+    other = np.concatenate([np.tile(B, (3, 1, 1)), np.tile(A, (3, 1, 1))])
+    # six vertex-triangle tests: A's vertices against B, then B's against A
+    pts = np.concatenate([_rows(A, vertices), _rows(B, vertices)])
+    closest, bary = closest_point_triangle_batch(pts, other)
+    pts, closest, bary = (v.reshape(2, 3, n, -1) for v in (pts, closest, bary))
+    # nine edge-edge tests
+    s, t, c1, c2 = _closest_segment_segment(
+        _rows(A, _EDGE_START[_EE_A]), _rows(A, _EDGE_END[_EE_A]),
+        _rows(B, _EDGE_START[_EE_B]), _rows(B, _EDGE_END[_EE_B]))
+
+    cand_pa = np.concatenate([pts[0], closest[1], c1.reshape(9, n, 3)])
+    cand_pb = np.concatenate([closest[0], pts[1], c2.reshape(9, n, 3)])
+    diff = (cand_pa - cand_pb).reshape(-1, 3)
+    cand_d2 = np.einsum("ij,ij->i", diff, diff).reshape(15, n)
+    corner = np.broadcast_to(vertex_bary[:, None], (3, n, 2))
+    cand_ba = np.concatenate([corner, bary[1], _edge_bary(_EE_A, s.reshape(9, n))])
+    cand_bb = np.concatenate([bary[0], corner, _edge_bary(_EE_B, t.reshape(9, n))])
 
     best = np.argmin(cand_d2, axis=0)
     idx = np.arange(n)
@@ -357,17 +364,11 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     bary_b = cand_bb[best, idx]
 
     # six edge-to-plane tests: catch proper intersections
-    cross_pts = np.zeros((6, n, 3), dtype=REAL)
-    cross_ok = np.zeros((6, n), dtype=bool)
-    row = 0
-    for k in range(3):
-        ok, x = _segment_triangle_crossings(A[:, _EDGE_START[k]], A[:, _EDGE_END[k]], B)
-        cross_ok[row], cross_pts[row] = ok, x
-        row += 1
-    for k in range(3):
-        ok, x = _segment_triangle_crossings(B[:, _EDGE_START[k]], B[:, _EDGE_END[k]], A)
-        cross_ok[row], cross_pts[row] = ok, x
-        row += 1
+    cross_ok, cross_pts = _segment_triangle_crossings(
+        np.concatenate([_rows(A, _EDGE_START), _rows(B, _EDGE_START)]),
+        np.concatenate([_rows(A, _EDGE_END), _rows(B, _EDGE_END)]), other)
+    cross_ok = cross_ok.reshape(6, n)
+    cross_pts = cross_pts.reshape(6, n, 3)
 
     intersecting = cross_ok.any(axis=0)
     if intersecting.any():
@@ -387,10 +388,10 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
         distance[sub] = 0.0
         point_a[sub] = mid
         point_b[sub] = mid
-        _, ba = closest_point_triangle_batch(mid, A[sub])
-        _, bb = closest_point_triangle_batch(mid, B[sub])
-        bary_a[sub] = ba
-        bary_b[sub] = bb
+        _, bary_mid = closest_point_triangle_batch(np.concatenate([mid, mid]),
+                                                   np.concatenate([A[sub], B[sub]]))
+        bary_a[sub] = bary_mid[:sub.size]
+        bary_b[sub] = bary_mid[sub.size:]
 
     kind = np.where(distance <= 2.0 * eps, np.int8(Kind.CONTACT), np.int8(Kind.NO_CONTACT))
     return BatchResult(kind, distance, point_a, point_b, bary_a, bary_b)
@@ -401,42 +402,74 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_max_sq_edge(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    ea = A[:, [1, 2, 0]] - A
-    eb = B[:, [1, 2, 0]] - B
-    la = np.einsum("ijk,ijk->ij", ea, ea).max(axis=1)
-    lb = np.einsum("ijk,ijk->ij", eb, eb).max(axis=1)
-    return np.maximum(la, lb)
+def _coordinates(tris) -> np.ndarray:
+    """Per-coordinate layout ``(3, 3, n)`` of triangles: ``[v, c]`` is
+    coordinate ``c`` of vertex ``v`` of every triangle, contiguous."""
+    return np.ascontiguousarray(as_triangles(tris).transpose(1, 2, 0))
 
 
-def _penalty_value(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    a1, b1, a2, b2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    p = (
-        np.maximum(0.0, a1 - 1.0)
-        + np.maximum(0.0, -a1)
-        + np.maximum(0.0, b1 - 1.0)
-        + np.maximum(0.0, -b1)
-        + np.maximum(0.0, a1 + b1 - 1.0)
-        + np.maximum(0.0, a2 - 1.0)
-        + np.maximum(0.0, -a2)
-        + np.maximum(0.0, b2 - 1.0)
-        + np.maximum(0.0, -b2)
-        + np.maximum(0.0, a2 + b2 - 1.0)
-    )
-    return alpha * p
+def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Dot products of per-coordinate vectors ``(3, n)`` into ``out``.
+
+    Summed as ``(u0*v0 + u2*v2) + u1*v1``, the order in which numpy's
+    ``einsum("ij,ij->i")`` sums three products, so that the kernels round
+    as they did on ``(n, 3)`` rows."""
+    np.multiply(u[0], v[0], out=out)
+    np.multiply(u[2], v[2], out=tmp)
+    out += tmp
+    np.multiply(u[1], v[1], out=tmp)
+    out += tmp
+    return out
+
+
+def _norm(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Lengths of per-coordinate vectors ``(3, n)`` into ``out``, summed as
+    ``np.linalg.norm`` sums a row: ``sqrt((u0² + u1²) + u2²)``."""
+    np.multiply(u[0], u[0], out=out)
+    np.multiply(u[1], u[1], out=tmp)
+    out += tmp
+    np.multiply(u[2], u[2], out=tmp)
+    out += tmp
+    return np.sqrt(out, out=out)
+
+
+def _pair_max_sq_edge(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Largest squared edge length over both triangles of every pair."""
+    n = va.shape[2]
+    out = np.full(n, -np.inf, dtype=REAL)
+    sq, tmp = np.empty(n, dtype=REAL), np.empty(n, dtype=REAL)
+    for v in (va, vb):
+        for p, q in ((1, 0), (2, 1), (0, 2)):
+            edge = v[p] - v[q]
+            np.maximum(out, _dot(edge, edge, sq, tmp), out=out)
+    return out
+
+
+def _penalty(x: np.ndarray, alpha: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Penalty part of the functional at coordinates ``x = (a1, b1, a2, b2)``
+    of shape ``(4, n)`` into ``out``: ``alpha`` times the sum, in this order,
+    of each triangle's ``max(0, a - 1)``, ``max(0, -a)``, ``max(0, b - 1)``,
+    ``max(0, -b)`` and ``max(0, a + b - 1)``."""
+    out.fill(0.0)
+    for a, b in ((x[0], x[1]), (x[2], x[3])):
+        for c in (a, b):
+            np.subtract(c, 1.0, out=tmp)
+            out += np.maximum(0.0, tmp, out=tmp)
+            np.negative(c, out=tmp)
+            out += np.maximum(0.0, tmp, out=tmp)
+        np.add(a, b, out=tmp)
+        tmp -= 1.0
+        out += np.maximum(0.0, tmp, out=tmp)
+    out *= alpha
+    return out
 
 
 def _penalty_gradient(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Subgradient of the penalty sum; zero exactly on the kinks."""
-    a1, b1, a2, b2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    g = np.empty_like(x)
-    s1 = (a1 + b1 - 1.0 > 0.0).astype(REAL)
-    s2 = (a2 + b2 - 1.0 > 0.0).astype(REAL)
-    g[:, 0] = (a1 - 1.0 > 0.0).astype(REAL) - (-a1 > 0.0).astype(REAL) + s1
-    g[:, 1] = (b1 - 1.0 > 0.0).astype(REAL) - (-b1 > 0.0).astype(REAL) + s1
-    g[:, 2] = (a2 - 1.0 > 0.0).astype(REAL) - (-a2 > 0.0).astype(REAL) + s2
-    g[:, 3] = (b2 - 1.0 > 0.0).astype(REAL) - (-b2 > 0.0).astype(REAL) + s2
-    return alpha[:, None] * g
+    """Subgradient of the penalty part at ``x`` of shape ``(4, n)``; zero
+    exactly on the kinks."""
+    side = (x - 1.0 > 0.0).astype(REAL) - (-x > 0.0).astype(REAL)
+    shared = np.repeat((x[0::2] + x[1::2] - 1.0 > 0.0).astype(REAL), 2, axis=0)
+    return alpha * (side + shared)
 
 
 def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, eps) -> BatchResult:
@@ -462,89 +495,103 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     value sits below the threshold scale).  Settled pairs with a small
     quadratic value are contacts, settled pairs with a large one are
     non-contacts, everything else is left open.
+
+    The batch is worked on per coordinate: vectors are ``(3, n)`` arrays
+    and each coordinate a length-n row, updated in place in a few
+    preallocated buffers.
     """
     A = as_triangles(tri_a)
     B = as_triangles(tri_b)
     n = A.shape[0]
     eps = _as_eps(eps, n)
+    va, vb = _coordinates(A), _coordinates(B)
+    # scratch rows and one scratch vector
+    t, u, w = (np.empty(n, dtype=REAL) for _ in range(3))
+    vec = np.empty((3, n), dtype=REAL)
 
-    e1a = A[:, 1] - A[:, 0]
-    e2a = A[:, 2] - A[:, 0]
-    e1b = B[:, 1] - B[:, 0]
-    e2b = B[:, 2] - B[:, 0]
-    base = A[:, 0] - B[:, 0]
+    e1a, e2a = va[1] - va[0], va[2] - va[0]
+    e1b, e2b = vb[1] - vb[0], vb[2] - vb[0]
     dirs = (e1a, e2a, -e1b, -e2b)  # d(diff)/d(coord k)
-
-    sq = _pair_max_sq_edge(A, B)
+    sq = _pair_max_sq_edge(va, vb)
     alpha_it = params.alpha_iterative * sq
     alpha_reg = params.alpha_regulariser * sq
-    denom = np.stack(
-        [np.einsum("ij,ij->i", e, e) for e in dirs],
-        axis=1,
-    ) + alpha_reg[:, None]
-    denom = np.maximum(denom, _TINY)
+
+    def denominator(e):
+        return np.maximum(_dot(e, e, np.empty(n, dtype=REAL), t) + alpha_reg, _TINY)
+
+    denom = [denominator(e) for e in dirs]
     # third-edge directions: sliding along a + b = 1 treats the three
     # barycentric coordinates symmetrically, so boundary iterates cannot
     # jam against the shared constraint
-    e3a = e2a - e1a
-    e3b = e2b - e1b
-    denom3a = np.maximum(np.einsum("ij,ij->i", e3a, e3a) + alpha_reg, _TINY)
-    denom3b = np.maximum(np.einsum("ij,ij->i", e3b, e3b) + alpha_reg, _TINY)
+    e3a, e3b = e2a - e1a, e2b - e1b
+    slides = ((e3a, denominator(e3a)), (-e3b, denominator(e3b)))
 
-    x = np.full((n, 4), params.start_coord, dtype=REAL)
+    x = np.full((4, n), params.start_coord, dtype=REAL)
+    d = va[0] - vb[0]  # the difference vector p_a(x) - p_b(x)
+    for k, e in enumerate(dirs):
+        d += np.multiply(x[k], e, out=vec)
 
-    def diff_vec(x):
-        return (
-            base
-            + x[:, 0, None] * e1a
-            + x[:, 1, None] * e2a
-            - x[:, 2, None] * e1b
-            - x[:, 3, None] * e2b
-        )
+    def on_a(out):
+        """The first triangle's point at ``x``."""
+        np.multiply(x[0], e1a, out=out)
+        out += va[0]
+        out += np.multiply(x[1], e2a, out=vec)
+        return out
 
-    def j_hat(x):
-        d = diff_vec(x)
-        return 0.5 * np.einsum("ij,ij->i", d, d)
+    def functional(out):
+        out = _dot(d, d, out, w)
+        out *= 0.5
+        out += _penalty(x, alpha_it, t, u)
+        return out
 
-    j_total = j_hat(x) + _penalty_value(x, alpha_it)
-    j_old = np.full(n, np.inf, dtype=REAL)
-    d = diff_vec(x)
+    j_total, j_old = functional(np.empty(n, dtype=REAL)), np.empty(n, dtype=REAL)
     partner = (1, 0, 3, 2)  # coordinate sharing the a + b <= 1 penalty
     # contact-point movement between the two last sweeps; the functional
     # change alone cannot flag still-moving iterates once J is below the
     # threshold scale (deep contacts), so both are tracked
-    midpoint = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - 0.5 * d
-    move = np.full(n, np.inf, dtype=REAL)
+    midpoint = on_a(np.empty((3, n), dtype=REAL))
+    midpoint -= np.multiply(d, 0.5, out=vec)
+    new_mid = np.empty((3, n), dtype=REAL)
+    move = np.empty(n, dtype=REAL)
     for _ in range(params.n_iterative):
-        j_old = j_total
+        j_old, j_total = j_total, j_old
         for k, e in enumerate(dirs):
             # descent substep on the quadratic part along the coordinate,
             # then the constraint substep: a Newton step on the coordinate's
             # penalty terms (Dirac kink terms dropped) that returns any
             # violated penalty to its boundary, i.e. clips the move to the
             # admissible interval
-            target = x[:, k] - np.einsum("ij,ij->i", d, e) / denom[:, k]
-            hi = np.maximum(0.0, 1.0 - np.maximum(x[:, partner[k]], 0.0))
-            target = np.clip(target, 0.0, hi)
-            step = target - x[:, k]
-            x[:, k] = target
-            d += step[:, None] * e
+            target = _dot(d, e, t, u)
+            target /= denom[k]
+            np.subtract(x[k], target, out=target)
+            hi = np.maximum(x[partner[k]], 0.0, out=u)
+            np.subtract(1.0, hi, out=hi)
+            np.maximum(0.0, hi, out=hi)
+            np.clip(target, 0.0, hi, out=target)
+            step = np.subtract(target, x[k], out=u)
+            x[k] = target
+            d += np.multiply(step, e, out=vec)
             if k % 2 == 1:
                 # after both coordinates of a triangle: slide along its
-                # a + b = 1 edge, (a, b) -> (a - t, b + t) with t in [-b, a]
-                ka, kb = k - 1, k
-                e3, den3 = (e3a, denom3a) if k == 1 else (-e3b, denom3b)
-                t = -np.einsum("ij,ij->i", d, e3) / den3
-                t = np.clip(t, -np.maximum(x[:, kb], 0.0), np.maximum(x[:, ka], 0.0))
-                x[:, ka] -= t
-                x[:, kb] += t
-                d += t[:, None] * e3
-        j_total = 0.5 * np.einsum("ij,ij->i", d, d) + _penalty_value(x, alpha_it)
-        new_mid = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - 0.5 * d
-        move = np.linalg.norm(new_mid - midpoint, axis=1)
-        midpoint = new_mid
+                # a + b = 1 edge, (a, b) -> (a - s, b + s) with s in [-b, a]
+                e3, den3 = slides[k // 2]
+                s = _dot(d, e3, t, u)
+                np.negative(s, out=s)
+                s /= den3
+                lo = np.maximum(x[k], 0.0, out=u)
+                np.negative(lo, out=lo)
+                np.clip(s, lo, np.maximum(x[k - 1], 0.0, out=w), out=s)
+                x[k - 1] -= s
+                x[k] += s
+                d += np.multiply(s, e3, out=vec)
+        functional(j_total)
+        on_a(new_mid)
+        new_mid -= np.multiply(d, 0.5, out=vec)
+        _norm(np.subtract(new_mid, midpoint, out=vec), move, u)
+        midpoint, new_mid = new_mid, midpoint
 
-    jh = 0.5 * np.einsum("ij,ij->i", d, d)
+    jh = _dot(d, d, t, u)
+    jh *= 0.5
     settled = (np.abs(j_total - j_old) <= params.c_factor * eps) & (
         move <= params.move_factor * eps
     )
@@ -554,10 +601,14 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     kind[settled & ~contact] = np.int8(Kind.NO_CONTACT)
     kind[contact] = np.int8(Kind.CONTACT)
 
-    point_a = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a
-    point_b = B[:, 0] + x[:, 2, None] * e1b + x[:, 3, None] * e2b
+    point_a = on_a(np.empty((3, n), dtype=REAL))
+    point_b = np.multiply(x[2], e1b, out=np.empty((3, n), dtype=REAL))
+    point_b += vb[0]
+    point_b += np.multiply(x[3], e2b, out=vec)
     distance = np.sqrt(2.0 * jh)
-    return BatchResult(kind, distance, point_a, point_b, x[:, :2].copy(), x[:, 2:].copy())
+    return BatchResult(kind, distance, np.ascontiguousarray(point_a.T),
+                       np.ascontiguousarray(point_b.T), np.ascontiguousarray(x[:2].T),
+                       np.ascontiguousarray(x[2:].T))
 
 
 def hybrid_batch(
@@ -632,44 +683,27 @@ def closest_hybrid(
 # ---------------------------------------------------------------------------
 
 
+def _functional_terms(t1, t2, coords, params: KernelParams):
+    """One pair's directions ``d(diff)/d(coord k)``, difference vector
+    ``(3, 1)``, coordinates ``(4, 1)`` and penalty weight at ``coords``."""
+    va, vb = _coordinates(t1), _coordinates(t2)
+    x = np.array(coords, dtype=REAL).reshape(4, 1)
+    dirs = (va[1] - va[0], va[2] - va[0], vb[0] - vb[1], vb[0] - vb[2])
+    d = va[0] - vb[0] + sum(x[k] * e for k, e in enumerate(dirs))
+    return dirs, d, x, params.alpha_iterative * _pair_max_sq_edge(va, vb)
+
+
 def functional_value(t1, t2, a1, b1, a2, b2, params: KernelParams | None = None) -> float:
     """Value of the penalised distance functional at given coordinates."""
     params = params or KernelParams()
-    A = as_triangles(t1)
-    B = as_triangles(t2)
-    sq = _pair_max_sq_edge(A, B)
-    x = np.array([[a1, b1, a2, b2]], dtype=REAL)
-    d = (
-        A[:, 0]
-        - B[:, 0]
-        + x[:, 0, None] * (A[:, 1] - A[:, 0])
-        + x[:, 1, None] * (A[:, 2] - A[:, 0])
-        - x[:, 2, None] * (B[:, 1] - B[:, 0])
-        - x[:, 3, None] * (B[:, 2] - B[:, 0])
-    )
-    jh = 0.5 * float(np.einsum("ij,ij->i", d, d)[0])
-    return jh + float(_penalty_value(x, params.alpha_iterative * sq)[0])
+    _, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2), params)
+    penalty = _penalty(x, alpha, np.empty(1, dtype=REAL), np.empty(1, dtype=REAL))
+    return 0.5 * float((d * d).sum()) + float(penalty[0])
 
 
 def gradient_of_J(t1, t2, a1, b1, a2, b2, params: KernelParams | None = None) -> np.ndarray:
     """Analytic gradient of the penalised functional, subgradient 0 at kinks."""
     params = params or KernelParams()
-    A = as_triangles(t1)
-    B = as_triangles(t2)
-    e1a = A[:, 1] - A[:, 0]
-    e2a = A[:, 2] - A[:, 0]
-    e1b = B[:, 1] - B[:, 0]
-    e2b = B[:, 2] - B[:, 0]
-    x = np.array([[a1, b1, a2, b2]], dtype=REAL)
-    d = A[:, 0] - B[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - x[:, 2, None] * e1b - x[:, 3, None] * e2b
-    grad_hat = np.stack(
-        [
-            np.einsum("ij,ij->i", d, e1a),
-            np.einsum("ij,ij->i", d, e2a),
-            -np.einsum("ij,ij->i", d, e1b),
-            -np.einsum("ij,ij->i", d, e2b),
-        ],
-        axis=1,
-    )
-    alpha = params.alpha_iterative * _pair_max_sq_edge(A, B)
-    return (grad_hat + _penalty_gradient(x, alpha))[0]
+    dirs, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2), params)
+    grad_hat = np.array([(d * e).sum() for e in dirs], dtype=REAL)
+    return grad_hat + _penalty_gradient(x, alpha)[:, 0]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -21,6 +21,18 @@ VOLATILE_KEYS = ("wall_time_ms",)
 
 class SchemaMismatch(ValueError):
     pass
+
+
+def _section(data, cls, name: str, retired: tuple = ()) -> dict:
+    """A copy of the config section ``name``, which holds ``cls`` fields and
+    the ``retired`` keys; a ``ValueError`` names the section and the first
+    other key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"section {name!r} must be an object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)} - set(retired))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in section {name!r}")
+    return dict(data)
 
 
 @dataclass
@@ -54,17 +66,18 @@ class RunConfig:
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
         data = dict(data)
-        scene = SceneSpec.from_dict(data.get("scene", {}))
-        step_data = dict(data.get("step", {}))
-        force = dict(step_data.pop("force", None) or {})
+        scene = SceneSpec.from_dict(_section(data.get("scene", {}), SceneSpec, "scene"))
+        step_data = _section(data.get("step", {}), StepConfig, "step", ("surrogate_force_damping",))
+        force = _section(step_data.pop("force", None) or {}, ForceModelParams, "step.force",
+                         ("epsilon",))
         force.pop("epsilon", None)  # a retired no-op option: any value loads
         if step_data.pop("surrogate_force_damping", None) is not None:  # retired, null loads
             raise ValueError("step.surrogate_force_damping is retired; only null is accepted")
         step = StepConfig(**step_data)
         if force:
             step.force = ForceModelParams(**force)
-        kernel = KernelParams(**data.get("kernel", {}))
-        fit_data = dict(data.get("fit", {}))
+        kernel = KernelParams(**_section(data.get("kernel", {}), KernelParams, "kernel"))
+        fit_data = _section(data.get("fit", {}), FitParams, "fit", ("post_scale",))
         # files written while the fit had a post_scale option hold its no-op 1.0
         if fit_data.pop("post_scale", 1.0) != 1.0:
             raise ValueError("fit.post_scale is no longer supported; only 1.0 is accepted")

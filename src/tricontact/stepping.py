@@ -298,15 +298,21 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-# Mesh-triangle pairs per flat kernel call: bounds the working set.
-_FLAT_SLICE = 262144
+# Mesh-triangle pairs per flat kernel call: small enough that the iterative
+# kernel's per-coordinate buffers (about 12 MB) stay in cache, which makes it
+# about twice as fast per pair as one call over a whole 320 x 320 batch.
+_FLAT_SLICE = 16384
 
 
 def single_level_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
                           params: KernelParams, stats: StepStats,
                           motion_i=None, motion_j=None) -> Contacts:
-    """All fine-triangle pairs through the hybrid kernel (flat detection),
-    in kernel calls of ``_FLAT_SLICE`` pairs; contacts in source order."""
+    """All fine-triangle pairs through the hybrid kernel (flat detection).
+
+    The pairs go to the kernel in row-major source order, ``_FLAT_SLICE``
+    at a time: the kernels work row by row, so the slice size changes
+    neither the contacts, which come in source order, nor the counters,
+    only the number of kernel calls."""
     world_i = (motion_i or p_i.motion).apply_points(p_i.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
     world_j = (motion_j or p_j.motion).apply_points(p_j.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
     ni, nj = world_i.shape[0], world_j.shape[0]

@@ -2,12 +2,19 @@
 
 These deliberately avoid the production code paths they check: distances
 come from dense barycentric sampling, gradients from central finite
-differences, contact wrenches from a loop over single contacts.
+differences, contact wrenches from a loop over single contacts.  The kernel
+references at the end are the batch kernels' first versions; they share the
+row-wise feature helpers with the library and differ from it in layout.
 """
 
 import math
 
 import numpy as np
+
+from tricontact.geometry import REAL, as_triangles
+from tricontact.kernels import (_TINY, BatchResult, Kind, _as_eps,
+                                _closest_segment_segment, _segment_triangle_crossings,
+                                closest_point_triangle_batch)
 
 
 def bary_grid(step: float) -> np.ndarray:
@@ -216,3 +223,249 @@ def contact_wrench_reference(pairs, levels, positions, normals, eps, masses, com
             force[p] += fp
             torque[p] += np.cross(x - coms[p], fp)
     return force, torque
+
+
+# ---------------------------------------------------------------------------
+# Kernel references: the batch kernels as first written, one feature test or
+# one ``(n, 3)`` row operation at a time.  ``tests/test_kernels.py`` checks
+# the production kernels, which lay the same arithmetic out per coordinate
+# and stack the feature tests, against these.
+# ---------------------------------------------------------------------------
+
+
+# edge k of a triangle runs from vertex _EDGE_START[k] to vertex _EDGE_END[k]
+_EDGE_START = (0, 1, 2)
+_EDGE_END = (1, 2, 0)
+
+
+def _pair_max_sq_edge(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    ea = A[:, [1, 2, 0]] - A
+    eb = B[:, [1, 2, 0]] - B
+    la = np.einsum("ijk,ijk->ij", ea, ea).max(axis=1)
+    lb = np.einsum("ijk,ijk->ij", eb, eb).max(axis=1)
+    return np.maximum(la, lb)
+
+
+def _penalty_value(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    a1, b1, a2, b2 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    p = (
+        np.maximum(0.0, a1 - 1.0)
+        + np.maximum(0.0, -a1)
+        + np.maximum(0.0, b1 - 1.0)
+        + np.maximum(0.0, -b1)
+        + np.maximum(0.0, a1 + b1 - 1.0)
+        + np.maximum(0.0, a2 - 1.0)
+        + np.maximum(0.0, -a2)
+        + np.maximum(0.0, b2 - 1.0)
+        + np.maximum(0.0, -b2)
+        + np.maximum(0.0, a2 + b2 - 1.0)
+    )
+    return alpha * p
+
+
+def _edge_bary(k: int, s: np.ndarray) -> np.ndarray:
+    if k == 0:  # v1 -> v2
+        return np.stack([s, np.zeros_like(s)], axis=1)
+    if k == 1:  # v2 -> v3
+        return np.stack([1.0 - s, s], axis=1)
+    return np.stack([np.zeros_like(s), 1.0 - s], axis=1)  # v3 -> v1
+
+
+def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
+    """The comparison kernel as fifteen feature tests in a loop, one batch each."""
+    A = as_triangles(tri_a)
+    B = as_triangles(tri_b)
+    n = A.shape[0]
+    eps = _as_eps(eps, n)
+
+    cand_d2 = np.empty((15, n), dtype=REAL)
+    cand_pa = np.empty((15, n, 3), dtype=REAL)
+    cand_pb = np.empty((15, n, 3), dtype=REAL)
+    cand_ba = np.empty((15, n, 2), dtype=REAL)
+    cand_bb = np.empty((15, n, 2), dtype=REAL)
+    vertex_bary = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=REAL)
+
+    row = 0
+    # six point-to-triangle tests
+    for k in range(3):
+        pt = A[:, k]
+        closest, bb = closest_point_triangle_batch(pt, B)
+        diff = pt - closest
+        cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
+        cand_pa[row] = pt
+        cand_pb[row] = closest
+        cand_ba[row] = vertex_bary[k]
+        cand_bb[row] = bb
+        row += 1
+    for k in range(3):
+        pt = B[:, k]
+        closest, ba = closest_point_triangle_batch(pt, A)
+        diff = pt - closest
+        cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
+        cand_pa[row] = closest
+        cand_pb[row] = pt
+        cand_ba[row] = ba
+        cand_bb[row] = vertex_bary[k]
+        row += 1
+    # nine edge-to-edge tests
+    for ka in range(3):
+        pa0 = A[:, _EDGE_START[ka]]
+        pa1 = A[:, _EDGE_END[ka]]
+        for kb in range(3):
+            pb0 = B[:, _EDGE_START[kb]]
+            pb1 = B[:, _EDGE_END[kb]]
+            s, t, c1, c2 = _closest_segment_segment(pa0, pa1, pb0, pb1)
+            diff = c1 - c2
+            cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
+            cand_pa[row] = c1
+            cand_pb[row] = c2
+            cand_ba[row] = _edge_bary(ka, s)
+            cand_bb[row] = _edge_bary(kb, t)
+            row += 1
+
+    best = np.argmin(cand_d2, axis=0)
+    idx = np.arange(n)
+    distance = np.sqrt(cand_d2[best, idx])
+    point_a = cand_pa[best, idx]
+    point_b = cand_pb[best, idx]
+    bary_a = cand_ba[best, idx]
+    bary_b = cand_bb[best, idx]
+
+    # six edge-to-plane tests: catch proper intersections
+    cross_pts = np.zeros((6, n, 3), dtype=REAL)
+    cross_ok = np.zeros((6, n), dtype=bool)
+    row = 0
+    for k in range(3):
+        ok, x = _segment_triangle_crossings(A[:, _EDGE_START[k]], A[:, _EDGE_END[k]], B)
+        cross_ok[row], cross_pts[row] = ok, x
+        row += 1
+    for k in range(3):
+        ok, x = _segment_triangle_crossings(B[:, _EDGE_START[k]], B[:, _EDGE_END[k]], A)
+        cross_ok[row], cross_pts[row] = ok, x
+        row += 1
+
+    intersecting = cross_ok.any(axis=0)
+    if intersecting.any():
+        sub = np.nonzero(intersecting)[0]
+        pts = cross_pts[:, sub]            # (6, m, 3)
+        ok = cross_ok[:, sub]              # (6, m)
+        # midpoint of the two crossing points that are farthest apart
+        diff = pts[:, None] - pts[None, :]                     # (6, 6, m, 3)
+        pair_d2 = np.einsum("ijkl,ijkl->ijk", diff, diff)
+        pair_ok = ok[:, None] & ok[None, :]
+        pair_d2 = np.where(pair_ok, pair_d2, -1.0)
+        flat = pair_d2.reshape(36, -1)
+        best_pair = np.argmax(flat, axis=0)
+        i0, i1 = best_pair // 6, best_pair % 6
+        cols = np.arange(sub.size)
+        mid = 0.5 * (pts[i0, cols] + pts[i1, cols])
+        distance[sub] = 0.0
+        point_a[sub] = mid
+        point_b[sub] = mid
+        _, ba = closest_point_triangle_batch(mid, A[sub])
+        _, bb = closest_point_triangle_batch(mid, B[sub])
+        bary_a[sub] = ba
+        bary_b[sub] = bb
+
+    kind = np.where(distance <= 2.0 * eps, np.int8(Kind.CONTACT), np.int8(Kind.NO_CONTACT))
+    return BatchResult(kind, distance, point_a, point_b, bary_a, bary_b)
+
+
+def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
+    """The iterative kernel on ``(n, 3)`` rows with ``einsum`` dot products."""
+    A = as_triangles(tri_a)
+    B = as_triangles(tri_b)
+    n = A.shape[0]
+    eps = _as_eps(eps, n)
+
+    e1a = A[:, 1] - A[:, 0]
+    e2a = A[:, 2] - A[:, 0]
+    e1b = B[:, 1] - B[:, 0]
+    e2b = B[:, 2] - B[:, 0]
+    base = A[:, 0] - B[:, 0]
+    dirs = (e1a, e2a, -e1b, -e2b)  # d(diff)/d(coord k)
+
+    sq = _pair_max_sq_edge(A, B)
+    alpha_it = params.alpha_iterative * sq
+    alpha_reg = params.alpha_regulariser * sq
+    denom = np.stack(
+        [np.einsum("ij,ij->i", e, e) for e in dirs],
+        axis=1,
+    ) + alpha_reg[:, None]
+    denom = np.maximum(denom, _TINY)
+    # third-edge directions: sliding along a + b = 1 treats the three
+    # barycentric coordinates symmetrically, so boundary iterates cannot
+    # jam against the shared constraint
+    e3a = e2a - e1a
+    e3b = e2b - e1b
+    denom3a = np.maximum(np.einsum("ij,ij->i", e3a, e3a) + alpha_reg, _TINY)
+    denom3b = np.maximum(np.einsum("ij,ij->i", e3b, e3b) + alpha_reg, _TINY)
+
+    x = np.full((n, 4), params.start_coord, dtype=REAL)
+
+    def diff_vec(x):
+        return (
+            base
+            + x[:, 0, None] * e1a
+            + x[:, 1, None] * e2a
+            - x[:, 2, None] * e1b
+            - x[:, 3, None] * e2b
+        )
+
+    def j_hat(x):
+        d = diff_vec(x)
+        return 0.5 * np.einsum("ij,ij->i", d, d)
+
+    j_total = j_hat(x) + _penalty_value(x, alpha_it)
+    j_old = np.full(n, np.inf, dtype=REAL)
+    d = diff_vec(x)
+    partner = (1, 0, 3, 2)  # coordinate sharing the a + b <= 1 penalty
+    # contact-point movement between the two last sweeps; the functional
+    # change alone cannot flag still-moving iterates once J is below the
+    # threshold scale (deep contacts), so both are tracked
+    midpoint = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - 0.5 * d
+    move = np.full(n, np.inf, dtype=REAL)
+    for _ in range(params.n_iterative):
+        j_old = j_total
+        for k, e in enumerate(dirs):
+            # descent substep on the quadratic part along the coordinate,
+            # then the constraint substep: a Newton step on the coordinate's
+            # penalty terms (Dirac kink terms dropped) that returns any
+            # violated penalty to its boundary, i.e. clips the move to the
+            # admissible interval
+            target = x[:, k] - np.einsum("ij,ij->i", d, e) / denom[:, k]
+            hi = np.maximum(0.0, 1.0 - np.maximum(x[:, partner[k]], 0.0))
+            target = np.clip(target, 0.0, hi)
+            step = target - x[:, k]
+            x[:, k] = target
+            d += step[:, None] * e
+            if k % 2 == 1:
+                # after both coordinates of a triangle: slide along its
+                # a + b = 1 edge, (a, b) -> (a - t, b + t) with t in [-b, a]
+                ka, kb = k - 1, k
+                e3, den3 = (e3a, denom3a) if k == 1 else (-e3b, denom3b)
+                t = -np.einsum("ij,ij->i", d, e3) / den3
+                t = np.clip(t, -np.maximum(x[:, kb], 0.0), np.maximum(x[:, ka], 0.0))
+                x[:, ka] -= t
+                x[:, kb] += t
+                d += t[:, None] * e3
+        j_total = 0.5 * np.einsum("ij,ij->i", d, d) + _penalty_value(x, alpha_it)
+        new_mid = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - 0.5 * d
+        move = np.linalg.norm(new_mid - midpoint, axis=1)
+        midpoint = new_mid
+
+    jh = 0.5 * np.einsum("ij,ij->i", d, d)
+    settled = (np.abs(j_total - j_old) <= params.c_factor * eps) & (
+        move <= params.move_factor * eps
+    )
+    contact = settled & (jh <= 2.0 * eps * eps)
+
+    kind = np.full(n, np.int8(Kind.NOT_TERMINATED))
+    kind[settled & ~contact] = np.int8(Kind.NO_CONTACT)
+    kind[contact] = np.int8(Kind.CONTACT)
+
+    point_a = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a
+    point_b = B[:, 0] + x[:, 2, None] * e1b + x[:, 3, None] * e2b
+    distance = np.sqrt(2.0 * jh)
+    return BatchResult(kind, distance, point_a, point_b, x[:, :2].copy(), x[:, 2:].copy())
+

@@ -112,6 +112,31 @@ class TestRun:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("kernel", "bogus", 1),
+        ("fit", "bogus", 1),
+        ("step", "bogus", 1),
+        ("step.force", "bogus", 1),
+        ("scene", "bogus", 1),
+        ("kernel", "move_factor", -1.0),
+        ("step", "force", 3),
+    ])
+    def test_bad_section_key_is_config_error(self, tmp_path, capsys, section, key, value):
+        config = RunConfig()
+        config.scene.triangle_count = 20
+        data = config.as_dict()
+        owner = data["step"]["force"] if section == "step.force" else data[section]
+        owner[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        code = run_cli("run", "--config", str(cfg_path), "--seed", "5", "--steps", "1",
+                       "--report", str(tmp_path / "r.json"))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        if key == "bogus":
+            assert repr(section) in err[0]
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"scene": {"kind": "Nope"}}))

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -111,6 +112,21 @@ class TestSingleLevelDetection:
         flat_contacts(sphere80, sphere80, (1.05, 0, 0), stats)
         assert stats.kernel.iterative_invocations == 80 * 80
         assert stats.checks_by_level == {0: 80 * 80}
+
+    def test_flat_slices_change_nothing(self, sphere320, monkeypatch):
+        # flat detection in kernel calls of 1,000 pairs finds what the default
+        # slices find, bit for bit, with the same counters
+        runs = []
+        for size in (stepping._FLAT_SLICE, 1000):
+            monkeypatch.setattr(stepping, "_FLAT_SLICE", size)
+            stats = StepStats()
+            runs.append((flat_contacts(sphere320, sphere320, (1.005, 0.02, 0.0), stats), stats))
+        (got, stats), (want, want_stats) = runs
+        assert len(got) and stats.kernel.fallback_invocations
+        for f in fields(Contacts):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        assert stats.checks_by_level == want_stats.checks_by_level
+        assert stats.kernel == want_stats.kernel
 
 
 class TestMerge:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, mesh_pair_population, sampling_distance_batch
+from oracles import (central_difference, comparison_batch_reference,
+                     iterative_batch_reference, mesh_pair_population,
+                     sampling_distance_batch)
 
-from tricontact.geometry import RigidMotion, triangle
+from tricontact.geometry import REAL, RigidMotion, triangle
 from tricontact.kernels import (DegenerateTriangle, KernelCounters, KernelParams,
                                 Kind, closest_comparison,
                                 closest_hybrid, closest_iterative,
@@ -291,3 +293,79 @@ class TestBatchClosest:
         hybrid_batch(A, B, p, counters, p.epsilon)
         assert counters.iterative_invocations == 32
         assert counters.fallback_invocations <= 32
+
+
+class TestParams:
+    @pytest.mark.parametrize("field", ["epsilon", "c_factor", "move_factor",
+                                       "alpha_iterative", "alpha_regulariser"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_rejected(self, field, value):
+        # with move_factor <= 0 no pair would ever settle and every pair
+        # would fall back to the comparison kernel without a word
+        with pytest.raises(ValueError):
+            KernelParams(**{field: value})
+
+
+def _hand_made_pairs(rng):
+    """Intersecting, coplanar-overlapping, identical, parallel, shared-edge,
+    shared-vertex and crawling pairs, each under several random rigid
+    motions and scales."""
+    cases = [
+        (UNIT, triangle([0.2, 0.2, -0.5], [0.4, 0.2, 0.5], [0.3, 0.4, 0.5])),
+        (UNIT, triangle([0.1, 0.1, 0.0], [0.3, 0.1, 0.0], [0.1, 0.3, 0.0])),
+        (UNIT, UNIT),
+        (UNIT, offset(UNIT, dz=0.01)),
+        (UNIT, offset(UNIT, dz=1.0)),
+        (UNIT, triangle([0, 0, 0], [1, 0, 0], [0.3, -1, 0.4])),
+        (UNIT, triangle([1, 0, 0], [0, 0, 0], [0.5, -0.5, 0])),
+        (UNIT, triangle([0, 0, 0], [-1, 0.2, 0.3], [-0.2, -1, 0.5])),
+        (UNIT, triangle([1, 0, 0], [2, 0, 0], [1, 0, 1])),
+        (UNIT, offset(UNIT, dx=40.0, dz=0.01)),
+    ]
+    A, B = [], []
+    for tri_a, tri_b in cases:
+        for _ in range(8):
+            motion = RigidMotion.random_rotation(rng, translation=rng.normal(size=3))
+            scale = 10.0 ** rng.uniform(-2.0, 1.0)
+            A.append(motion.apply_points(scale * np.asarray(tri_a)))
+            B.append(motion.apply_points(scale * np.asarray(tri_b)))
+    return np.array(A), np.array(B)
+
+
+class TestAgainstReference:
+    """The kernels against their first versions in ``oracles``, which run the
+    same arithmetic one ``(n, 3)`` row operation or one feature test at a
+    time.  Here the two agree bitwise; the tolerance, fixed in advance at a
+    few rounding units of the batch's largest coordinate, only absorbs a
+    numpy that sums ``einsum`` terms in another order."""
+
+    @staticmethod
+    def batches(rng):
+        meshes = [sphere_triangles(1), sphere_triangles(2)]
+        yield "mesh population", mesh_pair_population(rng, 2000, meshes)
+        yield "hand-made", _hand_made_pairs(rng)
+        for n in (1, 2, 7, 100, 5000):
+            yield f"random {n}", (rng.normal(size=(n, 3, 3)),
+                                  rng.normal(size=(n, 3, 3)) + rng.normal(scale=0.5, size=(n, 1, 3)))
+
+    @staticmethod
+    def assert_agree(label, got, want, A, B):
+        assert np.array_equal(got.kind, want.kind), label
+        tol = 64.0 * np.finfo(REAL).eps * max(np.abs(A).max(), np.abs(B).max())
+        for name in ("distance", "point_a", "point_b", "bary_a", "bary_b"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, (label, name)
+            assert np.abs(a - b).max() <= tol, (label, name)
+
+    def test_iterative(self, rng):
+        params = KernelParams()
+        for label, (A, B) in self.batches(rng):
+            eps = rng.uniform(1e-3, 5e-2, size=len(A))
+            self.assert_agree(label, iterative_batch(A, B, params, eps),
+                              iterative_batch_reference(A, B, params, eps), A, B)
+
+    def test_comparison(self, rng):
+        for label, (A, B) in self.batches(rng):
+            eps = rng.uniform(1e-3, 5e-2, size=len(A))
+            self.assert_agree(label, comparison_batch(A, B, eps),
+                              comparison_batch_reference(A, B, eps), A, B)
