@@ -6,14 +6,13 @@ detection, plus a benchmark CLI that reports algorithmic work counters.
 """
 
 from .geometry import RigidMotion
-from .kernels import (DegenerateTriangle, DistanceResult, KernelCounters,
-                      KernelParams, Kind, closest_comparison, closest_hybrid,
-                      closest_iterative, gradient_of_J)
+from .kernels import (DegenerateTriangle, KernelCounters, KernelParams, Kind,
+                      gradient_of_J)
 from .contact import (Contacts, ForceModelParams, MassProperties,
                       contact_force, mass_properties_from_mesh, merge_contacts)
 from .surrogate import (FitParams, SurrogateTree, build_surrogate_tree,
                         cluster_triangles, conservative_epsilon,
-                        fit_surrogate_triangle, validate_conservative)
+                        validate_conservative)
 from .scenes import SceneSpec, build_scene, generate_noisy_sphere
 from .stepping import (PicardDiverged, StepConfig, System, explicit_step,
                        implicit_step, multiscale_contacts, single_level_contacts,

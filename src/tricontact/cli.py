@@ -19,8 +19,8 @@ import time
 from .geometry import load_obj, mesh_to_triangles, save_obj
 from .report import (RunConfig, build_report, compare_reports, load_report,
                      save_report, step_record, write_trace_csv)
-from .scenes import build_scene, noisy_sphere_by_count
-from .stepping import PicardDiverged, step, system_from_scene
+from .scenes import SCENE_KINDS, build_scene, noisy_sphere_by_count
+from .stepping import MODES, PicardDiverged, step, system_from_scene
 from .surrogate import (FitParams, build_surrogate_tree, mesh_checksum,
                         tree_from_json, tree_to_json, validate_conservative)
 
@@ -170,11 +170,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON run configuration")
     p_run.add_argument("--seed", type=int, required=True,
                        help="seed for scene generation (required for reproducibility)")
-    p_run.add_argument("--scene-kind", choices=("ParticleParticle", "ParticleOnPlane",
-                                                "CartesianGrid", "ScaledPair"))
-    p_run.add_argument("--mode", choices=("ExplicitSingle", "ExplicitMultiscale",
-                                          "ImplicitSingle", "ImplicitSurrogateInPicard",
-                                          "ImplicitMultiscalePicard"))
+    p_run.add_argument("--scene-kind", choices=SCENE_KINDS)
+    p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument("--steps", type=int)
     p_run.add_argument("--dt", type=float)
     p_run.add_argument("--triangle-count", type=int)

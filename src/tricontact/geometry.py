@@ -21,10 +21,6 @@ import numpy as np
 REAL = np.float32 if os.environ.get("TRICONTACT_REAL") == "float32" else np.float64
 
 
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=REAL)
-
-
 def triangle(v1, v2, v3) -> np.ndarray:
     """Build a (3, 3) triangle from three vertex-like sequences."""
     return np.array([v1, v2, v3], dtype=REAL)
@@ -38,12 +34,6 @@ def as_triangles(obj) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[1:] != (3, 3):
         raise ValueError(f"expected triangles of shape (n, 3, 3), got {arr.shape}")
     return arr
-
-
-def barycentric_point(tri: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Point ``v1 + a*(v2-v1) + b*(v3-v1)``; (a, b) may lie outside [0, 1]."""
-    tri = np.asarray(tri, dtype=REAL)
-    return tri[0] + a * (tri[1] - tri[0]) + b * (tri[2] - tri[0])
 
 
 def triangle_cross(tris: np.ndarray) -> np.ndarray:
@@ -71,10 +61,6 @@ def degenerate_mask(tris: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     edges = tris[:, [1, 2, 0]] - tris
     longest_sq = np.einsum("ijk,ijk->ij", edges, edges).max(axis=1)
     return (longest_sq == 0.0) | (sq_area < rel_tol * longest_sq * longest_sq)
-
-
-def is_degenerate(tri: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    return bool(degenerate_mask(tri, rel_tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +185,3 @@ def mesh_to_triangles(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Expand an indexed mesh into a (n, 3, 3) triangle batch."""
     return np.asarray(vertices, dtype=REAL)[np.asarray(faces, dtype=np.int64)]
 
-
-def triangles_to_mesh(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weld exactly-equal vertices of a triangle batch into an indexed mesh."""
-    tris = as_triangles(tris)
-    flat = tris.reshape(-1, 3)
-    verts, inverse = np.unique(flat, axis=0, return_inverse=True)
-    return verts, inverse.reshape(-1, 3)

@@ -11,11 +11,10 @@ Three routes to the same answer:
 * a hybrid wrapper that runs the minimiser and falls back to the
   comparison kernel for the pairs that did not settle.
 
-The batch API takes ``(n, 3, 3)`` triangles and returns ``(n, ...)`` rows;
-the scalar API wraps batches of one.  Classification against the contact
-threshold uses a per-pair halo width ``eps``: a pair is in contact when the
-closest distance is at most ``2 * eps`` (two equal halos of width ``eps``
-touching).
+The kernels take ``(n, 3, 3)`` triangle batches and return ``(n, ...)``
+rows.  Classification against the contact threshold uses a per-pair halo
+width ``eps``: a pair is in contact when the closest distance is at most
+``2 * eps`` (two equal halos of width ``eps`` touching).
 
 Layout.  The minimiser works per coordinate: each vertex, edge and iterate
 is a ``(3, n)`` array whose rows are contiguous, updated in place in a few
@@ -97,13 +96,6 @@ class KernelCounters:
     comparison_invocations: int = 0
     fallback_invocations: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "iterative_invocations": self.iterative_invocations,
-            "comparison_invocations": self.comparison_invocations,
-            "fallback_invocations": self.fallback_invocations,
-        }
-
 
 @dataclass
 class BatchResult:
@@ -127,29 +119,6 @@ class BatchResult:
         self.point_b[mask] = other.point_b
         self.bary_a[mask] = other.bary_a
         self.bary_b[mask] = other.bary_b
-
-
-@dataclass
-class DistanceResult:
-    """Scalar kernel result for a single triangle pair."""
-
-    kind: Kind
-    distance: float
-    point_a: np.ndarray
-    point_b: np.ndarray
-    bary_a: tuple[float, float]
-    bary_b: tuple[float, float]
-
-
-def _scalar(res: BatchResult, i: int = 0) -> DistanceResult:
-    return DistanceResult(
-        kind=Kind(int(res.kind[i])),
-        distance=float(res.distance[i]),
-        point_a=res.point_a[i].copy(),
-        point_b=res.point_b[i].copy(),
-        bary_a=(float(res.bary_a[i, 0]), float(res.bary_a[i, 1])),
-        bary_b=(float(res.bary_b[i, 0]), float(res.bary_b[i, 1])),
-    )
 
 
 def _as_eps(eps, n: int) -> np.ndarray:
@@ -649,33 +618,6 @@ def hybrid_batch(
             counters.comparison_invocations += m
             counters.fallback_invocations += m
     return res
-
-
-# ---------------------------------------------------------------------------
-# Scalar API.
-# ---------------------------------------------------------------------------
-
-
-def closest_comparison(t1, t2, params: KernelParams | None = None) -> DistanceResult:
-    """Exact comparison-based distance; raises on degenerate input."""
-    params = params or KernelParams()
-    A = as_triangles(t1)
-    B = as_triangles(t2)
-    if degenerate_mask(A)[0] or degenerate_mask(B)[0]:
-        raise DegenerateTriangle("degenerate triangle")
-    return _scalar(comparison_batch(A, B, params.epsilon))
-
-
-def closest_iterative(t1, t2, params: KernelParams | None = None) -> DistanceResult:
-    params = params or KernelParams()
-    return _scalar(iterative_batch(as_triangles(t1), as_triangles(t2), params, params.epsilon))
-
-
-def closest_hybrid(
-    t1, t2, params: KernelParams | None = None, counters: KernelCounters | None = None
-) -> DistanceResult:
-    params = params or KernelParams()
-    return _scalar(hybrid_batch(as_triangles(t1), as_triangles(t2), params, counters, params.epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        data = dict(data)
+        data = _section(data, RunConfig, "top level", ("workers",))  # workers: retired, any value
         scene = SceneSpec.from_dict(_section(data.get("scene", {}), SceneSpec, "scene"))
         step_data = _section(data.get("step", {}), StepConfig, "step", ("surrogate_force_damping",))
         force = _section(step_data.pop("force", None) or {}, ForceModelParams, "step.force",
@@ -101,7 +101,7 @@ def step_record(stats, wall_time_ms: float) -> dict:
         "sweep_histograms": [
             {str(k): int(v) for k, v in sorted(h.items())} for h in stats.sweep_histograms
         ],
-        "kernel": stats.kernel.as_dict(),
+        "kernel": asdict(stats.kernel),
         "broad_phase_pairs": stats.broad_phase_pairs,
         "culled": stats.culled,
         "wall_time_ms": wall_time_ms,

@@ -9,10 +9,12 @@ or per-pair frontiers of node pairings that persist across the sweeps of a
 step and widen one level per sweep where contact is possible
 (ImplicitMultiscalePicard, the fused scheme).
 
-All detection work is batched through the hybrid kernel; comparison-based
-fallbacks run only for pairs of real mesh triangles, never on surrogate
-levels.  The tree modes batch all broad-phase pairs together: one batch
-per level (per sweep in the fused mode), in kernel slices of at most
+Candidate pairs come from one bounding-sphere test over all particle
+pairs.  All detection work is batched through the hybrid kernel;
+comparison-based fallbacks run only for pairs of real mesh triangles, never
+on surrogate levels.  The tree modes see every particle's tree and mesh as
+rows of one :class:`Forest` and batch all broad-phase pairs together: one
+batch per level (per sweep in the fused mode), in kernel slices of at most
 ``_SLICE`` pairings.  Tree pairings whose halos a separating axis proves
 apart skip the kernel; they still count as checks (pairings examined) and
 also as ``StepStats.culled``.  Flat detection, the brute-force baseline,
@@ -31,10 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .contact import (Contacts, ForceModelParams, MassProperties, accumulate,
+from .contact import (Contacts, ForceModelParams, MassProperties, _length, accumulate,
                       contact_force, contacts_from_segments, immovable_mass,
                       mass_properties_from_mesh, merge_contacts)
-from .geometry import REAL, RigidMotion, as_triangles
+from .geometry import REAL, RigidMotion
 from .kernels import KernelCounters, KernelParams, Kind, hybrid_batch
 from .surrogate import SurrogateTree, build_surrogate_tree, FitParams
 
@@ -79,60 +81,42 @@ class StepConfig:
 
 
 # ---------------------------------------------------------------------------
-# Flattened tree arrays for batched traversal.
+# Tree rows of several particles for batched traversal.
 # ---------------------------------------------------------------------------
 
 
-class FlatTree:
-    """A particle's surrogate tree with its mesh triangles appended.
-
-    Ids ``0 .. n_nodes-1`` are the tree's nodes (preorder, root = 0) and
-    ids ``n_nodes .. n_nodes + n_fine - 1`` the mesh triangles, which the
-    tree's CSR lists as the children of their leaves.  Each array is the
-    tree's followed by one row per mesh triangle: the triangle, the finest
-    halo, height 0 and, in the CSR, the triangle itself as its only child,
-    so that pairings split alike whatever their sides.
-    """
-
-    root = 0
-
-    def __init__(self, tree: SurrogateTree, mesh_tris: np.ndarray):
-        mesh_tris = as_triangles(mesh_tris)
-        self.n_nodes = tree.n_nodes
-        self.n_fine = mesh_tris.shape[0]
-        fine = np.arange(self.n_nodes, self.n_nodes + self.n_fine, dtype=np.int64)
-        self.tri, eps = tree.child_rows(mesh_tris)
-        self.eps = eps.astype(REAL)
-        self.height = np.concatenate([tree.height, np.zeros(self.n_fine, dtype=np.int64)])
-        self.kids = np.concatenate([tree.kids, fine])
-        self.kid_start = np.concatenate([tree.kid_start, fine - self.n_nodes + tree.kids.size])
-        self.kid_count = np.concatenate([tree.kid_count, np.ones(self.n_fine, dtype=np.int64)])
-
-
 class Forest:
-    """:class:`FlatTree` rows of several particles stacked into one id space.
+    """The tree rows of several particles stacked into one int32 id space.
 
-    Tree ``k`` holds the int32 ids ``offset[k] .. offset[k + 1] - 1`` in
-    its own order, root first, and its rows' owner is particle
-    ``labels[k]``; a row's source is its node id, or its mesh triangle
-    index on the mesh level (height 0).  A tree pairing is a pair of ids.
+    Tree ``k`` is the surrogate tree of ``particles[k]`` with its mesh
+    triangles appended.  It holds the ids ``offset[k] .. offset[k + 1] - 1``:
+    first its nodes in preorder, root first, then one row per mesh
+    triangle, which the tree's CSR lists as the children of their leaves.
+    A mesh row has the finest halo, height 0 and itself as its only child,
+    so that pairings split alike whatever their sides.  Every row's owner
+    is particle ``labels[k]`` and its source is its node id, or its mesh
+    triangle index on the mesh level (height 0); ``tri`` holds the rows'
+    body-frame triangles.  A tree pairing is a pair of ids.
     """
 
-    def __init__(self, flats: list[FlatTree], labels):
-        self.flats = flats
-        sizes = [f.kid_count.size for f in flats]
-        self.offset = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
-        kid_base = np.cumsum([0] + [f.kids.size for f in flats])
-        self.eps = np.concatenate([f.eps for f in flats])
-        self.height = np.concatenate([f.height for f in flats]).astype(np.int32)
-        self.source = np.concatenate([np.r_[:f.n_nodes, :f.n_fine] for f in flats])
-        self.owner = np.repeat(np.asarray(labels, dtype=np.int32), sizes)
-        self.kids = np.concatenate([f.kids + o for f, o in zip(flats, self.offset)], dtype=np.int32)
-        self.kid_start = np.concatenate([f.kid_start + b for f, b in zip(flats, kid_base)])
-        self.kid_count = np.concatenate([f.kid_count for f in flats])
+    def __init__(self, particles: list[Particle], labels):
+        trees, fine = [p.tree for p in particles], [len(p.body_tris) for p in particles]
+        tri, eps = zip(*(p.tree.child_rows(p.body_tris) for p in particles))
+        self.offset = np.cumsum([0] + [t.n_nodes + f for t, f in zip(trees, fine)], dtype=np.int32)
+        self.tri = np.concatenate(tri)
+        self.eps = np.concatenate(eps).astype(REAL)
+        self.height = np.concatenate([np.pad(t.height, (0, f)) for t, f in zip(trees, fine)],
+                                     dtype=np.int32)
+        self.source = np.concatenate([np.r_[:t.n_nodes, :f] for t, f in zip(trees, fine)])
+        self.owner = np.repeat(np.asarray(labels, dtype=np.int32), np.diff(self.offset))
+        self.kids = np.concatenate([np.r_[t.kids, t.n_nodes:t.n_nodes + f] + o
+                                    for t, f, o in zip(trees, fine, self.offset)], dtype=np.int32)
+        self.kid_count = np.concatenate([np.pad(t.kid_count, (0, f), constant_values=1)
+                                         for t, f in zip(trees, fine)])
+        self.kid_start = np.cumsum(self.kid_count) - self.kid_count
 
     def roots(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Root pairings of the tree pairs ``(k, l)`` (positions in ``flats``)."""
+        """Root pairings of the tree pairs ``(k, l)`` (positions in ``particles``)."""
         pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
         return self.offset[pairs[:, 0]], self.offset[pairs[:, 1]]
 
@@ -141,8 +125,8 @@ class Forest:
         once by its motion, the other rows are left unset."""
         world = np.empty((int(self.offset[-1]), 3, 3), dtype=REAL)
         for k in {k for pair in pairs for k in pair}:
-            moved = motions[k].apply_points(self.flats[k].tri.reshape(-1, 3))
-            world[self.offset[k]:self.offset[k + 1]] = moved.reshape(-1, 3, 3)
+            rows = slice(self.offset[k], self.offset[k + 1])
+            world[rows] = motions[k].apply_points(self.tri[rows].reshape(-1, 3)).reshape(-1, 3, 3)
         return world
 
 
@@ -153,12 +137,11 @@ class Forest:
 
 @dataclass
 class Particle:
-    """A rigid particle: its mesh in the body frame and the same mesh under
-    its surrogate tree as one :class:`FlatTree` (``flat``), whose rows the
-    detection transforms with the pose (:meth:`Forest.world`)."""
+    """A rigid particle: its mesh in the body frame and its surrogate tree
+    over that mesh, whose rows :class:`Forest` stacks for detection."""
 
     body_tris: np.ndarray
-    flat: FlatTree
+    tree: SurrogateTree
     motion: RigidMotion
     v: np.ndarray
     omega: np.ndarray
@@ -183,7 +166,7 @@ class System:
     @cached_property
     def forest(self) -> Forest:
         """All particles' tree rows in one id space, owners = particle ids."""
-        return Forest([p.flat for p in self.particles], range(len(self.particles)))
+        return Forest(self.particles, range(len(self.particles)))
 
 
 def system_from_scene(scene, kernel_params: KernelParams | None = None,
@@ -202,7 +185,7 @@ def system_from_scene(scene, kernel_params: KernelParams | None = None,
         particles.append(
             Particle(
                 body_tris=tris,
-                flat=FlatTree(tree, tris),
+                tree=tree,
                 motion=sp.motion,
                 v=np.asarray(sp.velocity, dtype=REAL).copy(),
                 omega=np.asarray(sp.omega, dtype=REAL).copy(),
@@ -256,41 +239,19 @@ class StepStats:
 
 
 def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) -> list[tuple[int, int]]:
-    """Bounding-sphere overlap candidates via uniform-grid binning.
+    """Particle pairs whose bounding spheres overlap, one test over all pairs.
 
     Returns lexicographically sorted (i, j) with i < j.  This stage is
     bookkeeping, not detection: its tests are excluded from all counters.
     """
     particles = system.particles
-    n = len(particles)
-    if n < 2:
-        return []
     motions = motions or [p.motion for p in particles]
-    centers = np.stack([m.apply_points(p.mass.center_of_mass) if not p.immovable
-                        else m.apply_points(np.zeros(3)) for m, p in zip(motions, particles)])
+    centers = np.array([m.apply_points(p.mass.center_of_mass)
+                        for m, p in zip(motions, particles)]).reshape(-1, 3)
     radii = np.array([p.bound_radius() for p in particles])
-
-    cell = 2.0 * float(radii.max())
-    bins: dict[tuple[int, int, int], list[int]] = {}
-    keys = np.floor(centers / cell).astype(np.int64)
-    for i in range(n):
-        bins.setdefault(tuple(keys[i]), []).append(i)
-    pairs = set()
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    for key, members in bins.items():
-        for off in offsets:
-            other = bins.get((key[0] + off[0], key[1] + off[1], key[2] + off[2]))
-            if not other:
-                continue
-            for i in members:
-                for j in other:
-                    if i < j:
-                        pairs.add((i, j))
-    out = []
-    for i, j in sorted(pairs):
-        if np.linalg.norm(centers[i] - centers[j]) <= radii[i] + radii[j]:
-            out.append((i, j))
-    return out
+    i, j = np.triu_indices(len(particles), 1)
+    near = _length(centers[i] - centers[j]) <= radii[i] + radii[j]
+    return list(zip(i[near].tolist(), j[near].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +403,7 @@ def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
     in (pair, level, source) order.  Comparison fallbacks run on mesh-level
     pairs only.
     """
-    forest = Forest([p_i.flat, p_j.flat], pair)
+    forest = Forest([p_i, p_j], pair)
     motions = [motion_i or p_i.motion, motion_j or p_j.motion]
     return _unfold(forest, motions, [(0, 1)], params, stats).sorted()
 

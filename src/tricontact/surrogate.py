@@ -197,41 +197,6 @@ def fit_surrogate_triangle_batch(children: np.ndarray, params: FitParams | None 
     return tris
 
 
-def fit_energy(tri: np.ndarray, children: np.ndarray, params: FitParams | None = None) -> float:
-    """Value of the surrogate-fit functional for a candidate triangle."""
-    params = params or FitParams()
-    children = as_triangles(children)
-    if children.shape[0] == 0:
-        raise EmptyInput("no child triangles")
-    batch = children[None]
-    flat, normals_rep, alpha_area = _fit_setup(batch, params)
-    tri = np.asarray(tri, dtype=REAL).reshape(1, 3, 3)
-    return float(_fit_energy_batch(tri, batch, flat, normals_rep, alpha_area, params)[0])
-
-
-def fit_energy_gradient(tri: np.ndarray, children: np.ndarray, params: FitParams | None = None) -> np.ndarray:
-    """Analytic gradient of :func:`fit_energy` wrt the nine vertex coordinates."""
-    params = params or FitParams()
-    children = as_triangles(children)
-    batch = children[None]
-    flat, normals_rep, alpha_area = _fit_setup(batch, params)
-    tri = np.asarray(tri, dtype=REAL).reshape(1, 3, 3)
-    return _fit_gradient_batch(tri, batch, flat, normals_rep, alpha_area, params)[0]
-
-
-def seed_triangle(children: np.ndarray) -> np.ndarray:
-    """Copy of the child whose barycenter is nearest the barycenter centroid."""
-    return _seed_batch(as_triangles(children)[None])[0]
-
-
-def fit_surrogate_triangle(children: np.ndarray, params: FitParams | None = None) -> np.ndarray:
-    """Fit a single surrogate triangle to a child set (batch of one)."""
-    children = as_triangles(children)
-    if children.shape[0] == 0:
-        raise EmptyInput("no child triangles")
-    return fit_surrogate_triangle_batch(children[None], params)[0]
-
-
 def conservative_epsilon(surrogate: np.ndarray, children: np.ndarray,
                          child_epsilons) -> float:
     """Smallest halo making ``surrogate`` conservative over its children.

@@ -120,13 +120,15 @@ class TestRun:
         ("scene", "bogus", 1),
         ("kernel", "move_factor", -1.0),
         ("step", "force", 3),
+        # a misspelt n_steps must not run the default 10 steps
+        pytest.param("top level", "n_step", 3, id="top-level-n_step-3"),
     ])
     def test_bad_section_key_is_config_error(self, tmp_path, capsys, section, key, value):
         config = RunConfig()
         config.scene.triangle_count = 20
         data = config.as_dict()
-        owner = data["step"]["force"] if section == "step.force" else data[section]
-        owner[key] = value
+        owners = {"step.force": data["step"]["force"], "top level": data}
+        owners.get(section, data.get(section))[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         code = run_cli("run", "--config", str(cfg_path), "--seed", "5", "--steps", "1",

@@ -30,7 +30,7 @@ def unit_cube_triangles():
 
 def mesh_particle(tris, offset=(0.0, 0.0, 0.0), epsilon=1e-2):
     """A particle for flat detection, which reads neither trees nor masses."""
-    return Particle(body_tris=np.asarray(tris, float), flat=None,
+    return Particle(body_tris=np.asarray(tris, float), tree=None,
                     motion=RigidMotion(translation=np.asarray(offset, float)),
                     v=np.zeros(3), omega=np.zeros(3), mass=immovable_mass(),
                     epsilon=epsilon)
@@ -317,7 +317,7 @@ def test_force_assembly_properties(seed, n_particles, n_contacts):
         a = rng.normal(size=(3, 3))
         mass = MassProperties(rng.uniform(0.5, 3.0), rng.normal(scale=0.1, size=3),
                               a @ a.T + 0.1 * np.eye(3))
-        particles.append(Particle(body_tris=None, flat=None,
+        particles.append(Particle(body_tris=None, tree=None,
                                   motion=RigidMotion.random_rotation(rng, rng.normal(size=3)),
                                   v=np.zeros(3), omega=rng.normal(size=3), mass=mass,
                                   epsilon=1e-2))

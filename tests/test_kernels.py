@@ -7,14 +7,13 @@ from oracles import (central_difference, comparison_batch_reference,
 
 from tricontact.geometry import REAL, RigidMotion, triangle
 from tricontact.kernels import (DegenerateTriangle, KernelCounters, KernelParams,
-                                Kind, closest_comparison,
-                                closest_hybrid, closest_iterative,
-                                comparison_batch, functional_value, gradient_of_J,
-                                hybrid_batch, iterative_batch)
+                                Kind, comparison_batch, functional_value,
+                                gradient_of_J, hybrid_batch, iterative_batch)
 
 from conftest import sphere_triangles
 
 UNIT = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
+EPS = KernelParams().epsilon
 
 
 def offset(tri, dx=0.0, dy=0.0, dz=0.0):
@@ -23,48 +22,43 @@ def offset(tri, dx=0.0, dy=0.0, dz=0.0):
 
 class TestComparison:
     def test_identical_triangles(self):
-        r = closest_comparison(UNIT, UNIT)
-        assert r.distance == pytest.approx(0.0, abs=1e-12)
-        assert r.kind == Kind.CONTACT
+        r = comparison_batch(UNIT, UNIT, EPS)
+        assert r.distance[0] == pytest.approx(0.0, abs=1e-12)
+        assert r.kind[0] == Kind.CONTACT
 
     def test_parallel_offset(self):
-        r = closest_comparison(UNIT, offset(UNIT, dz=1.0))
-        assert r.distance == pytest.approx(1.0, abs=1e-12)
-        assert r.kind == Kind.NO_CONTACT
-        assert np.allclose(r.point_a[:2], r.point_b[:2], atol=1e-12)
-        assert r.point_b[2] - r.point_a[2] == pytest.approx(1.0)
+        r = comparison_batch(UNIT, offset(UNIT, dz=1.0), EPS)
+        assert r.distance[0] == pytest.approx(1.0, abs=1e-12)
+        assert r.kind[0] == Kind.NO_CONTACT
+        assert np.allclose(r.point_a[0, :2], r.point_b[0, :2], atol=1e-12)
+        assert r.point_b[0, 2] - r.point_a[0, 2] == pytest.approx(1.0)
 
     def test_vertex_vertex_case(self):
         t2 = triangle([2, 0, 0], [3, 0, 0], [2, 1, 0])
-        r = closest_comparison(UNIT, t2)
-        assert r.distance == pytest.approx(1.0)
-        assert np.allclose(r.point_a, [1, 0, 0], atol=1e-12)
-        assert np.allclose(r.point_b, [2, 0, 0], atol=1e-12)
+        r = comparison_batch(UNIT, t2, EPS)
+        assert r.distance[0] == pytest.approx(1.0)
+        assert np.allclose(r.point_a[0], [1, 0, 0], atol=1e-12)
+        assert np.allclose(r.point_b[0], [2, 0, 0], atol=1e-12)
 
     def test_edge_edge_case(self):
         t2 = triangle([0.2, 0.2, 1.0], [1.2, 0.2, 1.0], [0.7, 0.2, 2.0])
         t2 = np.array([[0.5, -0.5, 1.0], [0.5, 0.5, 1.0], [0.5, 0.0, 2.0]])
-        r = closest_comparison(UNIT, t2)
-        assert r.distance == pytest.approx(1.0)
+        r = comparison_batch(UNIT, t2, EPS)
+        assert r.distance[0] == pytest.approx(1.0)
 
     def test_intersecting_triangles(self):
         t2 = triangle([0.2, 0.2, -0.5], [0.4, 0.2, 0.5], [0.3, 0.4, 0.5])
-        r = closest_comparison(UNIT, t2)
-        assert r.distance == 0.0
-        assert r.kind == Kind.CONTACT
-        assert np.allclose(r.point_a, r.point_b)
+        r = comparison_batch(UNIT, t2, EPS)
+        assert r.distance[0] == 0.0
+        assert r.kind[0] == Kind.CONTACT
+        assert np.allclose(r.point_a[0], r.point_b[0])
         # the reported point lies on the plane of the first triangle
-        assert abs(r.point_a[2]) < 1e-12
+        assert abs(r.point_a[0, 2]) < 1e-12
 
     def test_coplanar_overlap(self):
         inner = triangle([0.1, 0.1, 0.0], [0.3, 0.1, 0.0], [0.1, 0.3, 0.0])
-        r = closest_comparison(UNIT, inner)
-        assert r.distance == pytest.approx(0.0, abs=1e-12)
-
-    def test_degenerate_raises(self):
-        bad = triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        with pytest.raises(DegenerateTriangle):
-            closest_comparison(UNIT, bad)
+        r = comparison_batch(UNIT, inner, EPS)
+        assert r.distance[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self, rng):
         A = rng.normal(size=(200, 3, 3))
@@ -100,11 +94,11 @@ class TestComparison:
 class TestIterative:
     def test_parallel_offset_converges(self):
         p = KernelParams()
-        r = closest_iterative(UNIT, offset(UNIT, dz=1.0), p)
-        assert r.kind == Kind.NO_CONTACT
-        assert r.distance == pytest.approx(1.0, abs=1e-9)
+        r = iterative_batch(UNIT, offset(UNIT, dz=1.0), p, p.epsilon)
+        assert r.kind[0] == Kind.NO_CONTACT
+        assert r.distance[0] == pytest.approx(1.0, abs=1e-9)
         # J-hat = 0.5 * d^2 at the analytic minimum
-        jh = 0.5 * r.distance**2
+        jh = 0.5 * r.distance[0]**2
         assert jh == pytest.approx(0.5, abs=1e-9)
 
     def test_fixed_sweep_count(self, rng):
@@ -123,9 +117,10 @@ class TestIterative:
         # fallback-quality answer
         t2 = offset(UNIT, dx=5.0, dz=0.0)
         p = KernelParams()
-        r = closest_iterative(UNIT, t2, p)
-        exact = closest_comparison(UNIT, t2, p)
-        assert r.kind == Kind.NOT_TERMINATED or abs(r.distance - exact.distance) <= p.c_factor * p.epsilon + 1e-4
+        r = iterative_batch(UNIT, t2, p, p.epsilon)
+        exact = comparison_batch(UNIT, t2, p.epsilon)
+        assert (r.kind[0] == Kind.NOT_TERMINATED
+                or abs(r.distance[0] - exact.distance[0]) <= p.c_factor * p.epsilon + 1e-4)
 
     def test_converged_never_underestimates(self, rng):
         meshes = [sphere_triangles(1), sphere_triangles(2)]
@@ -153,7 +148,7 @@ class TestIterative:
     def test_barycentric_iterates_recorded_when_open(self, rng):
         # construct a crawling configuration that stays open
         t2 = offset(UNIT, dx=40.0, dz=0.01)
-        r = closest_iterative(UNIT, t2, KernelParams())
+        r = iterative_batch(UNIT, t2, KernelParams(), EPS)
         assert np.isfinite(r.bary_a).all() and np.isfinite(r.bary_b).all()
 
 
@@ -208,11 +203,11 @@ class TestHybrid:
         p = KernelParams()
         counters = KernelCounters()
         t2 = offset(UNIT, dz=1.0)
-        r_h = closest_hybrid(UNIT, t2, p, counters)
-        r_i = closest_iterative(UNIT, t2, p)
-        assert r_i.kind != Kind.NOT_TERMINATED
-        assert r_h.kind == r_i.kind
-        assert r_h.distance == r_i.distance
+        r_h = hybrid_batch(UNIT, t2, p, counters, p.epsilon)
+        r_i = iterative_batch(UNIT, t2, p, p.epsilon)
+        assert r_i.kind[0] != Kind.NOT_TERMINATED
+        assert r_h.kind[0] == r_i.kind[0]
+        assert r_h.distance[0] == r_i.distance[0]
         assert counters.iterative_invocations == 1
         assert counters.fallback_invocations == 0
 
@@ -220,13 +215,13 @@ class TestHybrid:
         p = KernelParams()
         counters = KernelCounters()
         t2 = offset(UNIT, dx=40.0, dz=0.01)  # crawling configuration
-        r_i = closest_iterative(UNIT, t2, p)
-        r_h = closest_hybrid(UNIT, t2, p, counters)
-        r_c = closest_comparison(UNIT, t2, p)
-        assert r_h.kind != Kind.NOT_TERMINATED
-        if r_i.kind == Kind.NOT_TERMINATED:
+        r_i = iterative_batch(UNIT, t2, p, p.epsilon)
+        r_h = hybrid_batch(UNIT, t2, p, counters, p.epsilon)
+        r_c = comparison_batch(UNIT, t2, p.epsilon)
+        assert r_h.kind[0] != Kind.NOT_TERMINATED
+        if r_i.kind[0] == Kind.NOT_TERMINATED:
             assert counters.fallback_invocations == 1
-            assert r_h.distance == pytest.approx(r_c.distance, abs=1e-12)
+            assert r_h.distance[0] == pytest.approx(r_c.distance[0], abs=1e-12)
         assert counters.comparison_invocations == counters.fallback_invocations
 
     def test_never_not_terminated(self, rng):
@@ -254,8 +249,13 @@ class TestHybrid:
         bad = triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         far = offset(UNIT, dz=1.0)
         # a settled pair never consults the comparison kernel
-        r = closest_hybrid(bad, far, p)
-        assert r.kind != Kind.NOT_TERMINATED
+        r = hybrid_batch(bad, far, p, None, p.epsilon)
+        assert r.kind[0] != Kind.NOT_TERMINATED
+        # an open one does, and the comparison kernel cannot take it
+        crossing = triangle([-1, -1, 1], [2, 1, 1], [1, 0, -1])
+        assert iterative_batch(bad, crossing, p, p.epsilon).kind[0] == Kind.NOT_TERMINATED
+        with pytest.raises(DegenerateTriangle):
+            hybrid_batch(bad, crossing, p, None, p.epsilon)
 
 
 class TestBatchClosest:
@@ -269,11 +269,11 @@ class TestBatchClosest:
     def test_single_pair_equals_hybrid(self):
         p = KernelParams()
         t2 = offset(UNIT, dz=0.005)
-        single = closest_hybrid(UNIT, t2, p)
-        batched = hybrid_batch(UNIT, t2, p, None, p.epsilon)
-        assert len(batched) == 1
-        assert batched.kind[0] == single.kind
-        assert batched.distance[0] == pytest.approx(single.distance)
+        single = hybrid_batch(UNIT, t2, p, None, p.epsilon)
+        batched = hybrid_batch([UNIT, UNIT], [t2, offset(UNIT, dz=1.0)], p, None, p.epsilon)
+        assert len(single) == 1
+        assert batched.kind[0] == single.kind[0]
+        assert batched.distance[0] == pytest.approx(single.distance[0])
 
     def test_elementwise_equals_map(self, rng):
         p = KernelParams()
@@ -281,9 +281,9 @@ class TestBatchClosest:
         B = rng.normal(size=(64, 3, 3))
         batched = hybrid_batch(A, B, p, None, p.epsilon)
         for k, (a, b) in enumerate(zip(A, B)):
-            want = closest_hybrid(a, b, p)
-            assert batched.kind[k] == want.kind
-            assert batched.distance[k] == pytest.approx(want.distance, abs=1e-12)
+            want = hybrid_batch(a, b, p, None, p.epsilon)
+            assert batched.kind[k] == want.kind[0]
+            assert batched.distance[k] == pytest.approx(want.distance[0], abs=1e-12)
 
     def test_counters_accumulate(self, rng):
         p = KernelParams()

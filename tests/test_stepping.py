@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tricontact import stepping
-from tricontact.geometry import RigidMotion, degenerate_mask
+from tricontact.geometry import REAL, RigidMotion, degenerate_mask
 from tricontact.kernels import KernelParams, Kind, comparison_batch
 from tricontact.scenes import SceneSpec, build_scene
 from tricontact.contact import merge_contacts
-from tricontact.stepping import (IMPLICIT_MODES, FlatTree, PicardDiverged,
+from tricontact.stepping import (IMPLICIT_MODES, PicardDiverged,
                                  StepConfig, StepStats, _FusedDetector,
                                  broad_phase_pairs, explicit_step,
                                  implicit_step, multiscale_contacts,
@@ -29,27 +31,39 @@ def total_momentum(system):
     return sum(p.mass.mass * p.v for p in system.particles if not p.immovable)
 
 
-class TestFlatTree:
-    def test_structure(self, tree320, sphere320):
-        flat = FlatTree(tree320, sphere320)
-        assert flat.root == 0
-        assert tree320.parent[0] == -1
-        assert flat.n_fine == 320
-        # the tree's rows come first, the mesh rows are appended
-        assert np.array_equal(flat.tri[: flat.n_nodes], tree320.tri)
-        assert np.array_equal(flat.tri[flat.n_nodes:], sphere320)
-        # fine ids map back to mesh indices, parents are leaves
-        fine_ids = np.arange(flat.n_nodes, flat.n_nodes + flat.n_fine)
-        assert (flat.height[fine_ids] == 0).all()
-        assert (flat.height[: flat.n_nodes] >= 1).all()
-        assert np.array_equal(flat.kids[flat.kid_start[fine_ids]], fine_ids)
-        # every non-root node's parent lists it as a child
-        owner = np.repeat(np.arange(flat.n_nodes), flat.kid_count[: flat.n_nodes])
-        node_kids = flat.kids[: owner.size]
-        for nid in range(1, flat.n_nodes + flat.n_fine):
-            parents = owner[node_kids == nid]
-            assert parents.size == 1
-            assert nid >= flat.n_nodes or parents[0] == tree320.parent[nid]
+class TestForest:
+    def test_structure(self):
+        system = two_sphere_system(count=80)
+        labels = (5, 2)
+        forest = stepping.Forest(system.particles, labels)
+        assert forest.eps.dtype == REAL and forest.tri.dtype == REAL
+        assert forest.height.dtype == forest.kids.dtype == forest.offset.dtype == np.int32
+        assert forest.offset[0] == 0 and forest.offset[-1] == forest.height.size
+        for k, p in enumerate(system.particles):
+            tree, n_fine = p.tree, len(p.body_tris)
+            lo, hi = int(forest.offset[k]), int(forest.offset[k + 1])
+            # contiguous ids: the nodes in preorder, root first, then the mesh
+            assert hi - lo == tree.n_nodes + n_fine
+            nodes, mesh = np.arange(lo, lo + tree.n_nodes), np.arange(lo + tree.n_nodes, hi)
+            assert np.array_equal(forest.height[nodes], tree.height)
+            assert forest.height[lo] == forest.height[lo:hi].max()
+            assert np.array_equal(forest.tri[nodes], tree.tri)
+            assert np.array_equal(forest.tri[mesh], p.body_tris)
+            assert np.array_equal(forest.eps[nodes], tree.eps.astype(REAL))
+            assert (forest.eps[mesh] == REAL(tree.finest_epsilon)).all()
+            # owner and source map back to the particle, its nodes and triangles
+            assert (forest.owner[lo:hi] == labels[k]).all()
+            assert np.array_equal(forest.source[nodes], np.arange(tree.n_nodes))
+            assert np.array_equal(forest.source[mesh], np.arange(n_fine))
+            # children stay inside the tree: a node's are the tree's CSR
+            # children, a mesh row is height 0 and its own only child
+            for node in range(tree.n_nodes):
+                start, count = forest.kid_start[lo + node], forest.kid_count[lo + node]
+                assert np.array_equal(forest.kids[start:start + count] - lo, tree.kids_of(node))
+            assert (forest.height[mesh] == 0).all() and (forest.kid_count[mesh] == 1).all()
+            assert np.array_equal(forest.kids[forest.kid_start[mesh]], mesh)
+            kids = forest.kids[forest.kid_start[lo]:forest.kid_start[hi - 1] + 1]
+            assert ((kids >= lo) & (kids < hi)).all()
 
 
 class TestBroadPhase:
@@ -66,6 +80,34 @@ class TestBroadPhase:
         system = system_from_scene(build_scene(spec), KernelParams())
         pairs = broad_phase_pairs(system)
         assert (0, 1) in pairs and (1, 2) in pairs
+
+
+_BROAD_SCENES: dict = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ParticleOnPlane", "CartesianGrid", "ScaledPair"]),
+       seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1.0), scale=st.floats(0.3, 3.0))
+def test_broad_phase_is_the_sphere_test(kind, seed, spread, scale):
+    # on random poses and scales of the layout, the pairs are exactly those
+    # whose bounding spheres overlap, each pair tested on its own
+    if kind not in _BROAD_SCENES:
+        extra = {"grid_shape": (2, 2, 2)} if kind == "CartesianGrid" else {}
+        spec = SceneSpec(kind=kind, triangle_count=20, **extra)
+        _BROAD_SCENES[kind] = system_from_scene(build_scene(spec), KernelParams())
+    system = _BROAD_SCENES[kind]
+    rng = np.random.default_rng(seed)
+    motions = [RigidMotion.random_rotation(
+        rng, translation=scale * (p.motion.translation + rng.normal(scale=spread, size=3)))
+        for p in system.particles]
+    want = []
+    for i, j in itertools.combinations(range(len(system.particles)), 2):
+        p_i, p_j = system.particles[i], system.particles[j]
+        gap = (motions[i].apply_points(p_i.mass.center_of_mass)
+               - motions[j].apply_points(p_j.mass.center_of_mass))
+        if np.linalg.norm(gap) <= p_i.bound_radius() + p_j.bound_radius():
+            want.append((i, j))
+    assert broad_phase_pairs(system, motions) == want
 
 
 class TestExplicit:
@@ -245,15 +287,16 @@ class TestImplicit:
             implicit_step(system, StepConfig(mode=mode))
 
 
-def mesh_leaves(flat):
-    """Mesh triangle indices under every id, walking the CSR children."""
-    out = {}
-    for nid in range(flat.n_nodes + flat.n_fine - 1, -1, -1):
-        if nid >= flat.n_nodes:
-            out[nid] = [nid - flat.n_nodes]
+def mesh_leaves(forest, k):
+    """Mesh triangle indices under every id of tree ``k``, keyed by the id
+    within the tree, walking the CSR children."""
+    lo, out = int(forest.offset[k]), {}
+    for gid in range(int(forest.offset[k + 1]) - 1, lo - 1, -1):
+        if forest.height[gid] == 0:
+            out[gid - lo] = [int(forest.source[gid])]
         else:
-            kids = flat.kids[flat.kid_start[nid]:flat.kid_start[nid] + flat.kid_count[nid]]
-            out[nid] = [t for k in kids for t in out[int(k)]]
+            kids = forest.kids[forest.kid_start[gid]:forest.kid_start[gid] + forest.kid_count[gid]]
+            out[gid - lo] = [t for c in kids for t in out[int(c) - lo]]
     return out
 
 
@@ -272,8 +315,8 @@ class TestFusedFrontier:
         # frontier pairing, while the poses move from sweep to sweep
         rng = np.random.default_rng(41)
         system = two_sphere_system(count=80)
-        fi, fj = system.particles[0].flat, system.particles[1].flat
-        leaves_i, leaves_j = mesh_leaves(fi), mesh_leaves(fj)
+        leaves_i, leaves_j = mesh_leaves(system.forest, 0), mesh_leaves(system.forest, 1)
+        n_i, n_j = (len(p.body_tris) for p in system.particles)
         swept = 0
         for _ in range(6):
             motions = random_contact_pose(system, rng)
@@ -286,7 +329,7 @@ class TestFusedFrontier:
                 # the global frontier in each tree's own ids
                 gi, gj = detect.frontier
                 gi, gj = gi - detect.forest.offset[0], gj - detect.forest.offset[1]
-                cover = np.zeros((fi.n_fine, fj.n_fine), dtype=np.int64)
+                cover = np.zeros((n_i, n_j), dtype=np.int64)
                 for a, b in zip(gi, gj):
                     cover[np.ix_(leaves_i[int(a)], leaves_j[int(b)])] += 1
                 assert (cover == 1).all()
@@ -327,7 +370,7 @@ class TestFusedFrontier:
         # root halos overlap but the meshes do not touch: the frontier widens
         # one level per sweep, then one settled sweep and one to converge
         system = two_sphere_system(gap=gap, speed=0.0, count=count)
-        height = max(int(p.flat.height[p.flat.root]) for p in system.particles)
+        height = max(int(p.tree.height[0]) for p in system.particles)
         stats = implicit_step(system, StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard"))
         assert stats.broad_phase_pairs == 1 and stats.total_checks > 0
         assert stats.contacts_merged == 0
@@ -500,7 +543,7 @@ class TestBatchedUnfolding:
                 for lvl, count in one.checks_by_level.items():
                     summed.record_checks(lvl, count)
                 summed.culled += one.culled
-                for key, count in one.kernel.as_dict().items():
+                for key, count in dataclasses.asdict(one.kernel).items():
                     setattr(summed.kernel, key, getattr(summed.kernel, key) + count)
                 touching += bool(alone)
             assert len(found) == sum(1 for c in found if c.pair in pairs)
@@ -523,7 +566,7 @@ class TestBatchedUnfolding:
         monkeypatch.setattr(stepping, "hybrid_batch", recording)
         system = copy.deepcopy(_cull_scene("grid"))
         stats = explicit_step(system, StepConfig(dt=1e-4, mode="ExplicitMultiscale"))
-        levels = 1 + max(int(p.flat.height[p.flat.root]) for p in system.particles)
+        levels = 1 + max(int(p.tree.height[0]) for p in system.particles)
         assert stats.broad_phase_pairs > levels and stats.contacts_merged > 0
         assert max(sizes) <= stepping._SLICE
         assert len(sizes) <= levels + sum(sizes) // stepping._SLICE

@@ -11,12 +11,11 @@ from conftest import cached_tree
 from tricontact.geometry import triangle, triangle_normals
 from tricontact.kernels import closest_point_triangle_batch
 from tricontact.surrogate import (TREE_FORMAT_VERSION, EmptyInput, EmptyMesh,
-                                  FitParams, build_surrogate_tree,
+                                  FitParams, _fit_energy_batch, _fit_gradient_batch,
+                                  _fit_setup, _seed_batch, build_surrogate_tree,
                                   cluster_triangles, conservative_epsilon,
-                                  fit_energy, fit_energy_gradient,
-                                  fit_surrogate_triangle, seed_triangle,
-                                  tree_from_json, tree_to_json,
-                                  validate_conservative)
+                                  fit_surrogate_triangle_batch, tree_from_json,
+                                  tree_to_json, validate_conservative)
 
 
 def point_to_triangle(point, tri):
@@ -25,31 +24,38 @@ def point_to_triangle(point, tri):
 
 
 class TestFit:
+    """The fit functions on batches of one fit problem, ``(1, c, 3, 3)``."""
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            fit_surrogate_triangle(np.empty((0, 3, 3)))
+            fit_surrogate_triangle_batch(np.empty((1, 0, 3, 3)))
 
     def test_energy_gradient_matches_fd(self, rng):
-        children = rng.normal(scale=0.3, size=(6, 3, 3))
+        children = rng.normal(scale=0.3, size=(1, 6, 3, 3))
         params = FitParams()
-        tri = seed_triangle(children) + rng.normal(scale=0.05, size=(3, 3))
-        g = fit_energy_gradient(tri, children, params)
-        fd = central_difference(lambda t: fit_energy(t, children, params), tri)
+        setup = _fit_setup(children, params)
+        tri = _seed_batch(children) + rng.normal(scale=0.05, size=(1, 3, 3))
+        g = _fit_gradient_batch(tri, children, *setup, params)
+        fd = central_difference(lambda t: _fit_energy_batch(t, children, *setup, params)[0], tri)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-6
 
     def test_single_child_energy_decreases(self, rng):
-        child = rng.normal(size=(1, 3, 3))
+        child = rng.normal(size=(1, 1, 3, 3))
         params = FitParams()
-        fitted = fit_surrogate_triangle(child, params)
-        assert fit_energy(fitted, child, params) <= fit_energy(seed_triangle(child), child, params)
+        setup = _fit_setup(child, params)
+        fitted = fit_surrogate_triangle_batch(child, params)
+        assert (_fit_energy_batch(fitted, child, *setup, params)
+                <= _fit_energy_batch(_seed_batch(child), child, *setup, params))[0]
 
     def test_objective_monotone_from_seed(self, rng):
+        params = FitParams()
         for _ in range(5):
-            children = rng.normal(scale=0.2, size=(8, 3, 3)) + rng.normal(size=3)
-            params = FitParams()
-            fitted = fit_surrogate_triangle(children, params)
-            assert fit_energy(fitted, children, params) <= fit_energy(
-                seed_triangle(children), children, params) + 1e-12
+            children = rng.normal(scale=0.2, size=(1, 8, 3, 3)) + rng.normal(size=3)
+            setup = _fit_setup(children, params)
+            fitted = fit_surrogate_triangle_batch(children, params)
+            assert (_fit_energy_batch(fitted, children, *setup, params)
+                    <= _fit_energy_batch(_seed_batch(children), children, *setup, params)
+                    + 1e-12)[0]
 
     def test_planar_patch_stays_planar(self, rng):
         # 8 triangles tiling a unit square in z = 0, normals +z
@@ -60,7 +66,7 @@ class TestFit:
                 quads.append([[x, y, 0], [x + 0.5, y, 0], [x + 0.5, y + 0.5, 0]])
                 quads.append([[x, y, 0], [x + 0.5, y + 0.5, 0], [x, y + 0.5, 0]])
         children = np.asarray(quads)
-        fitted = fit_surrogate_triangle(children, FitParams())
+        fitted = fit_surrogate_triangle_batch(children[None], FitParams())[0]
         diameter = np.sqrt(2.0)
         assert np.abs(fitted[:, 2]).max() <= 1e-2 * diameter
         normal = triangle_normals(fitted[None])[0]
@@ -71,7 +77,7 @@ class TestFit:
         mask = (sphere1280.mean(axis=1) > 0).all(axis=1)
         octant = sphere1280[mask]
         assert octant.shape[0] > 100
-        fitted = fit_surrogate_triangle(octant, FitParams())
+        fitted = fit_surrogate_triangle_batch(octant[None], FitParams())[0]
         eps = conservative_epsilon(fitted, octant, 1e-2)
         assert eps < 0.7  # coarsest sphere surrogates sit near half a diameter
 
