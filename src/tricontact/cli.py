@@ -40,7 +40,7 @@ def _load_config(args) -> RunConfig:
     # flag overrides
     if args.scene_kind:
         config.scene.kind = args.scene_kind
-    if args.triangle_count:
+    if args.triangle_count is not None:
         config.scene.triangle_count = args.triangle_count
     if args.eta_r is not None:
         config.scene.eta_r = args.eta_r
@@ -48,7 +48,7 @@ def _load_config(args) -> RunConfig:
         config.step.mode = args.mode
     if args.dt is not None:
         config.step.dt = args.dt
-    if args.steps:
+    if args.steps is not None:
         config.n_steps = args.steps
     if args.epsilon is not None:
         config.kernel.epsilon = args.epsilon
@@ -60,12 +60,17 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_dict(config.as_dict())
 
 
+def _input_error(what: str, exc: Exception) -> int:
+    """Report unusable flags or input files in one stderr line."""
+    print(f"error: {what}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_run(args) -> int:
     try:
         config = _load_config(args)
     except (ValueError, OSError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _input_error("invalid configuration", exc)
 
     t_start = time.perf_counter()
     scene = build_scene(config.scene, epsilon=config.kernel.epsilon)
@@ -108,16 +113,14 @@ def _mesh_from_args(args):
 
 
 def cmd_build_tree(args) -> int:
-    verts, faces = _mesh_from_args(args)
-    tris = mesh_to_triangles(verts, faces)
     try:
+        verts, faces = _mesh_from_args(args)
         tree = build_surrogate_tree(
-            tris, args.n_surrogate, fit=FitParams(), seed=args.seed,
+            mesh_to_triangles(verts, faces), args.n_surrogate, fit=FitParams(), seed=args.seed,
             finest_epsilon=args.epsilon,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ValueError, OSError) as exc:
+        return _input_error("invalid mesh or tree parameters", exc)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
     print(f"tree with {tree.n_nodes} nodes written to {args.out}")
@@ -131,11 +134,12 @@ def cmd_validate_tree(args) -> int:
     try:
         with open(args.tree, "r", encoding="utf-8") as fh:
             tree = tree_from_json(fh.read())
-    except ValueError as exc:
-        print(f"error: invalid tree file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    verts, faces = _mesh_from_args(args)
-    tris = mesh_to_triangles(verts, faces)
+    except (ValueError, OSError) as exc:
+        return _input_error("invalid tree file", exc)
+    try:
+        tris = mesh_to_triangles(*_mesh_from_args(args))
+    except (ValueError, OSError) as exc:
+        return _input_error("invalid mesh", exc)
     if tree.mesh_checksum != mesh_checksum(tris):
         print("tree was built for a different mesh")
         return EXIT_WRONG_MESH
@@ -145,9 +149,10 @@ def cmd_validate_tree(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    a = load_report(args.report_a)
-    b = load_report(args.report_b)
-    summary = compare_reports(a, b)
+    try:
+        summary = compare_reports(load_report(args.report_a), load_report(args.report_b))
+    except (ValueError, OSError) as exc:
+        return _input_error("cannot compare the reports", exc)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
 

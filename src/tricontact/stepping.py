@@ -1,42 +1,43 @@
 """Time integrators: explicit Euler and implicit Euler with Picard sweeps.
 
-Both explicit modes detect once per step, either over all mesh-triangle
-pairs or by unfolding the surrogate trees from their roots.  The three
-implicit modes share one Picard driver and differ only in how a sweep
-detects contacts: all mesh-triangle pairs (ImplicitSingle), the surrogate
-trees unfolded from their roots in every sweep (ImplicitSurrogateInPicard),
-or per-pair frontiers of node pairings that persist across the sweeps of a
-step and widen one level per sweep where contact is possible
-(ImplicitMultiscalePicard, the fused scheme).
+Every mode detects through one :class:`Forest`, which stacks all
+particles' tree and mesh rows into one id space, and ``_detector`` picks
+the mode's detection in one place.  Candidate pairs come from one
+bounding-sphere test over all particle pairs.  The Single modes detect
+flat: all mesh-row pairings of every pair, the brute-force baseline,
+which reads no tree and culls nothing (:func:`single_level_contacts`).
+ExplicitMultiscale and ImplicitSurrogateInPicard unfold the trees of all
+pairs together from their roots, one batch per level
+(:func:`multiscale_contacts`).  ImplicitMultiscalePicard, the fused
+scheme, keeps a frontier of node pairings across the Picard sweeps of a
+step and widens it one level per sweep where contact is possible.  The
+three implicit modes share one Picard driver and differ only in this
+choice.
 
-Candidate pairs come from one bounding-sphere test over all particle
-pairs.  All detection work is batched through the hybrid kernel;
-comparison-based fallbacks run only for pairs of real mesh triangles, never
-on surrogate levels.  The tree modes see every particle's tree and mesh as
-rows of one :class:`Forest` and batch all broad-phase pairs together: one
-batch per level (per sweep in the fused mode), in kernel slices of at most
-``_SLICE`` pairings.  Tree pairings whose halos a separating axis proves
-apart skip the kernel; they still count as checks (pairings examined) and
-also as ``StepStats.culled``.  Flat detection, the brute-force baseline,
-does not cull.  Counter reports are deterministic for identical configurations.
-
-Contacts stay one :class:`~tricontact.contact.Contacts` struct of arrays
-from the kernel hits to the wrench: built per kernel call, merged by one
-:func:`merge_contacts` call per detection, and turned into per-particle
-forces, torques and rates by ``_rates`` in two array passes.
+All detection work is batched through the hybrid kernel; comparison-based
+fallbacks run only for pairs of real mesh triangles, never on surrogate
+levels.  Tree pairings whose halos a separating axis proves apart skip the
+kernel; they still count as checks (pairings examined) and also as
+``StepStats.culled``.  Counter reports are deterministic for identical
+configurations.  Contacts stay one :class:`~tricontact.contact.Contacts`
+struct of arrays from the kernel hits to the wrench: built by
+:meth:`Forest.contacts`, merged by one :func:`merge_contacts` call per
+detection, and turned into per-particle rates by ``_rates``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .contact import (Contacts, ForceModelParams, MassProperties, _length, accumulate,
                       contact_force, contacts_from_segments, immovable_mass,
                       mass_properties_from_mesh, merge_contacts)
-from .geometry import REAL, RigidMotion
+from .geometry import REAL, RigidMotion, mesh_to_triangles
 from .kernels import KernelCounters, KernelParams, Kind, hybrid_batch
 from .surrogate import SurrogateTree, build_surrogate_tree, FitParams
 
@@ -89,22 +90,28 @@ class Forest:
     """The tree rows of several particles stacked into one int32 id space.
 
     Tree ``k`` is the surrogate tree of ``particles[k]`` with its mesh
-    triangles appended.  It holds the ids ``offset[k] .. offset[k + 1] - 1``:
-    first its nodes in preorder, root first, then one row per mesh
-    triangle, which the tree's CSR lists as the children of their leaves.
-    A mesh row has the finest halo, height 0 and itself as its only child,
-    so that pairings split alike whatever their sides.  Every row's owner
-    is particle ``labels[k]`` and its source is its node id, or its mesh
-    triangle index on the mesh level (height 0); ``tri`` holds the rows'
-    body-frame triangles.  A tree pairing is a pair of ids.
+    triangles appended; a particle whose ``tree`` is None has mesh rows
+    only.  Tree ``k`` holds the ids ``offset[k] .. offset[k + 1] - 1``:
+    first its nodes in preorder, root first, then from ``mesh[k]`` on one
+    row per mesh triangle, which the tree's CSR lists as the children of
+    their leaves.  A mesh row has the particle's halo ``epsilon``, height 0
+    and itself as its only child, so that pairings split alike whatever
+    their sides.  Every row's owner is particle ``labels[k]`` and its
+    source is its node id, or its mesh triangle index on the mesh level
+    (height 0); ``tri`` holds the rows' body-frame triangles.  A pairing
+    is a pair of ids.
     """
 
     def __init__(self, particles: list[Particle], labels):
-        trees, fine = [p.tree for p in particles], [len(p.body_tris) for p in particles]
-        tri, eps = zip(*(p.tree.child_rows(p.body_tris) for p in particles))
-        self.offset = np.cumsum([0] + [t.n_nodes + f for t, f in zip(trees, fine)], dtype=np.int32)
-        self.tri = np.concatenate(tri)
-        self.eps = np.concatenate(eps).astype(REAL)
+        trees = [p.tree or _NO_TREE for p in particles]
+        fine = [len(p.body_tris) for p in particles]
+        nodes = np.array([t.n_nodes for t in trees], dtype=np.int32)
+        self.offset = np.cumsum(np.r_[0, nodes + fine], dtype=np.int32)
+        self.mesh = self.offset[:-1] + nodes
+        self.tri = np.concatenate([rows for t, p in zip(trees, particles)
+                                   for rows in (t.tri, p.body_tris)])
+        self.eps = np.concatenate([np.r_[t.eps, np.full(f, p.epsilon)]
+                                   for t, f, p in zip(trees, fine, particles)]).astype(REAL)
         self.height = np.concatenate([np.pad(t.height, (0, f)) for t, f in zip(trees, fine)],
                                      dtype=np.int32)
         self.source = np.concatenate([np.r_[:t.n_nodes, :f] for t, f in zip(trees, fine)])
@@ -120,14 +127,31 @@ class Forest:
         pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
         return self.offset[pairs[:, 0]], self.offset[pairs[:, 1]]
 
-    def world(self, motions: list[RigidMotion], pairs) -> np.ndarray:
-        """World-frame triangles: each tree that ``pairs`` names is moved
-        once by its motion, the other rows are left unset."""
+    def world(self, motions: list[RigidMotion], pairs, mesh_only: bool = False) -> np.ndarray:
+        """World-frame triangles: the rows of each tree that ``pairs`` names
+        (its mesh rows only, with ``mesh_only``) are moved once by its
+        motion, the other rows are left unset."""
         world = np.empty((int(self.offset[-1]), 3, 3), dtype=REAL)
+        first = self.mesh if mesh_only else self.offset
         for k in {k for pair in pairs for k in pair}:
-            rows = slice(self.offset[k], self.offset[k + 1])
+            rows = slice(first[k], self.offset[k + 1])
             world[rows] = motions[k].apply_points(self.tri[rows].reshape(-1, 3)).reshape(-1, 3, 3)
         return world
+
+    def contacts(self, res, hits: np.ndarray, a: np.ndarray, b: np.ndarray) -> Contacts:
+        """Contacts of the kernel results ``res`` at ``hits`` of the pairings
+        ``(a, b)``: per side the halo, the owner (the pair), the source and
+        the height (the level)."""
+        a, b = a[hits], b[hits]
+        sides = (np.stack([row[a], row[b]], axis=1)
+                 for row in (self.eps, self.owner, self.source, self.height))
+        return contacts_from_segments(res.point_a[hits], res.point_b[hits], *sides)
+
+
+# the tree rows of a particle without a tree: none
+_NO_TREE = SimpleNamespace(n_nodes=0, tri=np.zeros((0, 3, 3), dtype=REAL), eps=np.zeros(0),
+                           height=np.zeros(0, dtype=np.int64), kids=np.zeros(0, dtype=np.int64),
+                           kid_count=np.zeros(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +162,11 @@ class Forest:
 @dataclass
 class Particle:
     """A rigid particle: its mesh in the body frame and its surrogate tree
-    over that mesh, whose rows :class:`Forest` stacks for detection."""
+    over that mesh, whose rows :class:`Forest` stacks for detection.  Flat
+    detection reads the mesh rows only, so there ``tree`` may be None."""
 
     body_tris: np.ndarray
-    tree: SurrogateTree
+    tree: SurrogateTree | None
     motion: RigidMotion
     v: np.ndarray
     omega: np.ndarray
@@ -171,10 +196,9 @@ class System:
 
 def system_from_scene(scene, kernel_params: KernelParams | None = None,
                       n_surrogate: int = 8, fit: FitParams | None = None) -> System:
-    """Build particles (mass properties + surrogate trees) from a scene."""
-    from .geometry import mesh_to_triangles
+    """Build particles (mass properties + surrogate trees) from a scene.
 
-    kernel_params = kernel_params or KernelParams()
+    ``kernel_params`` is not read: each step takes its own."""
     particles = []
     for idx, sp in enumerate(scene.particles):
         tris = mesh_to_triangles(sp.vertices, sp.faces)
@@ -206,8 +230,7 @@ def system_from_scene(scene, kernel_params: KernelParams | None = None,
 class StepStats:
     """Per-step detection workload and solver telemetry."""
 
-    checks_by_level: dict = field(default_factory=dict)  # height bin -> pairings examined
-    sweep_histograms: list = field(default_factory=list)  # per Picard sweep
+    sweep_histograms: list = field(default_factory=list)  # per sweep: height bin -> checks
     picard_iterations: int = 0
     contacts_merged: int = 0
     kernel: KernelCounters = field(default_factory=KernelCounters)
@@ -215,14 +238,21 @@ class StepStats:
     culled: int = 0  # tree pairings proved clear before the kernel (also checks)
 
     def record_checks(self, level_bin: int, count: int) -> None:
+        """Count ``count`` pairings examined in ``level_bin`` in the current
+        sweep, opening the first one if there is none."""
         if count:
-            self.checks_by_level[level_bin] = self.checks_by_level.get(level_bin, 0) + count
-            if self.sweep_histograms:
-                hist = self.sweep_histograms[-1]
-                hist[level_bin] = hist.get(level_bin, 0) + count
+            if not self.sweep_histograms:
+                self.begin_sweep()
+            hist = self.sweep_histograms[-1]
+            hist[level_bin] = hist.get(level_bin, 0) + count
 
     def begin_sweep(self) -> None:
         self.sweep_histograms.append({})
+
+    @property
+    def checks_by_level(self) -> dict:
+        """Pairings examined per height bin, summed over the sweeps."""
+        return dict(sum(map(Counter, self.sweep_histograms), Counter()))
 
     @property
     def total_checks(self) -> int:
@@ -234,7 +264,7 @@ class StepStats:
 
 
 # ---------------------------------------------------------------------------
-# Broad phase.
+# Detection: broad phase, flat and tree detection, one detector per mode.
 # ---------------------------------------------------------------------------
 
 
@@ -254,41 +284,35 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
     return list(zip(i[near].tolist(), j[near].tolist()))
 
 
-# ---------------------------------------------------------------------------
-# Detection.
-# ---------------------------------------------------------------------------
-
-
 # Mesh-triangle pairs per flat kernel call: small enough that the iterative
 # kernel's per-coordinate buffers (about 12 MB) stay in cache, which makes it
 # about twice as fast per pair as one call over a whole 320 x 320 batch.
 _FLAT_SLICE = 16384
 
 
-def single_level_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
-                          params: KernelParams, stats: StepStats,
-                          motion_i=None, motion_j=None) -> Contacts:
-    """All fine-triangle pairs through the hybrid kernel (flat detection).
+def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
+                          params: KernelParams, stats: StepStats) -> Contacts:
+    """Unmerged contacts of all mesh-row pairings of the pairs ``pairs``
+    (flat detection, the brute-force baseline: no cull).
 
-    The pairs go to the kernel in row-major source order, ``_FLAT_SLICE``
-    at a time: the kernels work row by row, so the slice size changes
-    neither the contacts, which come in source order, nor the counters,
-    only the number of kernel calls."""
-    world_i = (motion_i or p_i.motion).apply_points(p_i.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
-    world_j = (motion_j or p_j.motion).apply_points(p_j.body_tris.reshape(-1, 3)).reshape(-1, 3, 3)
-    ni, nj = world_i.shape[0], world_j.shape[0]
-    eps_pair = 0.5 * (p_i.epsilon + p_j.epsilon)
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
+    Only mesh rows are read, and each particle is moved once.  Each pair's
+    pairings go to the kernel in row-major source order, ``_FLAT_SLICE``
+    at a time, with the pair's halo as one scalar: the kernels work row by
+    row, so the slice size changes neither the contacts, which come in
+    (pair, source) order, nor the counters, only the number of kernel
+    calls."""
+    world = forest.world(motions, pairs, mesh_only=True)
     found = []
-    for start in range(0, ii.size, _FLAT_SLICE):
-        si, sj = ii[start:start + _FLAT_SLICE], jj[start:start + _FLAT_SLICE]
-        res = hybrid_batch(world_i[si], world_j[sj], params, stats.kernel, eps_pair)
-        stats.record_checks(0, si.size)
-        h = res.kind == np.int8(Kind.CONTACT)
-        found.append(contacts_from_segments(
-            res.point_a[h], res.point_b[h], (p_i.epsilon, p_j.epsilon), pair,
-            np.stack([si[h], sj[h]], axis=1), 0))
+    for k, l in pairs:
+        rows_k = np.arange(forest.mesh[k], forest.offset[k + 1])
+        rows_l = np.arange(forest.mesh[l], forest.offset[l + 1])
+        gi, gj = np.repeat(rows_k, rows_l.size), np.tile(rows_l, rows_k.size)
+        eps = 0.5 * (forest.eps[rows_k[0]] + forest.eps[rows_l[0]])
+        for s in range(0, gi.size, _FLAT_SLICE):
+            a, b = gi[s:s + _FLAT_SLICE], gj[s:s + _FLAT_SLICE]
+            res = hybrid_batch(world[a], world[b], params, stats.kernel, eps)
+            stats.record_checks(0, a.size)
+            found.append(forest.contacts(res, res.kind == np.int8(Kind.CONTACT), a, b))
     return Contacts.concat(found)
 
 
@@ -347,10 +371,8 @@ def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np
         res = hybrid_batch(world[a], world[b], params, stats.kernel,
                            0.5 * (forest.eps[a] + forest.eps[b]), allow_fallback=both_fine)
         is_contact = res.kind == np.int8(Kind.CONTACT)
-        hits = is_contact if surrogate_contacts else is_contact & both_fine
-        sides = (np.stack([row[a[hits]], row[b[hits]]], axis=1)  # eps, pair, source, level
-                 for row in (forest.eps, forest.owner, forest.source, forest.height))
-        found.append(contacts_from_segments(res.point_a[hits], res.point_b[hits], *sides))
+        found.append(forest.contacts(res, is_contact if surrogate_contacts
+                                     else is_contact & both_fine, a, b))
         split[rows] = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
     return Contacts.concat(found), split
 
@@ -377,10 +399,15 @@ def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _unfold(forest: Forest, motions: list[RigidMotion], pairs, params: KernelParams,
-            stats: StepStats) -> Contacts:
+def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
+                        params: KernelParams, stats: StepStats) -> Contacts:
     """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
-    together from their roots: one :func:`_evaluate_pairings` per level."""
+    together from their roots: one :func:`_evaluate_pairings` per level.
+
+    A pairing with contact or an unsettled verdict splits into its child
+    pairings, every other pairing retires, and only contacts between real
+    mesh triangles are kept.  Comparison fallbacks run on mesh-level
+    pairings only."""
     world = forest.world(motions, pairs)
     gi, gj = forest.roots(pairs)
     found = []
@@ -390,107 +417,6 @@ def _unfold(forest: Forest, motions: list[RigidMotion], pairs, params: KernelPar
         found.append(contacts)
         gi, gj = _split_pairings(forest, gi[split], gj[split])
     return Contacts.concat(found)
-
-
-def multiscale_contacts(p_i: Particle, p_j: Particle, pair: tuple[int, int],
-                        params: KernelParams, stats: StepStats,
-                        motion_i=None, motion_j=None) -> Contacts:
-    """Top-down unfolding detection over both surrogate trees.
-
-    Pairings start at the roots; a pairing with contact or an unsettled
-    verdict splits into its child pairings, every other pairing retires,
-    and only contacts between real mesh triangles yield contacts, returned
-    in (pair, level, source) order.  Comparison fallbacks run on mesh-level
-    pairs only.
-    """
-    forest = Forest([p_i, p_j], pair)
-    motions = [motion_i or p_i.motion, motion_j or p_j.motion]
-    return _unfold(forest, motions, [(0, 1)], params, stats).sorted()
-
-
-# ---------------------------------------------------------------------------
-# Force assembly.
-# ---------------------------------------------------------------------------
-
-
-def _rates(system: System, cfg: StepConfig, contacts: Contacts,
-           motions: list[RigidMotion], omegas: list[np.ndarray]):
-    """Raw force/torque and the induced (dv, domega) per particle.
-
-    A contact of surrogate height ``h`` (the larger side's) pushes at
-    ``2**-h`` of its spring; each centre of mass moves to the world once."""
-    masses = [p.mass for p in system.particles]
-    com = np.array([m.apply_points(p.mass.center_of_mass)
-                    for m, p in zip(motions, system.particles)])
-    forces = contact_force(contacts, masses, com, cfg.force.k_s)
-    forces *= 0.5 ** contacts.level.max(axis=1)[:, None]
-    return accumulate(contacts, forces, masses, com, [m.rotation_matrix() for m in motions],
-                      omegas)
-
-
-def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
-                   omega: np.ndarray, dt: float) -> RigidMotion:
-    """Translate by v dt and rotate by omega dt about the world centre of mass."""
-    com_w = motion.apply_points(p.mass.center_of_mass)
-    speed = float(np.linalg.norm(omega))
-    if speed > 0.0:
-        delta = RigidMotion.from_axis_angle(np.asarray(omega) / speed, speed * dt)
-        rot = delta.compose(RigidMotion(motion.rotation, np.zeros(3)))
-    else:
-        rot = RigidMotion(motion.rotation, np.zeros(3))
-    new_com = com_w + np.asarray(v, dtype=REAL) * dt
-    translation = new_com - rot.apply_points(p.mass.center_of_mass)
-    return RigidMotion(rot.rotation, translation)
-
-
-def _detect_all(system: System, params: KernelParams, stats: StepStats,
-                motions: list[RigidMotion], multiscale: bool) -> Contacts:
-    pairs = broad_phase_pairs(system, motions)
-    stats.broad_phase_pairs = len(pairs)
-    if multiscale:
-        found = _unfold(system.forest, motions, pairs, params, stats)
-    else:
-        found = Contacts.concat(
-            single_level_contacts(system.particles[i], system.particles[j], (i, j), params,
-                                  stats, motion_i=motions[i], motion_j=motions[j])
-            for i, j in pairs)
-    return merge_contacts(found, [p.epsilon for p in system.particles])
-
-
-# ---------------------------------------------------------------------------
-# Explicit Euler.
-# ---------------------------------------------------------------------------
-
-
-def explicit_step(system: System, cfg: StepConfig,
-                  params: KernelParams | None = None) -> StepStats:
-    """One explicit Euler step: detect, move geometry, then update velocities."""
-    if cfg.mode not in EXPLICIT_MODES:
-        raise ValueError(f"explicit_step cannot run mode {cfg.mode}")
-    params = params or KernelParams()
-    stats = StepStats()
-    stats.begin_sweep()
-    motions = [p.motion for p in system.particles]
-    contacts = _detect_all(system, params, stats, motions,
-                           multiscale=cfg.mode == "ExplicitMultiscale")
-    stats.contacts_merged = len(contacts)
-    omegas = [p.omega for p in system.particles]
-    _, _, dv, domega = _rates(system, cfg, contacts, motions, omegas)
-    for i, p in enumerate(system.particles):
-        if p.immovable:
-            continue
-        p.motion = advance_motion(p, p.motion, p.v, p.omega, cfg.dt)
-        p.v = p.v + cfg.dt * (dv[i] + system.gravity)
-        p.omega = p.omega + cfg.dt * domega[i]
-    system.time += cfg.dt
-    system.step_index += 1
-    stats.picard_iterations = 0
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Fused multiscale detection (per-pair frontiers persist across Picard sweeps).
-# ---------------------------------------------------------------------------
 
 
 class _FusedDetector:
@@ -530,9 +456,89 @@ class _FusedDetector:
         return merge_contacts(found, [p.epsilon for p in self.system.particles]), not split.any()
 
 
+def _detector(system: System, mode: str, params: KernelParams, stats: StepStats):
+    """``detect(motions) -> (merged contacts, settled)`` for ``mode``.
+
+    The fused mode keeps its frontier across calls (:class:`_FusedDetector`).
+    Every other mode detects afresh at the given poses, so it is always
+    settled: the broad phase, then flat detection (the Single modes) or
+    the trees unfolded from their roots, and one merge.
+    """
+    if mode == "ImplicitMultiscalePicard":
+        return _FusedDetector(system, params, stats)
+
+    def detect(motions):
+        pairs = broad_phase_pairs(system, motions)
+        stats.broad_phase_pairs = len(pairs)
+        flat = mode in ("ExplicitSingle", "ImplicitSingle")
+        find = single_level_contacts if flat else multiscale_contacts
+        found = find(system.forest, motions, pairs, params, stats)
+        return merge_contacts(found, [p.epsilon for p in system.particles]), True
+    return detect
+
+
 # ---------------------------------------------------------------------------
-# Implicit Euler (one Picard driver for the three implicit modes).
+# Force assembly.
 # ---------------------------------------------------------------------------
+
+
+def _rates(system: System, cfg: StepConfig, contacts: Contacts,
+           motions: list[RigidMotion], omegas: list[np.ndarray]):
+    """Raw force/torque and the induced (dv, domega) per particle.
+
+    A contact of surrogate height ``h`` (the larger side's) pushes at
+    ``2**-h`` of its spring; each centre of mass moves to the world once."""
+    masses = [p.mass for p in system.particles]
+    com = np.array([m.apply_points(p.mass.center_of_mass)
+                    for m, p in zip(motions, system.particles)])
+    forces = contact_force(contacts, masses, com, cfg.force.k_s)
+    forces *= 0.5 ** contacts.level.max(axis=1)[:, None]
+    return accumulate(contacts, forces, masses, com, [m.rotation_matrix() for m in motions],
+                      omegas)
+
+
+def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
+                   omega: np.ndarray, dt: float) -> RigidMotion:
+    """Translate by v dt and rotate by omega dt about the world centre of mass."""
+    com_w = motion.apply_points(p.mass.center_of_mass)
+    speed = float(np.linalg.norm(omega))
+    if speed > 0.0:
+        delta = RigidMotion.from_axis_angle(np.asarray(omega) / speed, speed * dt)
+        rot = delta.compose(RigidMotion(motion.rotation, np.zeros(3)))
+    else:
+        rot = RigidMotion(motion.rotation, np.zeros(3))
+    new_com = com_w + np.asarray(v, dtype=REAL) * dt
+    translation = new_com - rot.apply_points(p.mass.center_of_mass)
+    return RigidMotion(rot.rotation, translation)
+
+
+# ---------------------------------------------------------------------------
+# Time stepping: explicit Euler, and implicit Euler with one Picard driver
+# for the three implicit modes.
+# ---------------------------------------------------------------------------
+
+
+def explicit_step(system: System, cfg: StepConfig,
+                  params: KernelParams | None = None) -> StepStats:
+    """One explicit Euler step: detect, move geometry, then update velocities."""
+    if cfg.mode not in EXPLICIT_MODES:
+        raise ValueError(f"explicit_step cannot run mode {cfg.mode}")
+    stats = StepStats()
+    stats.begin_sweep()
+    motions = [p.motion for p in system.particles]
+    contacts, _ = _detector(system, cfg.mode, params or KernelParams(), stats)(motions)
+    stats.contacts_merged = len(contacts)
+    omegas = [p.omega for p in system.particles]
+    _, _, dv, domega = _rates(system, cfg, contacts, motions, omegas)
+    for i, p in enumerate(system.particles):
+        if p.immovable:
+            continue
+        p.motion = advance_motion(p, p.motion, p.v, p.omega, cfg.dt)
+        p.v = p.v + cfg.dt * (dv[i] + system.gravity)
+        p.omega = p.omega + cfg.dt * domega[i]
+    system.time += cfg.dt
+    system.step_index += 1
+    return stats
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
@@ -542,14 +548,23 @@ def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
     return float(np.linalg.norm(new - old)) / scale
 
 
-def _picard(system: System, cfg: StepConfig, stats: StepStats, detect) -> StepStats:
-    """Relaxed Picard sweeps on guessed end-of-step states, then the commit.
+def implicit_step(system: System, cfg: StepConfig,
+                  params: KernelParams | None = None) -> StepStats:
+    """One implicit Euler step in any implicit mode: relaxed Picard sweeps
+    on guessed end-of-step states, then the commit.
 
-    ``detect(guess_motions)`` returns a sweep's contacts and whether the
-    detection itself has settled.  Each particle blends its new rates with
-    the previous ones by a factor theta that grows while successive raw
-    forces agree in direction and shrinks when they flip.
+    Each sweep detects through :func:`_detector` at the guessed poses and
+    learns whether the detection itself has settled: ImplicitSingle and
+    ImplicitSurrogateInPicard detect afresh in every sweep and always are,
+    ImplicitMultiscalePicard widens its frontiers one level per sweep.
+    Each particle blends its new rates with the previous ones by a factor
+    theta that grows while successive raw forces agree in direction and
+    shrinks when they flip.
     """
+    if cfg.mode not in IMPLICIT_MODES:
+        raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
+    stats = StepStats()
+    detect = _detector(system, cfg.mode, params or KernelParams(), stats)
     n = len(system.particles)
     motions = [p.motion for p in system.particles]
     v_guess = [p.v.copy() for p in system.particles]
@@ -616,29 +631,6 @@ def _picard(system: System, cfg: StepConfig, stats: StepStats, detect) -> StepSt
     system.time += cfg.dt
     system.step_index += 1
     return stats
-
-
-def implicit_step(system: System, cfg: StepConfig,
-                  params: KernelParams | None = None) -> StepStats:
-    """One implicit Euler step in any implicit mode.
-
-    ImplicitSingle and ImplicitSurrogateInPicard detect afresh in every
-    sweep (flat, or unfolding the trees from their roots) and are always
-    settled; ImplicitMultiscalePicard keeps per-pair frontiers across the
-    sweeps of the step, widening them one level per sweep.
-    """
-    if cfg.mode not in IMPLICIT_MODES:
-        raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
-    params = params or KernelParams()
-    stats = StepStats()
-    if cfg.mode == "ImplicitMultiscalePicard":
-        detect = _FusedDetector(system, params, stats)
-    else:
-        multiscale = cfg.mode == "ImplicitSurrogateInPicard"
-
-        def detect(motions):
-            return _detect_all(system, params, stats, motions, multiscale), True
-    return _picard(system, cfg, stats, detect)
 
 
 def step(system: System, cfg: StepConfig, params: KernelParams | None = None) -> StepStats:

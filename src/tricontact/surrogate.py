@@ -197,27 +197,26 @@ def fit_surrogate_triangle_batch(children: np.ndarray, params: FitParams | None 
     return tris
 
 
-def conservative_epsilon(surrogate: np.ndarray, children: np.ndarray,
-                         child_epsilons) -> float:
-    """Smallest halo making ``surrogate`` conservative over its children.
+def conservative_epsilon(surrogates: np.ndarray, children: np.ndarray,
+                         child_epsilons) -> np.ndarray:
+    """Smallest halo making each of the ``(m, 3, 3)`` ``surrogates``
+    conservative over its ``(m, c, 3, 3)`` ``children``.
 
     Point-to-triangle distance is convex in the query point, so its
     maximum over a child triangle is attained at a child vertex; the halo
     ``max_v (dist(v, surrogate) + eps_child)`` therefore contains every
-    child's halo volume exactly.
+    child's halo volume exactly.  ``child_epsilons`` broadcasts to
+    ``(m, c)`` and keeps its dtype in the sum.
     """
-    children = as_triangles(children)
-    if children.shape[0] == 0:
+    children = np.asarray(children, dtype=REAL)
+    m, c = children.shape[:2]
+    if c == 0:
         raise EmptyInput("no child triangles")
-    surrogate = np.asarray(surrogate, dtype=REAL).reshape(3, 3)
-    eps = np.asarray(child_epsilons, dtype=REAL)
-    if eps.ndim == 0:
-        eps = np.full(children.shape[0], float(eps), dtype=REAL)
-    pts = children.reshape(-1, 3)
-    tiled = np.broadcast_to(surrogate, (pts.shape[0], 3, 3))
+    pts = children.reshape(m * c * 3, 3)
+    tiled = np.repeat(np.asarray(surrogates, dtype=REAL), c * 3, axis=0)
     closest, _ = closest_point_triangle_batch(pts, tiled)
-    dist = np.linalg.norm(pts - closest, axis=1).reshape(-1, 3)
-    return float((dist + eps[:, None]).max())
+    dist = np.linalg.norm(pts - closest, axis=1).reshape(m, c, 3)
+    return (dist + np.broadcast_to(child_epsilons, (m, c))[:, :, None]).max(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +392,8 @@ def _batch_fit_and_chain(tree, ids, tri, eps, fit):
         rows = tree.kids[tree.kid_start[group][:, None] + np.arange(count)]
         batch = tri[rows]
         fitted = fit_surrogate_triangle_batch(batch, fit)
-        pts = batch.reshape(group.size * count * 3, 3)
-        tiled = np.repeat(fitted, count * 3, axis=0)
-        closest, _ = closest_point_triangle_batch(pts, tiled)
-        dist = np.linalg.norm(pts - closest, axis=1).reshape(group.size, count, 3)
         tri[group] = fitted
-        eps[group] = (dist + eps[rows][:, :, None]).max(axis=(1, 2))
+        eps[group] = conservative_epsilon(fitted, batch, eps[rows])
 
 
 def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
@@ -492,8 +487,8 @@ def validate_conservative(tree: SurrogateTree, triangles: np.ndarray,
         dist = np.linalg.norm(pts - closest, axis=1)
         slack = tree.eps[i] - (dist + tree.finest_epsilon)
         worst = min(worst, float(slack.min()))
-        need = conservative_epsilon(tree.tri[i], child_tri[kids], child_eps[kids])
-        worst = min(worst, float(tree.eps[i] - need))
+        need = conservative_epsilon(tree.tri[i, None], child_tri[kids][None], child_eps[kids])
+        worst = min(worst, float(tree.eps[i] - need[0]))
         checked += 1
     return {"ok": worst >= -1e-6, "worst_slack": worst, "checked_nodes": checked}
 

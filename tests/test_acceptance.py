@@ -139,13 +139,12 @@ def test_criterion_3_lemma_equivalence():
             gap = float(rng.uniform(-0.005, 0.02))
             system.particles[1].motion = RigidMotion.random_rotation(
                 rng, translation=(1.0 + gap, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)))
+            motions = [p.motion for p in system.particles]
             single = merge_contacts(
-                single_level_contacts(system.particles[0], system.particles[1],
-                                      (0, 1), params, StepStats()),
+                single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
                 params.epsilon)
             multi = merge_contacts(
-                multiscale_contacts(system.particles[0], system.particles[1],
-                                    (0, 1), params, StepStats()),
+                multiscale_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
                 params.epsilon)
             scenes += 1
             if len(single) != len(multi):

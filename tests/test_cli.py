@@ -291,3 +291,28 @@ class TestCompare:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["counter_ratios"]["total_checks"] > 1.0
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("args, needle", [
+        pytest.param(["run", "--seed", "1", "--steps", "0"], "n_steps", id="run-steps-0"),
+        pytest.param(["run", "--seed", "1", "--steps", "1", "--triangle-count", "0"],
+                     "triangle count 0", id="run-triangle-count-0"),
+        pytest.param(["build-tree", "--triangle-count", "100", "--out", "{tmp}/tree.json"],
+                     "100 triangles", id="build-tree-triangle-count-100"),
+        pytest.param(["validate-tree", "--triangle-count", "80", "--tree", "{tmp}/none.json"],
+                     "none.json", id="validate-tree-missing-tree"),
+        pytest.param(["compare", "{tmp}/none.json", "{tmp}/none.json"], "none.json",
+                     id="compare-missing-report"),
+        pytest.param(["compare", "{tmp}/v0.json", "{tmp}/v0.json"], "version",
+                     id="compare-other-version"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, args, needle):
+        # unusable flags or input files end the command with exit 2 and one
+        # stderr line, before any work and without a traceback
+        (tmp_path / "v0.json").write_text(json.dumps({"version": 0}))
+        code = run_cli(*(a.format(tmp=tmp_path) for a in args))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+        assert not (tmp_path / "tree.json").exists()

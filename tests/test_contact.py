@@ -14,7 +14,7 @@ from tricontact.contact import (Contacts, MassProperties, OpenMesh, ZeroNormal,
                                 merge_contacts, reduced_mass_sqrt)
 from tricontact.geometry import RigidMotion, triangle
 from tricontact.kernels import KernelParams
-from tricontact.stepping import (Particle, StepConfig, StepStats, System,
+from tricontact.stepping import (Forest, Particle, StepConfig, StepStats, System,
                                  single_level_contacts)
 
 
@@ -38,8 +38,9 @@ def mesh_particle(tris, offset=(0.0, 0.0, 0.0), epsilon=1e-2):
 
 def flat_contacts(tris_i, tris_j, offset_j, stats=None):
     """Single-level contacts of two meshes, the second one translated."""
-    return single_level_contacts(mesh_particle(tris_i), mesh_particle(tris_j, offset_j),
-                                 (0, 1), KernelParams(), stats or StepStats())
+    particles = [mesh_particle(tris_i), mesh_particle(tris_j, offset_j)]
+    return single_level_contacts(Forest(particles, (0, 1)), [p.motion for p in particles],
+                                 [(0, 1)], KernelParams(), stats or StepStats())
 
 
 def make_contacts(positions, normals, eps=1e-2, pair=(0, 1), level=(0, 0)):

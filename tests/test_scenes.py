@@ -171,9 +171,8 @@ class TestBuildScene:
         sys2 = system_from_scene(build_scene(spec), KernelParams())
         for i, j in broad_phase_pairs(sys2):
             if interior in (i, j):
-                found = multiscale_contacts(
-                    sys2.particles[i], sys2.particles[j], (i, j), KernelParams(), StepStats()
-                )
+                found = multiscale_contacts(sys2.forest, [p.motion for p in sys2.particles],
+                                            [(i, j)], KernelParams(), StepStats())
                 if found:
                     partners.add(j if i == interior else i)
         assert len(partners) == 6

@@ -27,6 +27,10 @@ def two_sphere_system(gap=1e-2, speed=0.5, count=80, seed=3, tilt=10.0):
     return system_from_scene(build_scene(spec), KernelParams())
 
 
+def motions_of(system):
+    return [p.motion for p in system.particles]
+
+
 def total_momentum(system):
     return sum(p.mass.mass * p.v for p in system.particles if not p.immovable)
 
@@ -162,7 +166,7 @@ class TestMultiscaleDetection:
     def test_disjoint_roots_no_finest_checks(self):
         system = two_sphere_system(gap=4.0)
         stats = StepStats()
-        found = multiscale_contacts(system.particles[0], system.particles[1], (0, 1),
+        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
                                     KernelParams(), stats)
         assert len(found) == 0
         assert stats.finest_checks == 0
@@ -186,11 +190,11 @@ class TestMultiscaleDetection:
             tip1 = verts1[np.argmin(verts1[:, 0])]
             gap = np.array([rng.uniform(-2.0 * params.epsilon, params.epsilon), 0.0, 0.0])
             p1.motion = RigidMotion(rot.rotation, tip0 - tip1 + gap)
-            single = single_level_contacts(system.particles[0], system.particles[1],
-                                           (0, 1), params, StepStats())
+            single = single_level_contacts(system.forest, motions_of(system), [(0, 1)],
+                                           params, StepStats())
             assert single
-            multi = multiscale_contacts(system.particles[0], system.particles[1],
-                                        (0, 1), params, StepStats())
+            multi = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
+                                        params, StepStats())
             ms = merge_contacts(single, params.epsilon)
             mm = merge_contacts(multi, params.epsilon)
             assert len(ms) == len(mm)
@@ -204,7 +208,7 @@ class TestMultiscaleDetection:
         spec = SceneSpec(kind="ParticleOnPlane", triangle_count=80, drop_height=0.0)
         system = system_from_scene(build_scene(spec), KernelParams())
         stats = StepStats()
-        found = multiscale_contacts(system.particles[0], system.particles[1], (0, 1),
+        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
                                     KernelParams(), stats)
         assert found
         # mixed-level pairings occurred (plane is finest while sphere is not)
@@ -224,7 +228,7 @@ class TestMultiscaleDetection:
 
         monkeypatch.setattr(stepping, "hybrid_batch", recording)
         system = two_sphere_system(gap=1e-3, count=320)
-        multiscale_contacts(system.particles[0], system.particles[1], (0, 1),
+        multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
                             KernelParams(), StepStats())
         assert len(sizes) > 2
         for prev, nxt in zip(sizes, sizes[1:]):
@@ -233,11 +237,102 @@ class TestMultiscaleDetection:
     def test_fallbacks_only_on_finest(self):
         system = two_sphere_system(gap=1e-3, count=320)
         stats = StepStats()
-        multiscale_contacts(system.particles[0], system.particles[1], (0, 1),
-                            KernelParams(), stats)
+        multiscale_contacts(system.forest, motions_of(system), [(0, 1)], KernelParams(), stats)
         # comparison calls happen only as finest-level fallbacks
         assert stats.kernel.comparison_invocations == stats.kernel.fallback_invocations
         assert stats.kernel.fallback_invocations <= stats.finest_checks
+
+
+class TestOneDetectionPath:
+    @pytest.mark.parametrize("mode, entry", [
+        ("ExplicitSingle", "single_level_contacts"),
+        ("ImplicitSingle", "single_level_contacts"),
+        ("ExplicitMultiscale", "multiscale_contacts"),
+        ("ImplicitSurrogateInPicard", "multiscale_contacts"),
+        ("ImplicitMultiscalePicard", None),
+    ])
+    def test_step_detects_through_module_attribute(self, mode, entry, monkeypatch):
+        # each mode reaches its entry point as a module attribute, once per
+        # detection; the fused mode keeps its own frontier instead
+        calls = []
+
+        def recording(name, original):
+            def detect(*args):
+                calls.append(name)
+                return original(*args)
+            return detect
+
+        for name in ("single_level_contacts", "multiscale_contacts"):
+            monkeypatch.setattr(stepping, name, recording(name, getattr(stepping, name)))
+        stats = step(two_sphere_system(gap=2e-3), StepConfig(dt=1e-4, mode=mode))
+        assert stats.contacts_merged > 0
+        assert calls == ([entry] * max(stats.picard_iterations, 1) if entry else [])
+
+    def test_flat_detection_reads_no_tree(self):
+        # particles without trees have mesh rows only, and flat detection and
+        # flat steps on them match those on particles with trees, bitwise
+        system = two_sphere_system(gap=1e-3)
+        bare = copy.deepcopy(system)
+        for p in bare.particles:
+            p.tree = None
+        forest = bare.forest
+        assert np.array_equal(forest.mesh, forest.offset[:-1])
+        assert (forest.height == 0).all() and (forest.eps == REAL(bare.particles[0].epsilon)).all()
+        assert np.array_equal(forest.source, np.r_[:80, :80])
+        runs = []
+        for s in (system, bare):
+            stats = StepStats()
+            runs.append((single_level_contacts(s.forest, motions_of(s), [(0, 1)],
+                                               KernelParams(), stats), stats))
+        (got, got_stats), (want, want_stats) = runs
+        assert len(got) and got_stats == want_stats
+        for f in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        for mode in ("ExplicitSingle", "ImplicitSingle"):
+            a, b = copy.deepcopy(system), copy.deepcopy(bare)
+            cfg = StepConfig(dt=1e-4, mode=mode)
+            for _ in range(3):
+                assert step(a, cfg) == step(b, cfg)
+            for pa, pb in zip(a.particles, b.particles):
+                assert np.array_equal(pa.motion.translation, pb.motion.translation)
+                assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
+                assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+
+
+_EQUIVALENCE_SYSTEM: list = []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gap=st.floats(-2e-2, 1e-2))
+def test_three_detections_agree(seed, gap):
+    # random poses of two 80-triangle spheres: unfolding the trees, flat
+    # detection and the fused detector's first settled sweep find the same
+    # merged contacts, within criterion 3's tolerances
+    if not _EQUIVALENCE_SYSTEM:
+        _EQUIVALENCE_SYSTEM.append(two_sphere_system(count=80))
+    system = _EQUIVALENCE_SYSTEM[0]
+    p0, p1 = system.particles
+    # particle 1's lowest vertex along x sits ``gap`` beyond particle 0's highest
+    rot = RigidMotion.random_rotation(np.random.default_rng(seed))
+    verts0 = p0.motion.apply_points(p0.body_tris.reshape(-1, 3))
+    verts1 = rot.apply_points(p1.body_tris.reshape(-1, 3))
+    p1.motion = RigidMotion(rot.rotation, verts0[np.argmax(verts0[:, 0])]
+                            - verts1[np.argmin(verts1[:, 0])] + [gap, 0.0, 0.0])
+    motions = motions_of(system)
+    params, eps = KernelParams(), [p.epsilon for p in system.particles]
+    multi = merge_contacts(
+        multiscale_contacts(system.forest, motions, [(0, 1)], params, StepStats()), eps)
+    single = merge_contacts(
+        single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()), eps)
+    detect = _FusedDetector(system, params, StepStats())
+    settled = False
+    while not settled:
+        fused, settled = detect(motions)
+    for found in (multi, fused):
+        assert len(found) == len(single)
+        for a, b in zip(single, found):
+            assert np.abs(a.position - b.position).max() < 1e-5
+            assert np.abs(a.normal - b.normal).max() < 1e-5
 
 
 class TestImplicit:
@@ -343,7 +438,6 @@ class TestFusedFrontier:
         rng = np.random.default_rng(42)
         system = two_sphere_system(count=80)
         params = KernelParams()
-        p_i, p_j = system.particles
         found_any = False
         for _ in range(8):
             motions = random_contact_pose(system, rng)
@@ -355,8 +449,8 @@ class TestFusedFrontier:
             assert settled
             assert all(max(c.level) == 0 for c in contacts)
             single = merge_contacts(
-                single_level_contacts(p_i, p_j, (0, 1), params, StepStats()),
-                min(p_i.epsilon, p_j.epsilon))
+                single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
+                [p.epsilon for p in system.particles])
             assert len(contacts) == len(single)
             for a, b in zip(single, contacts):
                 assert a.source == b.source
@@ -530,12 +624,12 @@ class TestBatchedUnfolding:
                        for p in system.particles]
             pairs = broad_phase_pairs(system, motions)
             batched, summed = StepStats(), StepStats()
-            found = stepping._unfold(system.forest, motions, pairs, params, batched)
+            found = multiscale_contacts(system.forest, motions, pairs, params, batched)
             for i, j in pairs:
                 one = StepStats()
-                alone = multiscale_contacts(system.particles[i], system.particles[j], (i, j),
-                                            params, one, motion_i=motions[i], motion_j=motions[j])
+                alone = multiscale_contacts(system.forest, motions, [(i, j)], params, one)
                 mine = sorted((c for c in found if c.pair == (i, j)), key=lambda c: c.source)
+                alone = sorted(alone, key=lambda c: c.source)
                 assert [(c.source, c.level) for c in mine] == [(c.source, c.level) for c in alone]
                 for a, b in zip(mine, alone):
                     assert np.array_equal(a.position, b.position)

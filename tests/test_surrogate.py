@@ -78,30 +78,30 @@ class TestFit:
         octant = sphere1280[mask]
         assert octant.shape[0] > 100
         fitted = fit_surrogate_triangle_batch(octant[None], FitParams())[0]
-        eps = conservative_epsilon(fitted, octant, 1e-2)
+        eps = conservative_epsilon(fitted[None], octant[None], 1e-2)[0]
         assert eps < 0.7  # coarsest sphere surrogates sit near half a diameter
 
 
 class TestConservativeEpsilon:
     def test_identical_child(self):
         t = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
-        assert conservative_epsilon(t, t[None], 0.25) == pytest.approx(0.25)
+        assert conservative_epsilon(t[None], t[None, None], 0.25)[0] == pytest.approx(0.25)
 
     def test_offset_child(self):
         t = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
         child = t + np.array([0, 0, 0.7])
-        assert conservative_epsilon(t, child[None], 0.0) == pytest.approx(0.7)
+        assert conservative_epsilon(t[None], child[None, None], 0.0)[0] == pytest.approx(0.7)
 
     def test_empty(self):
         t = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
         with pytest.raises(EmptyInput):
-            conservative_epsilon(t, np.empty((0, 3, 3)), 0.0)
+            conservative_epsilon(t[None], np.empty((1, 0, 3, 3)), 0.0)
 
     def test_covers_sampled_halo_points(self, rng):
         surrogate = rng.normal(size=(3, 3))
         children = rng.normal(scale=0.6, size=(12, 3, 3))
         child_eps = rng.uniform(0.01, 0.1, 12)
-        eps = conservative_epsilon(surrogate, children, child_eps)
+        eps = conservative_epsilon(surrogate[None], children[None], child_eps)[0]
         # sample the children's halo boundaries and check containment
         bary = rng.dirichlet((1, 1, 1), size=40)
         worst = 0.0
@@ -203,8 +203,8 @@ class TestTree:
             if is_leaf(tree320, node):
                 continue
             kids = tree320.kids_of(node)
-            chain = conservative_epsilon(tree320.tri[node], tree320.tri[kids],
-                                         tree320.eps[kids])
+            chain = conservative_epsilon(tree320.tri[node, None], tree320.tri[kids][None],
+                                         tree320.eps[kids])[0]
             assert chain <= tree320.eps[node] + 1e-6
 
     def test_epsilon_at_least_finest(self, tree320):
@@ -296,7 +296,8 @@ def test_tree_properties(n_tris, n_surrogate, seed, mesh_seed):
     rows_tri, rows_eps = tree.child_rows(tris)
     for i in tree.nodes():
         kids = tree.kids_of(i)
-        assert conservative_epsilon(tree.tri[i], rows_tri[kids], rows_eps[kids]) <= tree.eps[i] + 1e-6
+        chain = conservative_epsilon(tree.tri[i, None], rows_tri[kids][None], rows_eps[kids])[0]
+        assert chain <= tree.eps[i] + 1e-6
     # the JSON round trip reproduces every array bitwise and stays conservative
     back = tree_from_json(tree_to_json(tree))
     for name in ARRAYS:
