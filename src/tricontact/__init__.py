@@ -10,7 +10,7 @@ from .kernels import (DegenerateTriangle, KernelCounters, KernelParams, Kind,
                       gradient_of_J)
 from .contact import (Contacts, ForceModelParams, MassProperties,
                       contact_force, mass_properties_from_mesh, merge_contacts)
-from .surrogate import (FitParams, SurrogateTree, build_surrogate_tree,
+from .surrogate import (SurrogateTree, build_surrogate_tree,
                         cluster_triangles, conservative_epsilon,
                         validate_conservative)
 from .scenes import SceneSpec, build_scene, generate_noisy_sphere

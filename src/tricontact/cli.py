@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -21,8 +22,8 @@ from .report import (RunConfig, build_report, compare_reports, load_report,
                      save_report, step_record, write_trace_csv)
 from .scenes import SCENE_KINDS, build_scene, noisy_sphere_by_count
 from .stepping import MODES, PicardDiverged, step, system_from_scene
-from .surrogate import (FitParams, build_surrogate_tree, mesh_checksum,
-                        tree_from_json, tree_to_json, validate_conservative)
+from .surrogate import (build_surrogate_tree, mesh_checksum, tree_from_json, tree_to_json,
+                        validate_conservative)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,6 +61,14 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_dict(config.as_dict())
 
 
+def _check_outputs(*paths) -> None:
+    """Raise ``OSError`` before any work unless each output path's directory is writable."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise FileNotFoundError(f"cannot write {path}: no writable directory {folder}")
+
+
 def _input_error(what: str, exc: Exception) -> int:
     """Report unusable flags or input files in one stderr line."""
     print(f"error: {what}: {exc}", file=sys.stderr)
@@ -69,12 +78,13 @@ def _input_error(what: str, exc: Exception) -> int:
 def cmd_run(args) -> int:
     try:
         config = _load_config(args)
+        _check_outputs(args.report, args.trace)
     except (ValueError, OSError) as exc:
         return _input_error("invalid configuration", exc)
 
     t_start = time.perf_counter()
     scene = build_scene(config.scene, epsilon=config.kernel.epsilon)
-    system = system_from_scene(scene, config.kernel, config.n_surrogate, config.fit)
+    system = system_from_scene(scene, config.kernel, config.n_surrogate)
 
     steps = []
     for index in range(config.n_steps):
@@ -114,13 +124,12 @@ def _mesh_from_args(args):
 
 def cmd_build_tree(args) -> int:
     try:
+        _check_outputs(args.out, args.export_obj)
         verts, faces = _mesh_from_args(args)
-        tree = build_surrogate_tree(
-            mesh_to_triangles(verts, faces), args.n_surrogate, fit=FitParams(), seed=args.seed,
-            finest_epsilon=args.epsilon,
-        )
+        tree = build_surrogate_tree(mesh_to_triangles(verts, faces), args.n_surrogate,
+                                    seed=args.seed, finest_epsilon=args.epsilon)
     except (ValueError, OSError) as exc:
-        return _input_error("invalid mesh or tree parameters", exc)
+        return _input_error("cannot build the tree", exc)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
     print(f"tree with {tree.n_nodes} nodes written to {args.out}")
@@ -131,6 +140,8 @@ def cmd_build_tree(args) -> int:
 
 
 def cmd_validate_tree(args) -> int:
+    if args.samples < 1:
+        return _input_error("invalid flags", ValueError("--samples must be >= 1"))
     try:
         with open(args.tree, "r", encoding="utf-8") as fh:
             tree = tree_from_json(fh.read())

@@ -7,32 +7,75 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
+from . import scenes, stepping, surrogate
 from .contact import ForceModelParams
 from .kernels import KernelParams
 from .scenes import SceneSpec
 from .stepping import StepConfig
-from .surrogate import FitParams
 
 REPORT_VERSION = 1
 
 # informational fields ignored by comparisons and determinism checks
 VOLATILE_KEYS = ("wall_time_ms",)
 
+ANY = object()  # a retired key that never changed a run: every value loads
+
+# Keys of retired options, by dotted path, with the one value each still
+# accepts: the value the program has used since.  Configs and reports written
+# while they existed load as long as they hold it; any other value would
+# change the run.  A section whose keys are all retired, like ``fit``, is
+# retired as a whole.
+RETIRED = {
+    "workers": ANY,
+    "fit.beta_size": surrogate.BETA_SIZE,
+    "fit.alpha_area": surrogate.ALPHA_AREA,
+    "fit.alpha_inside": surrogate.ALPHA_INSIDE,
+    "fit.beta_normal": surrogate.BETA_NORMAL,
+    "fit.max_fit_iterations": surrogate.MAX_FIT_ITERATIONS,
+    "fit.rel_tol": surrogate.REL_TOL,
+    "fit.initial_step": surrogate.INITIAL_STEP,
+    "fit.shrink": surrogate.SHRINK,
+    "fit.grow": surrogate.GROW,
+    "fit.post_scale": 1.0,
+    "scene.plane_extent": scenes.PLANE_EXTENT,
+    "scene.gravity": scenes.GRAVITY,
+    "scene.noise_octaves": scenes.NOISE_OCTAVES,
+    "step.convergence_rel_tol": stepping.CONVERGENCE_REL_TOL,
+    "step.theta_init": 1.0,  # theta starts at 1
+    "step.theta_min": stepping.THETA_MIN,
+    "step.theta_grow": stepping.THETA_GROW,
+    "step.theta_shrink": stepping.THETA_SHRINK,
+    "step.surrogate_force_damping": None,
+    "step.force.epsilon": ANY,
+}
+
 
 class SchemaMismatch(ValueError):
     pass
 
 
-def _section(data, cls, name: str, retired: tuple = ()) -> dict:
-    """A copy of the config section ``name``, which holds ``cls`` fields and
-    the ``retired`` keys; a ``ValueError`` names the section and the first
-    other key."""
+def _section(data, path: str, cls=None) -> dict:
+    """The keys of ``cls`` in the config section at the dotted ``path``
+    (``""`` at the top level).  Retired keys and sections are checked
+    against ``RETIRED`` and dropped; a ``ValueError`` names the first other
+    key, or a retired key that holds another value."""
+    where = path.rstrip(".") or "top level"
     if not isinstance(data, dict):
-        raise ValueError(f"section {name!r} must be an object")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)} - set(retired))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in section {name!r}")
-    return dict(data)
+        raise ValueError(f"section {where!r} must be an object")
+    live = {f.name for f in fields(cls)} if cls else set()
+    out = {}
+    for key in sorted(data):
+        name = path + key
+        if key in live:
+            out[key] = data[key]
+        elif name in RETIRED:
+            if RETIRED[name] is not ANY and data[key] != RETIRED[name]:
+                raise ValueError(f"{name} is retired; only {json.dumps(RETIRED[name])} is accepted")
+        elif any(retired.startswith(name + ".") for retired in RETIRED):
+            _section(data[key], name + ".")
+        else:
+            raise ValueError(f"unknown key {key!r} in section {where!r}")
+    return out
 
 
 @dataclass
@@ -40,7 +83,6 @@ class RunConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     step: StepConfig = field(default_factory=StepConfig)
     kernel: KernelParams = field(default_factory=KernelParams)
-    fit: FitParams = field(default_factory=FitParams)
     n_surrogate: int = 8
     n_steps: int = 10
     seed: int = 0
@@ -52,41 +94,29 @@ class RunConfig:
             raise ValueError("n_surrogate must be >= 2")
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "scene": self.scene.as_dict(),
             "step": asdict(self.step),
             "kernel": asdict(self.kernel),
-            "fit": asdict(self.fit),
             "n_surrogate": self.n_surrogate,
             "n_steps": self.n_steps,
             "seed": self.seed,
         }
-        return out
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        data = _section(data, RunConfig, "top level", ("workers",))  # workers: retired, any value
-        scene = SceneSpec.from_dict(_section(data.get("scene", {}), SceneSpec, "scene"))
-        step_data = _section(data.get("step", {}), StepConfig, "step", ("surrogate_force_damping",))
-        force = _section(step_data.pop("force", None) or {}, ForceModelParams, "step.force",
-                         ("epsilon",))
-        force.pop("epsilon", None)  # a retired no-op option: any value loads
-        if step_data.pop("surrogate_force_damping", None) is not None:  # retired, null loads
-            raise ValueError("step.surrogate_force_damping is retired; only null is accepted")
+        data = _section(data, "", RunConfig)
+        scene = SceneSpec.from_dict(_section(data.get("scene", {}), "scene.", SceneSpec))
+        step_data = _section(data.get("step", {}), "step.", StepConfig)
+        force = _section(step_data.pop("force", None) or {}, "step.force.", ForceModelParams)
         step = StepConfig(**step_data)
         if force:
             step.force = ForceModelParams(**force)
-        kernel = KernelParams(**_section(data.get("kernel", {}), KernelParams, "kernel"))
-        fit_data = _section(data.get("fit", {}), FitParams, "fit", ("post_scale",))
-        # files written while the fit had a post_scale option hold its no-op 1.0
-        if fit_data.pop("post_scale", 1.0) != 1.0:
-            raise ValueError("fit.post_scale is no longer supported; only 1.0 is accepted")
-        fit = FitParams(**fit_data)
+        kernel = KernelParams(**_section(data.get("kernel", {}), "kernel.", KernelParams))
         return RunConfig(
             scene=scene,
             step=step,
             kernel=kernel,
-            fit=fit,
             n_surrogate=int(data.get("n_surrogate", 8)),
             n_steps=int(data.get("n_steps", 10)),
             seed=int(data.get("seed", 0)),

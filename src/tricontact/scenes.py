@@ -163,15 +163,20 @@ def _hash01(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray, seed: int) -> np.nda
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
-def value_noise(points: np.ndarray, seed: int, octaves: int = 3, lacunarity: float = 2.0,
-                gain: float = 0.5, base_frequency: float = 1.5) -> np.ndarray:
+NOISE_OCTAVES = 3       # noise layers summed per point
+_LACUNARITY = 2.0       # frequency factor from one octave to the next
+_GAIN = 0.5             # amplitude factor from one octave to the next
+_BASE_FREQUENCY = 1.5   # lattice cells per unit length in the first octave
+
+
+def value_noise(points: np.ndarray, seed: int) -> np.ndarray:
     """Smooth multi-octave lattice noise in [0, 1] at the given points."""
     points = np.asarray(points, dtype=np.float64)
     total = np.zeros(points.shape[0])
     amp_sum = 0.0
     amp = 1.0
-    freq = base_frequency
-    for octave in range(octaves):
+    freq = _BASE_FREQUENCY
+    for octave in range(NOISE_OCTAVES):
         p = points * freq + 1000.0  # keep lattice coordinates positive
         ip = np.floor(p)
         f = p - ip
@@ -188,49 +193,33 @@ def value_noise(points: np.ndarray, seed: int, octaves: int = 3, lacunarity: flo
                     val = val + wx * wy * wz * _hash01(ix + dx, iy + dy, iz + dz, oseed)
         total += amp * val
         amp_sum += amp
-        amp *= gain
-        freq *= lacunarity
+        amp *= _GAIN
+        freq *= _LACUNARITY
     return total / amp_sum
 
 
-def generate_noisy_sphere(subdiv_level: int, eta_r: float, seed: int,
-                          triangle_count: int | None = None,
-                          octaves: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-radius sphere with vertices pushed out to radius ``[1, eta_r]``.
+def noisy_sphere_by_count(triangle_count: int, eta_r: float,
+                          seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-radius sphere with a face count from the ladder, its vertices
+    pushed out to radius ``[1, eta_r]``.
 
     ``eta_r = 1`` yields the perfect sphere.  The offset is applied along
     the radial (surface normal) direction, scaled by hierarchical value
-    noise, so the result stays a closed star-shaped surface.  By default an
-    icosphere at ``subdiv_level`` is used; pass ``triangle_count`` for one
-    of the lat-lon alternates.
+    noise, so the result stays a closed star-shaped surface.
     """
     if eta_r < 1.0:
         raise InvalidSpec("eta_r must be >= 1")
-    if triangle_count is not None:
-        verts, faces = sphere_mesh(triangle_count)
-    else:
-        verts, faces = icosphere(subdiv_level)
+    verts, faces = sphere_mesh(triangle_count)
     if eta_r > 1.0:
-        noise = value_noise(verts, seed, octaves=octaves)
+        noise = value_noise(verts, seed)
         radii = 1.0 + (eta_r - 1.0) * noise
         verts = verts * radii[:, None].astype(REAL)
     return verts.astype(REAL), faces
 
 
-_ICO_LEVELS = {20: 0, 80: 1, 320: 2, 1280: 3, 5120: 4, 20480: 5}
-
-
-def noisy_sphere_by_count(triangle_count: int, eta_r: float, seed: int,
-                          octaves: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy unit-radius sphere with a given face count from the ladder."""
-    level = _ICO_LEVELS.get(triangle_count)
-    return generate_noisy_sphere(
-        level if level is not None else 0,
-        eta_r,
-        seed,
-        triangle_count=None if level is not None else triangle_count,
-        octaves=octaves,
-    )
+def generate_noisy_sphere(subdiv_level: int, eta_r: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy sphere over the icosphere at ``subdiv_level`` (0 to 5)."""
+    return noisy_sphere_by_count(20 * 4**subdiv_level, eta_r, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +281,7 @@ class SceneSpec:
     refine_scaled: bool = False
     grid_shape: tuple[int, int, int] = (4, 4, 4)
     plane_tilt_deg: float = 10.0
-    plane_extent: float = 4.0
     drop_height: float = 0.25
-    gravity: float = 9.81
-    noise_octaves: int = 3
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -341,16 +327,18 @@ class Scene:
 def _particle_mesh(spec: SceneSpec, seed_offset: int, scale: float,
                    triangle_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     count = triangle_count if triangle_count is not None else spec.triangle_count
-    verts, faces = noisy_sphere_by_count(
-        count, spec.eta_r, spec.seed + seed_offset, octaves=spec.noise_octaves
-    )
+    verts, faces = noisy_sphere_by_count(count, spec.eta_r, spec.seed + seed_offset)
     # radius 0.5 -> unit reference diameter, then per-particle scaling
     return (verts * (0.5 * scale)).astype(REAL), faces
 
 
+PLANE_EXTENT = 4.0   # half the side of the ParticleOnPlane square
+GRAVITY = 9.81       # ParticleOnPlane's gravity, along -z
+
+
 def _plane_particle(spec: SceneSpec, epsilon: float) -> SceneParticle:
     """Immovable tilted plane spanned by two large triangles."""
-    e = spec.plane_extent
+    e = PLANE_EXTENT
     verts = np.array(
         [[-e, -e, 0.0], [e, -e, 0.0], [e, e, 0.0], [-e, e, 0.0]], dtype=REAL
     )
@@ -407,7 +395,7 @@ def build_scene(spec: SceneSpec, epsilon: float = 1e-2) -> Scene:
                 epsilon=epsilon,
             )
         )
-        scene.gravity = np.array([0.0, 0.0, -spec.gravity], dtype=REAL)
+        scene.gravity = np.array([0.0, 0.0, -GRAVITY], dtype=REAL)
     elif spec.kind == "CartesianGrid":
         nx, ny, nz = spec.grid_shape
         meshes = [

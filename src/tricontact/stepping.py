@@ -39,7 +39,7 @@ from .contact import (Contacts, ForceModelParams, MassProperties, _length, accum
                       mass_properties_from_mesh, merge_contacts)
 from .geometry import REAL, RigidMotion, mesh_to_triangles
 from .kernels import KernelCounters, KernelParams, Kind, hybrid_batch
-from .surrogate import SurrogateTree, build_surrogate_tree, FitParams
+from .surrogate import SurrogateTree, build_surrogate_tree
 
 MODES = (
     "ExplicitSingle",
@@ -64,12 +64,7 @@ class PicardDiverged(RuntimeError):
 class StepConfig:
     dt: float = 1e-4
     mode: str = "ExplicitSingle"
-    convergence_rel_tol: float = 0.01
     max_picard_iterations: int = 200
-    theta_init: float = 1.0
-    theta_min: float = 0.05
-    theta_grow: float = 1.2
-    theta_shrink: float = 0.5
     force: ForceModelParams = field(default_factory=ForceModelParams)
 
     def __post_init__(self):
@@ -77,8 +72,6 @@ class StepConfig:
             raise ValueError("dt must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.convergence_rel_tol <= 0.0:
-            raise ValueError("convergence tolerance must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +188,14 @@ class System:
 
 
 def system_from_scene(scene, kernel_params: KernelParams | None = None,
-                      n_surrogate: int = 8, fit: FitParams | None = None) -> System:
+                      n_surrogate: int = 8) -> System:
     """Build particles (mass properties + surrogate trees) from a scene.
 
     ``kernel_params`` is not read: each step takes its own."""
     particles = []
     for idx, sp in enumerate(scene.particles):
         tris = mesh_to_triangles(sp.vertices, sp.faces)
-        tree = build_surrogate_tree(
-            tris, n_surrogate, fit=fit, seed=idx, finest_epsilon=sp.epsilon
-        )
+        tree = build_surrogate_tree(tris, n_surrogate, seed=idx, finest_epsilon=sp.epsilon)
         mass = immovable_mass() if sp.immovable else mass_properties_from_mesh(tris, sp.density)
         particles.append(
             Particle(
@@ -548,6 +539,15 @@ def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
     return float(np.linalg.norm(new - old)) / scale
 
 
+# Picard relaxation: each particle's blend factor theta starts at 1, grows
+# while successive raw forces agree and shrinks when they flip; sweeps stop
+# once forces and rates change by at most CONVERGENCE_REL_TOL.
+CONVERGENCE_REL_TOL = 0.01
+THETA_MIN = 0.05
+THETA_GROW = 1.2
+THETA_SHRINK = 0.5
+
+
 def implicit_step(system: System, cfg: StepConfig,
                   params: KernelParams | None = None) -> StepStats:
     """One implicit Euler step in any implicit mode: relaxed Picard sweeps
@@ -570,7 +570,7 @@ def implicit_step(system: System, cfg: StepConfig,
     v_guess = [p.v.copy() for p in system.particles]
     w_guess = [p.omega.copy() for p in system.particles]
     guess_motions = list(motions)
-    theta = np.full(n, cfg.theta_init)
+    theta = np.ones(n)
     prev_raw = np.zeros((n, 6), dtype=REAL)
     applied = np.zeros((n, 6), dtype=REAL)
     have_prev = False
@@ -586,9 +586,9 @@ def implicit_step(system: System, cfg: StepConfig,
                 # zero against zero counts as agreement: pulls theta back up
                 # once transient (surrogate) forces have faded
                 theta[i] = (
-                    min(1.0, cfg.theta_grow * theta[i])
+                    min(1.0, THETA_GROW * theta[i])
                     if float(raw[i] @ prev_raw[i]) >= 0.0
-                    else max(cfg.theta_min, cfg.theta_shrink * theta[i])
+                    else max(THETA_MIN, THETA_SHRINK * theta[i])
                 )
         rates = np.concatenate([dv, domega], axis=1)
         applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (applied if have_prev else rates)
@@ -598,10 +598,10 @@ def implicit_step(system: System, cfg: StepConfig,
         # in the commit); a force-free first sweep needs no second one
         if have_prev:
             converged = settled and all(
-                _rel_change(raw[i, :3], prev_raw[i, :3]) <= cfg.convergence_rel_tol
-                and _rel_change(raw[i, 3:], prev_raw[i, 3:]) <= cfg.convergence_rel_tol
-                and _rel_change(applied[i, :3], rates[i, :3]) <= cfg.convergence_rel_tol
-                and _rel_change(applied[i, 3:], rates[i, 3:]) <= cfg.convergence_rel_tol
+                _rel_change(raw[i, :3], prev_raw[i, :3]) <= CONVERGENCE_REL_TOL
+                and _rel_change(raw[i, 3:], prev_raw[i, 3:]) <= CONVERGENCE_REL_TOL
+                and _rel_change(applied[i, :3], rates[i, :3]) <= CONVERGENCE_REL_TOL
+                and _rel_change(applied[i, 3:], rates[i, 3:]) <= CONVERGENCE_REL_TOL
                 for i in range(n)
             )
         else:

@@ -37,43 +37,31 @@ class EmptyMesh(ValueError):
     pass
 
 
-@dataclass
-class FitParams:
-    """Weights and stopping controls for the surrogate-triangle fit.
-
-    ``alpha_area`` is relative: the effective area-regulariser weight is
-    ``alpha_area * (mean child area)**2`` so the fit is scale invariant.
-    """
-
-    beta_size: int = 8
-    alpha_area: float = 1e-3
-    alpha_inside: float = 1.0
-    beta_normal: int = 2
-    max_fit_iterations: int = 80
-    rel_tol: float = 1e-8
-    initial_step: float = 0.05
-    shrink: float = 0.5
-    grow: float = 1.5
-
-    def __post_init__(self):
-        if self.beta_size < 2 or self.beta_size % 2 != 0:
-            raise ValueError("beta_size must be an even integer >= 2")
-        if self.beta_normal < 2:
-            raise ValueError("beta_normal must be >= 2")
-        if self.alpha_area <= 0.0 or self.alpha_inside < 0.0:
-            raise ValueError("bad penalty weights")
-
-
 # ---------------------------------------------------------------------------
 # Fit functional: max-distance hugging + area regulariser + outside penalty.
 #
 # The descent is batched over many independent fit problems of the same
-# child count, which is what makes whole-tree construction cheap.
+# child count, which is what makes whole-tree construction cheap.  Its
+# weights and controls are fixed, as in the paper.
 # ---------------------------------------------------------------------------
 
+BETA_SIZE = 8             # even exponent of the max-distance term
+ALPHA_AREA = 1e-3         # area-regulariser weight, times (mean child area)**2
+ALPHA_INSIDE = 1.0        # weight of the outside penalty
+BETA_NORMAL = 2           # exponent of the outside penalty
+MAX_FIT_ITERATIONS = 80   # descent iterations per problem, at most
+REL_TOL = 1e-8            # an accepted step improving less than this converges
+INITIAL_STEP = 0.05       # first step length, relative to the children's extent
+SHRINK = 0.5              # backtracking factor of a rejected step
+GROW = 1.5                # growth factor of an accepted step
 
-def _fit_setup(children: np.ndarray, params: FitParams):
-    """Precompute child-dependent constants for a (m, c, 3, 3) batch."""
+
+def _fit_setup(children: np.ndarray):
+    """Precompute child-dependent constants for a (m, c, 3, 3) batch.
+
+    The area weight is relative, ``ALPHA_AREA * (mean child area)**2``, so
+    the fit is scale invariant.
+    """
     m, c = children.shape[0], children.shape[1]
     flat = children.reshape(m, c * 3, 3)  # child vertices per problem
     cross = np.cross(children[:, :, 1] - children[:, :, 0], children[:, :, 2] - children[:, :, 0])
@@ -82,60 +70,43 @@ def _fit_setup(children: np.ndarray, params: FitParams):
     normals_rep = np.repeat(normals, 3, axis=1)                # per child vertex
     areas = 0.5 * norm[..., 0]
     mean_area = areas.mean(axis=1)
-    alpha_area = params.alpha_area * mean_area * mean_area     # (m,)
+    alpha_area = ALPHA_AREA * mean_area * mean_area            # (m,)
     return flat, normals_rep, alpha_area
 
 
-def _fit_energy_batch(tris, children, flat, normals_rep, alpha_area, params):
+def _fit_terms(tris, children, flat, normals_rep, alpha_area):
+    """Fit energy ``(m,)`` and its gradient ``(m, 3, 3)`` at the ``(m, 3, 3)``
+    triangles ``tris``; the other arguments are ``_fit_setup``'s."""
     m, c = children.shape[0], children.shape[1]
     # point-triangle distances: each of the 3 surrogate vertices vs each child
     q = np.repeat(tris.reshape(m, 3, 1, 3), c, axis=2).reshape(m * 3 * c, 3)
     t = np.repeat(children[:, None, :, :, :], 3, axis=1).reshape(m * 3 * c, 3, 3)
     closest, _ = closest_point_triangle_batch(q, t)
-    dist = np.linalg.norm(q - closest, axis=1).reshape(m, 3 * c)
-    size = (dist**params.beta_size).sum(axis=1) / params.beta_size
-
-    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    nn = np.einsum("ij,ij->i", n, n)
-    area = 0.5 * alpha_area / np.maximum(nn, 1e-300)
-
-    # outside penalty, gated by the child outward normals
-    s = np.einsum("ivk,ipk->ivp", tris, normals_rep) - np.einsum(
-        "ipk,ipk->ip", flat, normals_rep
-    )[:, None, :]
-    inside = params.alpha_inside / params.beta_normal * (
-        np.maximum(0.0, s) ** params.beta_normal
-    ).sum(axis=(1, 2))
-    return size + area + inside
-
-
-def _fit_gradient_batch(tris, children, flat, normals_rep, alpha_area, params):
-    m, c = children.shape[0], children.shape[1]
-    q = np.repeat(tris.reshape(m, 3, 1, 3), c, axis=2).reshape(m * 3 * c, 3)
-    t = np.repeat(children[:, None, :, :, :], 3, axis=1).reshape(m * 3 * c, 3, 3)
-    closest, _ = closest_point_triangle_batch(q, t)
     diff = (q - closest).reshape(m, 3, c, 3)
     dist = np.linalg.norm(diff, axis=3)
-    w = dist ** (params.beta_size - 2)
-    grad = np.einsum("ivc,ivck->ivk", w, diff)
+    size = (dist.reshape(m, 3 * c) ** BETA_SIZE).sum(axis=1) / BETA_SIZE
+    grad = np.einsum("ivc,ivck->ivk", dist ** (BETA_SIZE - 2), diff)
 
     u = tris[:, 1] - tris[:, 0]
     v = tris[:, 2] - tris[:, 0]
     n = np.cross(u, v)
-    nn = np.einsum("ij,ij->i", n, n)
-    coef = (-0.5 * alpha_area / np.maximum(nn, 1e-300) ** 2)[:, None]
+    nn = np.maximum(np.einsum("ij,ij->i", n, n), 1e-300)
+    area = 0.5 * alpha_area / nn
+    coef = (-0.5 * alpha_area / nn ** 2)[:, None]
     g_u = coef * 2.0 * np.cross(v, n)
     g_v = coef * 2.0 * np.cross(n, u)
     grad[:, 1] += g_u
     grad[:, 2] += g_v
     grad[:, 0] += -g_u - g_v
 
+    # outside penalty, gated by the child outward normals
     s = np.einsum("ivk,ipk->ivp", tris, normals_rep) - np.einsum(
         "ipk,ipk->ip", flat, normals_rep
     )[:, None, :]
-    sw = np.maximum(0.0, s) ** (params.beta_normal - 1)
-    grad += params.alpha_inside * np.einsum("ivp,ipk->ivk", sw, normals_rep)
-    return grad
+    outside = np.maximum(0.0, s)
+    inside = ALPHA_INSIDE / BETA_NORMAL * (outside ** BETA_NORMAL).sum(axis=(1, 2))
+    grad += ALPHA_INSIDE * np.einsum("ivp,ipk->ivk", outside ** (BETA_NORMAL - 1), normals_rep)
+    return size + area + inside, grad
 
 
 def _seed_batch(children: np.ndarray) -> np.ndarray:
@@ -146,29 +117,28 @@ def _seed_batch(children: np.ndarray) -> np.ndarray:
     return children[np.arange(children.shape[0]), pick].copy()
 
 
-def fit_surrogate_triangle_batch(children: np.ndarray, params: FitParams | None = None) -> np.ndarray:
+def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
     """Fit one surrogate triangle per problem of a (m, c, 3, 3) batch.
 
     Gradient descent with per-problem backtracking from a copied child
-    triangle; every returned triangle scores no worse than its seed.
+    triangle; every returned triangle scores no worse than its seed.  Each
+    row depends on its own problem only, so batching changes no bits.
     """
-    params = params or FitParams()
     children = np.asarray(children, dtype=REAL)
     if children.ndim != 4 or children.shape[0] == 0 or children.shape[1] == 0:
         raise EmptyInput("expected a non-empty (m, c, 3, 3) batch")
     m = children.shape[0]
-    flat, normals_rep, alpha_area = _fit_setup(children, params)
+    setup = _fit_setup(children)
 
     tris = _seed_batch(children)
-    energy = _fit_energy_batch(tris, children, flat, normals_rep, alpha_area, params)
+    energy, grad = _fit_terms(tris, children, *setup)
     diam = np.maximum(np.ptp(children.reshape(m, -1, 3), axis=1).max(axis=1), 1e-12)
-    step = params.initial_step * diam
+    step = INITIAL_STEP * diam
     active = np.ones(m, dtype=bool)
 
-    for _ in range(params.max_fit_iterations):
+    for _ in range(MAX_FIT_ITERATIONS):
         if not active.any():
             break
-        grad = _fit_gradient_batch(tris, children, flat, normals_rep, alpha_area, params)
         gnorm = np.linalg.norm(grad.reshape(m, 9), axis=1)
         active &= gnorm > 0.0
         trying = active.copy()
@@ -178,20 +148,22 @@ def fit_surrogate_triangle_batch(children: np.ndarray, params: FitParams | None 
                 break
             scale = np.where(gnorm > 0.0, step / np.maximum(gnorm, 1e-300), 0.0)
             cand = tris - scale[:, None, None] * grad
-            cand_energy = _fit_energy_batch(cand, children, flat, normals_rep, alpha_area, params)
+            cand_energy, cand_grad = _fit_terms(cand, children, *setup)
             better = trying & (cand_energy < energy)
             if better.any():
                 improvement = energy[better] - cand_energy[better]
-                small = improvement <= params.rel_tol * np.maximum(np.abs(cand_energy[better]), 1e-30)
+                small = improvement <= REL_TOL * np.maximum(np.abs(cand_energy[better]), 1e-30)
                 tris[better] = cand[better]
                 energy[better] = cand_energy[better]
-                step[better] *= params.grow
+                # the next iteration descends from the accepted candidate's gradient
+                grad[better] = cand_grad[better]
+                step[better] *= GROW
                 moved[better] = True
                 # converged problems leave the active set
                 conv_idx = np.nonzero(better)[0][small]
                 active[conv_idx] = False
             trying &= ~better
-            step[trying] *= params.shrink
+            step[trying] *= SHRINK
             trying &= step * gnorm > 1e-14 * diam
         active &= moved
     return tris
@@ -287,7 +259,7 @@ class SurrogateTree:
     ``parent`` is -1 at the root, ``height`` 1 at a leaf.  The constructor
     derives both and ``kid_start``, and raises ``ValueError`` unless the
     given arrays form a tree, each child numbered after its parent, over a
-    permutation of the mesh.
+    permutation of the mesh, with a positive ``finest_epsilon``.
     """
 
     tri: np.ndarray
@@ -309,6 +281,8 @@ class SurrogateTree:
             raise ValueError("tree arrays have inconsistent lengths")
         if (self.kid_count < 1).any():
             raise ValueError("a tree node has no children")
+        if not self.finest_epsilon > 0.0:
+            raise ValueError("finest_epsilon must be positive")
         n_fine = self.kids.size - (n - 1)
         if self.kids.min() < 1 or self.kids.max() >= n + n_fine:
             raise ValueError("tree child id out of range")
@@ -360,26 +334,26 @@ def _child_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index + 1) % (2**63)
 
 
-def _split_skeleton(triangles, indices, n_surrogate, seed, level, out):
+def _split_skeleton(triangles, indices, n_surrogate, seed, out):
     """Top-down clustering into preorder nodes; returns this node's id.
 
-    Appends ``(level, is_leaf, kids)`` per node to ``out``: a leaf's kids
-    are its mesh triangle indices, an internal node's its child node ids.
+    Appends ``(is_leaf, kids)`` per node to ``out``: a leaf's kids are its
+    mesh triangle indices, an internal node's its child node ids.
     """
     node = len(out)
     out.append(None)
     if indices.size <= n_surrogate:
-        out[node] = (level, True, indices.copy())
+        out[node] = (True, indices.copy())
         return node
     k = min(n_surrogate, int(np.ceil(indices.size / n_surrogate)))
     groups = cluster_triangles(triangles[indices], k, seed)
-    kids = [_split_skeleton(triangles, indices[g], n_surrogate, _child_seed(seed, i), level + 1, out)
+    kids = [_split_skeleton(triangles, indices[g], n_surrogate, _child_seed(seed, i), out)
             for i, g in enumerate(groups)]
-    out[node] = (level, False, np.array(kids, dtype=np.int64))
+    out[node] = (False, np.array(kids, dtype=np.int64))
     return node
 
 
-def _batch_fit_and_chain(tree, ids, tri, eps, fit):
+def _batch_fit_and_chain(tree, ids, tri, eps):
     """Fit the triangles of nodes ``ids`` to their children and chain the halos.
 
     ``tri`` and ``eps`` hold the rows of every child id, mesh triangles
@@ -391,13 +365,12 @@ def _batch_fit_and_chain(tree, ids, tri, eps, fit):
         group = ids[counts == count]
         rows = tree.kids[tree.kid_start[group][:, None] + np.arange(count)]
         batch = tri[rows]
-        fitted = fit_surrogate_triangle_batch(batch, fit)
+        fitted = fit_surrogate_triangle_batch(batch)
         tri[group] = fitted
         eps[group] = conservative_epsilon(fitted, batch, eps[rows])
 
 
-def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
-                         fit: FitParams | None = None, seed: int = 0,
+def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int, seed: int = 0,
                          finest_epsilon: float = 1e-2) -> SurrogateTree:
     """Recursive top-down split, bottom-up fit and halo assignment.
 
@@ -405,31 +378,28 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int,
     covers the payload plus the finest halo width.  Internal halos chain
     over the immediate children, which by transitivity contains all leaf
     geometry.  Identical inputs yield identical trees.  ``n_surrogate``
-    must be at least 2, or a split would never shrink a node.
+    must be at least 2, or a split would never shrink a node, and
+    ``finest_epsilon`` positive.
     """
     triangles = as_triangles(triangles)
     if triangles.shape[0] == 0:
         raise EmptyMesh("cannot build a surrogate tree over an empty mesh")
     if n_surrogate < 2:
         raise ValueError("n_surrogate must be >= 2")
-    fit = fit or FitParams()
     skeleton: list = []
     _split_skeleton(triangles, np.arange(triangles.shape[0], dtype=np.int64),
-                    n_surrogate, seed, 0, skeleton)
-    level, leaf, kid_lists = zip(*skeleton)
-    level, leaf, n = np.array(level), np.array(leaf), len(skeleton)
+                    n_surrogate, seed, skeleton)
+    leaf, kid_lists = zip(*skeleton)
+    leaf, n = np.array(leaf), len(skeleton)
     kid_count = np.array([k.size for k in kid_lists], dtype=np.int64)
     tree = SurrogateTree(np.zeros((n, 3, 3), dtype=REAL), np.zeros(n),
                          np.concatenate(kid_lists) + np.repeat(np.where(leaf, n, 0), kid_count),
                          kid_count, n_surrogate, finest_epsilon, mesh_checksum(triangles))
 
-    # fit the node rows bottom-up: per level, leaves first and then
-    # internals, each in preorder
+    # fit bottom-up, one pass per height: every child of a node is lower
     tri, eps = tree.child_rows(triangles)
-    for lvl in range(int(level.max()), -1, -1):
-        for ids in (np.nonzero((level == lvl) & leaf)[0], np.nonzero((level == lvl) & ~leaf)[0]):
-            if ids.size:
-                _batch_fit_and_chain(tree, ids, tri, eps, fit)
+    for h in range(1, int(tree.height[0]) + 1):
+        _batch_fit_and_chain(tree, np.flatnonzero(tree.height == h), tri, eps)
     tree.tri[:], tree.eps[:] = tri[:n], eps[:n]
     return tree
 

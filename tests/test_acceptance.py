@@ -330,7 +330,7 @@ def test_criterion_11_determinism():
         config = RunConfig.from_dict(params_cfg.as_dict())
         config.step.mode = "ImplicitMultiscalePicard"
         scene = build_scene(config.scene, epsilon=config.kernel.epsilon)
-        system = system_from_scene(scene, config.kernel, config.n_surrogate, config.fit)
+        system = system_from_scene(scene, config.kernel, config.n_surrogate)
         steps = []
         for _ in range(config.n_steps):
             stats = step(system, config.step, config.kernel)

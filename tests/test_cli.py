@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from tricontact.cli import main
-from tricontact.report import (RunConfig, SchemaMismatch, compare_reports,
+from tricontact.report import (RETIRED, RunConfig, SchemaMismatch, compare_reports,
                                load_report, strip_volatile)
+
+# the config echo of a report written before the fit, relaxation and three
+# scene settings became constants, so it holds their retired keys
+PARENT_CONFIG = Path(__file__).parent / "data" / "config_pr12.json"
 
 
 def run_cli(*args):
@@ -92,16 +97,33 @@ class TestRun:
         pytest.param("force", "epsilon", 0.5, 0, id="force-epsilon-0.5-0"),
         pytest.param("step", "surrogate_force_damping", None, 0, id="damping-null-0"),
         pytest.param("step", "surrogate_force_damping", [1.0, 0.5], 2, id="damping-list-2"),
+        ("fit", "beta_size", 4, 2),
+        ("fit", "alpha_area", 1e-2, 2),
+        ("fit", "alpha_inside", 0.5, 2),
+        ("fit", "beta_normal", 4, 2),
+        ("fit", "max_fit_iterations", 40, 2),
+        ("fit", "rel_tol", 1e-6, 2),
+        ("fit", "initial_step", 0.1, 2),
+        ("fit", "shrink", 0.25, 2),
+        ("fit", "grow", 2.0, 2),
+        ("step", "convergence_rel_tol", 1e-3, 2),
+        ("step", "theta_init", 0.5, 2),
+        ("step", "theta_min", 0.1, 2),
+        ("step", "theta_grow", 1.5, 2),
+        ("step", "theta_shrink", 0.25, 2),
+        ("scene", "plane_extent", 8.0, 2),
+        ("scene", "gravity", 1.62, 2),
+        ("scene", "noise_octaves", 1, 2),
     ])
     def test_fit_post_scale_in_config(self, tmp_path, capsys, section, key, value, expected):
         # configs and reports written while these retired options existed
-        # still load when they hold a no-op: fit.post_scale 1.0, any
-        # step.force.epsilon, a null step.surrogate_force_damping; any other
-        # value would change the run, so it is a config error
+        # still load when they hold the value the program has used since,
+        # or any value of step.force.epsilon, which never changed a run;
+        # any other value would change the run, so it is a config error
         config = RunConfig()
         config.scene.triangle_count = 20
         data = config.as_dict()
-        owner = data["step"]["force"] if section == "force" else data[section]
+        owner = data["step"]["force"] if section == "force" else data.setdefault(section, {})
         owner[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
@@ -127,6 +149,7 @@ class TestRun:
         config = RunConfig()
         config.scene.triangle_count = 20
         data = config.as_dict()
+        data["fit"] = {}  # the retired fit section still loads, empty or not
         owners = {"step.force": data["step"]["force"], "top level": data}
         owners.get(section, data.get(section))[key] = value
         cfg_path = tmp_path / "cfg.json"
@@ -138,6 +161,20 @@ class TestRun:
         assert len(err) == 1 and key in err[0]
         if key == "bogus":
             assert repr(section) in err[0]
+
+    def test_parent_config_loads(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = run_cli("run", "--config", str(PARENT_CONFIG), "--seed", "7",
+                       "--report", str(out))
+        assert code == 0
+        # the echo drops the retired keys and keeps every other value
+        old = json.loads(PARENT_CONFIG.read_text())
+        del old["fit"]
+        for name in RETIRED:
+            section, _, key = name.rpartition(".")
+            if section in ("scene", "step"):
+                old[section].pop(key, None)
+        assert load_report(out)["config"] == old
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -202,7 +239,8 @@ class TestTreeCommands:
     @pytest.mark.parametrize("corrupt", [
         lambda d: d.update(version=1),
         lambda d: d["kids"].__setitem__(0, 10**6),
-    ], ids=["version-1", "child-out-of-range"])
+        lambda d: d.update(finest_epsilon=-1.0),
+    ], ids=["version-1", "child-out-of-range", "negative-finest-epsilon"])
     def test_validate_malformed_tree_is_config_error(self, tmp_path, capsys, corrupt):
         tree_path = tmp_path / "tree.json"
         run_cli("build-tree", "--triangle-count", "80", "--seed", "2",
@@ -306,6 +344,16 @@ class TestBadInput:
                      id="compare-missing-report"),
         pytest.param(["compare", "{tmp}/v0.json", "{tmp}/v0.json"], "version",
                      id="compare-other-version"),
+        pytest.param(["run", "--seed", "1", "--steps", "1", "--triangle-count", "20",
+                      "--report", "{tmp}/missing/r.json"], "missing", id="run-report-missing-dir"),
+        pytest.param(["run", "--seed", "1", "--steps", "1", "--triangle-count", "20",
+                      "--trace", "{tmp}/missing/t.csv"], "missing", id="run-trace-missing-dir"),
+        pytest.param(["build-tree", "--triangle-count", "20", "--out", "{tmp}/missing/tree.json"],
+                     "missing", id="build-tree-out-missing-dir"),
+        pytest.param(["validate-tree", "--triangle-count", "80", "--tree", "{tmp}/none.json",
+                      "--samples", "-5"], "--samples", id="validate-tree-samples-negative"),
+        pytest.param(["build-tree", "--triangle-count", "20", "--epsilon", "-1",
+                      "--out", "{tmp}/tree.json"], "finest_epsilon", id="build-tree-epsilon-negative"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, args, needle):
         # unusable flags or input files end the command with exit 2 and one

@@ -11,8 +11,7 @@ from conftest import cached_tree
 from tricontact.geometry import triangle, triangle_normals
 from tricontact.kernels import closest_point_triangle_batch
 from tricontact.surrogate import (TREE_FORMAT_VERSION, EmptyInput, EmptyMesh,
-                                  FitParams, _fit_energy_batch, _fit_gradient_batch,
-                                  _fit_setup, _seed_batch, build_surrogate_tree,
+                                  _fit_setup, _fit_terms, _seed_batch, build_surrogate_tree,
                                   cluster_triangles, conservative_epsilon,
                                   fit_surrogate_triangle_batch, tree_from_json,
                                   tree_to_json, validate_conservative)
@@ -32,30 +31,38 @@ class TestFit:
 
     def test_energy_gradient_matches_fd(self, rng):
         children = rng.normal(scale=0.3, size=(1, 6, 3, 3))
-        params = FitParams()
-        setup = _fit_setup(children, params)
+        setup = _fit_setup(children)
         tri = _seed_batch(children) + rng.normal(scale=0.05, size=(1, 3, 3))
-        g = _fit_gradient_batch(tri, children, *setup, params)
-        fd = central_difference(lambda t: _fit_energy_batch(t, children, *setup, params)[0], tri)
+        _, g = _fit_terms(tri, children, *setup)
+        fd = central_difference(lambda t: _fit_terms(t, children, *setup)[0][0], tri)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-6
 
     def test_single_child_energy_decreases(self, rng):
         child = rng.normal(size=(1, 1, 3, 3))
-        params = FitParams()
-        setup = _fit_setup(child, params)
-        fitted = fit_surrogate_triangle_batch(child, params)
-        assert (_fit_energy_batch(fitted, child, *setup, params)
-                <= _fit_energy_batch(_seed_batch(child), child, *setup, params))[0]
+        setup = _fit_setup(child)
+        fitted = fit_surrogate_triangle_batch(child)
+        assert (_fit_terms(fitted, child, *setup)[0]
+                <= _fit_terms(_seed_batch(child), child, *setup)[0])[0]
 
     def test_objective_monotone_from_seed(self, rng):
-        params = FitParams()
         for _ in range(5):
             children = rng.normal(scale=0.2, size=(1, 8, 3, 3)) + rng.normal(size=3)
-            setup = _fit_setup(children, params)
-            fitted = fit_surrogate_triangle_batch(children, params)
-            assert (_fit_energy_batch(fitted, children, *setup, params)
-                    <= _fit_energy_batch(_seed_batch(children), children, *setup, params)
-                    + 1e-12)[0]
+            setup = _fit_setup(children)
+            fitted = fit_surrogate_triangle_batch(children)
+            assert (_fit_terms(fitted, children, *setup)[0]
+                    <= _fit_terms(_seed_batch(children), children, *setup)[0] + 1e-12)[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 6), c=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_rows_fit_as_if_alone(self, m, c, seed):
+        # the tree build fits whatever nodes share a height and a child
+        # count in one batch; that regrouping is exact only if each row
+        # of the batch fits exactly as its problem alone
+        rng = np.random.default_rng(seed)
+        children = rng.normal(scale=0.3, size=(m, c, 3, 3)) + rng.normal(size=(m, 1, 1, 3))
+        batch = fit_surrogate_triangle_batch(children)
+        for row, problem in zip(batch, children):
+            assert np.array_equal(row, fit_surrogate_triangle_batch(problem[None])[0])
 
     def test_planar_patch_stays_planar(self, rng):
         # 8 triangles tiling a unit square in z = 0, normals +z
@@ -66,7 +73,7 @@ class TestFit:
                 quads.append([[x, y, 0], [x + 0.5, y, 0], [x + 0.5, y + 0.5, 0]])
                 quads.append([[x, y, 0], [x + 0.5, y + 0.5, 0], [x, y + 0.5, 0]])
         children = np.asarray(quads)
-        fitted = fit_surrogate_triangle_batch(children[None], FitParams())[0]
+        fitted = fit_surrogate_triangle_batch(children[None])[0]
         diameter = np.sqrt(2.0)
         assert np.abs(fitted[:, 2]).max() <= 1e-2 * diameter
         normal = triangle_normals(fitted[None])[0]
@@ -77,7 +84,7 @@ class TestFit:
         mask = (sphere1280.mean(axis=1) > 0).all(axis=1)
         octant = sphere1280[mask]
         assert octant.shape[0] > 100
-        fitted = fit_surrogate_triangle_batch(octant[None], FitParams())[0]
+        fitted = fit_surrogate_triangle_batch(octant[None])[0]
         eps = conservative_epsilon(fitted[None], octant[None], 1e-2)[0]
         assert eps < 0.7  # coarsest sphere surrogates sit near half a diameter
 
@@ -166,6 +173,11 @@ class TestTree:
     def test_empty_mesh(self):
         with pytest.raises(EmptyMesh):
             build_surrogate_tree(np.empty((0, 3, 3)), 8)
+
+    @pytest.mark.parametrize("finest_epsilon", [0.0, -1.0, float("nan")])
+    def test_finest_epsilon_must_be_positive(self, rng, finest_epsilon):
+        with pytest.raises(ValueError, match="finest_epsilon"):
+            build_surrogate_tree(rng.normal(size=(20, 3, 3)), 8, finest_epsilon=finest_epsilon)
 
     def test_recursion_base(self, rng):
         tris = rng.normal(scale=0.3, size=(8, 3, 3))
@@ -256,6 +268,7 @@ class TestSerialization:
         (lambda d: d["kids"].__setitem__(0, 10**6), "out of range"),
         (lambda d: d["kids"].__setitem__(1, d["kids"][0]), "exactly one parent"),
         (lambda d: d["kids"].__setitem__(-1, d["kids"][-2]), "permutation"),
+        (lambda d: d.update(finest_epsilon=-1.0), "finest_epsilon"),
     ])
     def test_malformed_rejected(self, tree320, corrupt, message):
         doc = json.loads(tree_to_json(tree320))
