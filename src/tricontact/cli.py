@@ -173,8 +173,6 @@ def _add_mesh_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triangle-count", type=int, default=320)
     p.add_argument("--eta-r", type=float, default=None, help="noise amplitude (>= 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--n-surrogate", type=int, default=8)
 
 
 def main(argv=None) -> int:
@@ -200,6 +198,8 @@ def main(argv=None) -> int:
 
     p_build = sub.add_parser("build-tree", help="pre-process a mesh into a surrogate tree")
     _add_mesh_args(p_build)
+    p_build.add_argument("--epsilon", type=float, default=1e-2)
+    p_build.add_argument("--n-surrogate", type=int, default=8)
     p_build.add_argument("--out", required=True, help="tree cache file (JSON)")
     p_build.add_argument("--export-obj", help="also write the mesh as OBJ")
     p_build.set_defaults(func=cmd_build_tree)

@@ -105,8 +105,6 @@ class BatchResult:
     distance: np.ndarray  # (n,)
     point_a: np.ndarray   # (n, 3) closest point on the first triangle
     point_b: np.ndarray   # (n, 3)
-    bary_a: np.ndarray    # (n, 2)
-    bary_b: np.ndarray    # (n, 2)
 
     def __len__(self) -> int:
         return self.kind.shape[0]
@@ -117,8 +115,6 @@ class BatchResult:
         self.distance[mask] = other.distance
         self.point_a[mask] = other.point_a
         self.point_b[mask] = other.point_b
-        self.bary_a[mask] = other.bary_a
-        self.bary_b[mask] = other.bary_b
 
 
 def _as_eps(eps, n: int) -> np.ndarray:
@@ -138,7 +134,7 @@ def _as_eps(eps, n: int) -> np.ndarray:
 def closest_point_triangle_batch(points: np.ndarray, tris: np.ndarray):
     """Closest point on each triangle to each query point.
 
-    Returns ``(closest (n, 3), bary (n, 2))``.  Region selection follows the
+    Returns the closest points ``(n, 3)``.  Region selection follows the
     classic seven-region decomposition (vertices, edges, interior).
     """
     p = np.asarray(points, dtype=REAL)
@@ -198,15 +194,12 @@ def closest_point_triangle_batch(points: np.ndarray, tris: np.ndarray):
     u[m] = vb[m] / denom
     w[m] = vc[m] / denom
 
-    closest = a + u[:, None] * ab + w[:, None] * ac
-    return closest, np.stack([u, w], axis=1)
+    return a + u[:, None] * ab + w[:, None] * ac
 
 
 def _closest_segment_segment(p1, q1, p2, q2):
-    """Closest points between segments [p1,q1] and [p2,q2] (batched).
-
-    Returns ``(s, t, c1, c2)`` with parameters in [0, 1].
-    """
+    """Closest points ``(c1, c2)`` between segments [p1,q1] and [p2,q2]
+    (batched)."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -228,9 +221,7 @@ def _closest_segment_segment(p1, q1, p2, q2):
     s = np.where(high, np.clip((b - c) / a_safe, 0.0, 1.0), s)
     t = np.clip(t, 0.0, 1.0)
 
-    c1 = p1 + s[:, None] * d1
-    c2 = p2 + t[:, None] * d2
-    return s, t, c1, c2
+    return p1 + s[:, None] * d1, p2 + t[:, None] * d2
 
 
 # Edge k of a triangle runs from vertex _EDGE_START[k] to vertex _EDGE_END[k].
@@ -246,16 +237,6 @@ def _rows(tris: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Vertex ``vertices[r]`` of every triangle, block ``r`` after block:
     shape ``(len(vertices) * n, 3)``."""
     return tris[:, vertices].transpose(1, 0, 2).reshape(-1, 3)
-
-
-def _edge_bary(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of parameter ``s`` along edge ``k[r]`` of the
-    rows ``s[r]``: ``(s, 0)``, ``(1 - s, s)`` or ``(0, 1 - s)``."""
-    k = k[:, None]
-    r = 1.0 - s
-    u = np.where(k == 0, s, np.where(k == 1, r, 0.0))
-    w = np.where(k == 0, 0.0, np.where(k == 1, s, r))
-    return np.stack([u, w], axis=-1)
 
 
 def _segment_triangle_crossings(p, q, tris):
@@ -302,17 +283,16 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     B = as_triangles(tri_b)
     n = A.shape[0]
     eps = _as_eps(eps, n)
-    vertex_bary = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=REAL)
     vertices = np.arange(3)
 
     # the triangle each vertex or edge of the other triangle is tested against
     other = np.concatenate([np.tile(B, (3, 1, 1)), np.tile(A, (3, 1, 1))])
     # six vertex-triangle tests: A's vertices against B, then B's against A
     pts = np.concatenate([_rows(A, vertices), _rows(B, vertices)])
-    closest, bary = closest_point_triangle_batch(pts, other)
-    pts, closest, bary = (v.reshape(2, 3, n, -1) for v in (pts, closest, bary))
+    closest = closest_point_triangle_batch(pts, other)
+    pts, closest = pts.reshape(2, 3, n, 3), closest.reshape(2, 3, n, 3)
     # nine edge-edge tests
-    s, t, c1, c2 = _closest_segment_segment(
+    c1, c2 = _closest_segment_segment(
         _rows(A, _EDGE_START[_EE_A]), _rows(A, _EDGE_END[_EE_A]),
         _rows(B, _EDGE_START[_EE_B]), _rows(B, _EDGE_END[_EE_B]))
 
@@ -320,17 +300,12 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     cand_pb = np.concatenate([closest[0], pts[1], c2.reshape(9, n, 3)])
     diff = (cand_pa - cand_pb).reshape(-1, 3)
     cand_d2 = np.einsum("ij,ij->i", diff, diff).reshape(15, n)
-    corner = np.broadcast_to(vertex_bary[:, None], (3, n, 2))
-    cand_ba = np.concatenate([corner, bary[1], _edge_bary(_EE_A, s.reshape(9, n))])
-    cand_bb = np.concatenate([bary[0], corner, _edge_bary(_EE_B, t.reshape(9, n))])
 
     best = np.argmin(cand_d2, axis=0)
     idx = np.arange(n)
     distance = np.sqrt(cand_d2[best, idx])
     point_a = cand_pa[best, idx]
     point_b = cand_pb[best, idx]
-    bary_a = cand_ba[best, idx]
-    bary_b = cand_bb[best, idx]
 
     # six edge-to-plane tests: catch proper intersections
     cross_ok, cross_pts = _segment_triangle_crossings(
@@ -357,13 +332,9 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
         distance[sub] = 0.0
         point_a[sub] = mid
         point_b[sub] = mid
-        _, bary_mid = closest_point_triangle_batch(np.concatenate([mid, mid]),
-                                                   np.concatenate([A[sub], B[sub]]))
-        bary_a[sub] = bary_mid[:sub.size]
-        bary_b[sub] = bary_mid[sub.size:]
 
     kind = np.where(distance <= 2.0 * eps, np.int8(Kind.CONTACT), np.int8(Kind.NO_CONTACT))
-    return BatchResult(kind, distance, point_a, point_b, bary_a, bary_b)
+    return BatchResult(kind, distance, point_a, point_b)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +547,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     point_b += np.multiply(x[3], e2b, out=vec)
     distance = np.sqrt(2.0 * jh)
     return BatchResult(kind, distance, np.ascontiguousarray(point_a.T),
-                       np.ascontiguousarray(point_b.T), np.ascontiguousarray(x[:2].T),
-                       np.ascontiguousarray(x[2:].T))
+                       np.ascontiguousarray(point_b.T))
 
 
 def hybrid_batch(
@@ -602,10 +572,7 @@ def hybrid_batch(
         counters.iterative_invocations += n
 
     open_mask = res.kind == np.int8(Kind.NOT_TERMINATED)
-    if isinstance(allow_fallback, np.ndarray):
-        open_mask = open_mask & allow_fallback
-    elif not allow_fallback:
-        return res
+    open_mask &= allow_fallback
     m = int(open_mask.sum())
     if m:
         sub_a = A[open_mask]

@@ -81,7 +81,7 @@ def _fit_terms(tris, children, flat, normals_rep, alpha_area):
     # point-triangle distances: each of the 3 surrogate vertices vs each child
     q = np.repeat(tris.reshape(m, 3, 1, 3), c, axis=2).reshape(m * 3 * c, 3)
     t = np.repeat(children[:, None, :, :, :], 3, axis=1).reshape(m * 3 * c, 3, 3)
-    closest, _ = closest_point_triangle_batch(q, t)
+    closest = closest_point_triangle_batch(q, t)
     diff = (q - closest).reshape(m, 3, c, 3)
     dist = np.linalg.norm(diff, axis=3)
     size = (dist.reshape(m, 3 * c) ** BETA_SIZE).sum(axis=1) / BETA_SIZE
@@ -186,7 +186,7 @@ def conservative_epsilon(surrogates: np.ndarray, children: np.ndarray,
         raise EmptyInput("no child triangles")
     pts = children.reshape(m * c * 3, 3)
     tiled = np.repeat(np.asarray(surrogates, dtype=REAL), c * 3, axis=0)
-    closest, _ = closest_point_triangle_batch(pts, tiled)
+    closest = closest_point_triangle_batch(pts, tiled)
     dist = np.linalg.norm(pts - closest, axis=1).reshape(m, c, 3)
     return (dist + np.broadcast_to(child_epsilons, (m, c))[:, :, None]).max(axis=(1, 2))
 
@@ -453,7 +453,7 @@ def validate_conservative(tree: SurrogateTree, triangles: np.ndarray,
             + bary[None, :, 1, None] * e2[:, None, :]
         ).reshape(-1, 3)
         tiled = np.broadcast_to(tree.tri[i], (pts.shape[0], 3, 3))
-        closest, _ = closest_point_triangle_batch(pts, tiled)
+        closest = closest_point_triangle_batch(pts, tiled)
         dist = np.linalg.norm(pts - closest, axis=1)
         slack = tree.eps[i] - (dist + tree.finest_epsilon)
         worst = min(worst, float(slack.min()))

@@ -263,14 +263,6 @@ def _penalty_value(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return alpha * p
 
 
-def _edge_bary(k: int, s: np.ndarray) -> np.ndarray:
-    if k == 0:  # v1 -> v2
-        return np.stack([s, np.zeros_like(s)], axis=1)
-    if k == 1:  # v2 -> v3
-        return np.stack([1.0 - s, s], axis=1)
-    return np.stack([np.zeros_like(s), 1.0 - s], axis=1)  # v3 -> v1
-
-
 def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     """The comparison kernel as fifteen feature tests in a loop, one batch each."""
     A = as_triangles(tri_a)
@@ -281,31 +273,24 @@ def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     cand_d2 = np.empty((15, n), dtype=REAL)
     cand_pa = np.empty((15, n, 3), dtype=REAL)
     cand_pb = np.empty((15, n, 3), dtype=REAL)
-    cand_ba = np.empty((15, n, 2), dtype=REAL)
-    cand_bb = np.empty((15, n, 2), dtype=REAL)
-    vertex_bary = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=REAL)
 
     row = 0
     # six point-to-triangle tests
     for k in range(3):
         pt = A[:, k]
-        closest, bb = closest_point_triangle_batch(pt, B)
+        closest = closest_point_triangle_batch(pt, B)
         diff = pt - closest
         cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
         cand_pa[row] = pt
         cand_pb[row] = closest
-        cand_ba[row] = vertex_bary[k]
-        cand_bb[row] = bb
         row += 1
     for k in range(3):
         pt = B[:, k]
-        closest, ba = closest_point_triangle_batch(pt, A)
+        closest = closest_point_triangle_batch(pt, A)
         diff = pt - closest
         cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
         cand_pa[row] = closest
         cand_pb[row] = pt
-        cand_ba[row] = ba
-        cand_bb[row] = vertex_bary[k]
         row += 1
     # nine edge-to-edge tests
     for ka in range(3):
@@ -314,13 +299,11 @@ def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
         for kb in range(3):
             pb0 = B[:, _EDGE_START[kb]]
             pb1 = B[:, _EDGE_END[kb]]
-            s, t, c1, c2 = _closest_segment_segment(pa0, pa1, pb0, pb1)
+            c1, c2 = _closest_segment_segment(pa0, pa1, pb0, pb1)
             diff = c1 - c2
             cand_d2[row] = np.einsum("ij,ij->i", diff, diff)
             cand_pa[row] = c1
             cand_pb[row] = c2
-            cand_ba[row] = _edge_bary(ka, s)
-            cand_bb[row] = _edge_bary(kb, t)
             row += 1
 
     best = np.argmin(cand_d2, axis=0)
@@ -328,8 +311,6 @@ def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     distance = np.sqrt(cand_d2[best, idx])
     point_a = cand_pa[best, idx]
     point_b = cand_pb[best, idx]
-    bary_a = cand_ba[best, idx]
-    bary_b = cand_bb[best, idx]
 
     # six edge-to-plane tests: catch proper intersections
     cross_pts = np.zeros((6, n, 3), dtype=REAL)
@@ -362,13 +343,9 @@ def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
         distance[sub] = 0.0
         point_a[sub] = mid
         point_b[sub] = mid
-        _, ba = closest_point_triangle_batch(mid, A[sub])
-        _, bb = closest_point_triangle_batch(mid, B[sub])
-        bary_a[sub] = ba
-        bary_b[sub] = bb
 
     kind = np.where(distance <= 2.0 * eps, np.int8(Kind.CONTACT), np.int8(Kind.NO_CONTACT))
-    return BatchResult(kind, distance, point_a, point_b, bary_a, bary_b)
+    return BatchResult(kind, distance, point_a, point_b)
 
 
 def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
@@ -467,5 +444,5 @@ def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
     point_a = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a
     point_b = B[:, 0] + x[:, 2, None] * e1b + x[:, 3, None] * e2b
     distance = np.sqrt(2.0 * jh)
-    return BatchResult(kind, distance, point_a, point_b, x[:, :2].copy(), x[:, 2:].copy())
+    return BatchResult(kind, distance, point_a, point_b)
 

@@ -269,6 +269,20 @@ class TestTreeCommands:
         assert code == 5
         assert "different mesh" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--n-surrogate"])
+    def test_validate_rejects_build_flags(self, tmp_path, capsys, flag):
+        # the tree file carries its own halo width and fan-out, so validate-tree
+        # has no flag for them and argparse refuses one
+        tree_path = tmp_path / "tree.json"
+        run_cli("build-tree", "--triangle-count", "80", "--seed", "2",
+                "--out", str(tree_path))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("validate-tree", "--triangle-count", "80", "--seed", "2",
+                    "--tree", str(tree_path), flag, "-1")
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_obj_round_trip(self, tmp_path):
         tree_path = tmp_path / "tree.json"
         obj_path = tmp_path / "mesh.obj"

@@ -149,7 +149,8 @@ class TestIterative:
         # construct a crawling configuration that stays open
         t2 = offset(UNIT, dx=40.0, dz=0.01)
         r = iterative_batch(UNIT, t2, KernelParams(), EPS)
-        assert np.isfinite(r.bary_a).all() and np.isfinite(r.bary_b).all()
+        assert np.isfinite(r.point_a).all() and np.isfinite(r.point_b).all()
+        assert np.isfinite(r.distance).all()
 
 
 class TestGradient:
@@ -243,6 +244,28 @@ class TestHybrid:
         assert agree.mean() >= 0.999
         assert (agree | band).all()
         assert counters.fallback_invocations <= counters.iterative_invocations
+
+    @pytest.mark.parametrize("gate", ["all", "none", "mask"])
+    def test_fallback_gate(self, rng, gate):
+        A = rng.normal(size=(500, 3, 3))
+        B = rng.normal(size=(500, 3, 3))
+        p = KernelParams()
+        allow = {"all": True, "none": False, "mask": np.arange(500) % 2 == 0}[gate]
+        counters = KernelCounters()
+        res = hybrid_batch(A, B, p, counters, p.epsilon, allow_fallback=allow)
+        it = iterative_batch(A, B, p, p.epsilon)
+        cm = comparison_batch(A, B, p.epsilon)
+        open_ = it.kind == np.int8(Kind.NOT_TERMINATED)
+        fallback = open_ & allow
+        assert open_.sum() >= 10
+        # suppressed open rows stay open and cost no fallback
+        assert (res.kind[open_ & ~fallback] == np.int8(Kind.NOT_TERMINATED)).all()
+        assert counters.fallback_invocations == fallback.sum()
+        assert counters.comparison_invocations == fallback.sum()
+        for name in ("kind", "distance", "point_a", "point_b"):
+            got = getattr(res, name)
+            assert np.array_equal(got[fallback], getattr(cm, name)[fallback]), name
+            assert np.array_equal(got[~fallback], getattr(it, name)[~fallback]), name
 
     def test_degenerate_propagates_only_from_fallback(self):
         p = KernelParams()
@@ -352,7 +375,7 @@ class TestAgainstReference:
     def assert_agree(label, got, want, A, B):
         assert np.array_equal(got.kind, want.kind), label
         tol = 64.0 * np.finfo(REAL).eps * max(np.abs(A).max(), np.abs(B).max())
-        for name in ("distance", "point_a", "point_b", "bary_a", "bary_b"):
+        for name in ("distance", "point_a", "point_b"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.dtype == b.dtype, (label, name)
             assert np.abs(a - b).max() <= tol, (label, name)

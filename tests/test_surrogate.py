@@ -18,7 +18,7 @@ from tricontact.surrogate import (TREE_FORMAT_VERSION, EmptyInput, EmptyMesh,
 
 
 def point_to_triangle(point, tri):
-    closest, _ = closest_point_triangle_batch(np.asarray(point)[None], np.asarray(tri)[None])
+    closest = closest_point_triangle_batch(np.asarray(point)[None], np.asarray(tri)[None])
     return float(np.linalg.norm(point - closest[0]))
 
 
@@ -118,7 +118,7 @@ class TestConservativeEpsilon:
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             halo_pts = pts + ce * dirs
             tiled = np.broadcast_to(surrogate, (40, 3, 3))
-            closest, _ = closest_point_triangle_batch(halo_pts, tiled)
+            closest = closest_point_triangle_batch(halo_pts, tiled)
             worst = max(worst, float(np.linalg.norm(halo_pts - closest, axis=1).max()))
         assert worst <= eps + 1e-6
 
