@@ -154,7 +154,7 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -164,6 +164,10 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
                 idx = [int(tok.split("/")[0]) for tok in parts[1:]]
                 if len(idx) != 3:
                     raise ValueError("only triangulated faces are supported")
+                # OBJ counts from 1, or from -1 back from the last vertex read
+                if not all(0 < abs(i) <= len(vertices) for i in idx):
+                    raise ValueError(f"line {number}: face {' '.join(parts[1:])} names a vertex "
+                                     f"outside the {len(vertices)} read so far")
                 faces.append([i - 1 if i > 0 else len(vertices) + i for i in idx])
     return (
         np.asarray(vertices, dtype=REAL).reshape(-1, 3),

@@ -261,6 +261,12 @@ def closed_surface_check(verts: np.ndarray, faces: np.ndarray) -> dict:
 SCENE_KINDS = ("ParticleParticle", "ParticleOnPlane", "CartesianGrid", "ScaledPair")
 
 
+def _numbers(value, count: int, ok) -> bool:
+    """Whether ``value`` is a sequence of ``count`` numbers that pass ``ok``."""
+    return (isinstance(value, (tuple, list)) and len(value) == count
+            and all(isinstance(x, (int, float)) and ok(x) for x in value))
+
+
 @dataclass
 class SceneSpec:
     """Deterministic description of a benchmark setup.
@@ -290,6 +296,10 @@ class SceneSpec:
             raise InvalidSpec("eta_r must be >= 1 (1 = perfect sphere)")
         if self.triangle_count not in _SPHERE_RECIPES:
             raise InvalidSpec(f"unsupported triangle count {self.triangle_count}")
+        if not _numbers(self.grid_shape, 3, lambda n: isinstance(n, int) and n >= 1):
+            raise InvalidSpec(f"grid_shape must be three integers >= 1, not {self.grid_shape!r}")
+        if not _numbers(self.scale_factors, 2, lambda s: 0.0 < s < np.inf):
+            raise InvalidSpec(f"scale_factors must be two positive numbers, not {self.scale_factors!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -310,9 +320,9 @@ class SceneParticle:
     vertices: np.ndarray      # body-frame mesh (m, 3)
     faces: np.ndarray         # (n, 3) int
     motion: RigidMotion       # initial placement
-    velocity: np.ndarray
-    omega: np.ndarray
     epsilon: float            # finest-level halo width of this particle
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=REAL))
+    omega: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=REAL))
     immovable: bool = False
     density: float = 1.0
 
@@ -325,9 +335,8 @@ class Scene:
 
 
 def _particle_mesh(spec: SceneSpec, seed_offset: int, scale: float,
-                   triangle_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    count = triangle_count if triangle_count is not None else spec.triangle_count
-    verts, faces = noisy_sphere_by_count(count, spec.eta_r, spec.seed + seed_offset)
+                   triangle_count: int) -> tuple[np.ndarray, np.ndarray]:
+    verts, faces = noisy_sphere_by_count(triangle_count, spec.eta_r, spec.seed + seed_offset)
     # radius 0.5 -> unit reference diameter, then per-particle scaling
     return (verts * (0.5 * scale)).astype(REAL), faces
 
@@ -336,116 +345,67 @@ PLANE_EXTENT = 4.0   # half the side of the ParticleOnPlane square
 GRAVITY = 9.81       # ParticleOnPlane's gravity, along -z
 
 
-def _plane_particle(spec: SceneSpec, epsilon: float) -> SceneParticle:
-    """Immovable tilted plane spanned by two large triangles."""
-    e = PLANE_EXTENT
-    verts = np.array(
-        [[-e, -e, 0.0], [e, -e, 0.0], [e, e, 0.0], [-e, e, 0.0]], dtype=REAL
-    )
-    faces = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    tilt = np.deg2rad(spec.plane_tilt_deg)
-    motion = RigidMotion.from_axis_angle((0.0, 1.0, 0.0), tilt)
-    return SceneParticle(
-        vertices=verts,
-        faces=faces,
-        motion=motion,
-        velocity=np.zeros(3, dtype=REAL),
-        omega=np.zeros(3, dtype=REAL),
-        epsilon=epsilon,
-        immovable=True,
-    )
-
-
 def build_scene(spec: SceneSpec, epsilon: float = 1e-2) -> Scene:
     """Assemble the particles of a scene; deterministic in (spec, epsilon)."""
     scene = Scene(spec=spec)
-    if spec.kind == "ParticleParticle":
-        offset = 0.5 + 0.5 * spec.initial_gap
-        for side, x in ((0, -offset), (1, offset)):
-            verts, faces = _particle_mesh(spec, side, 1.0)
-            # tilting the second particle breaks the mirror symmetry of two
-            # identically tessellated spheres meeting pole-on
-            motion = (
-                RigidMotion(translation=np.array([x, 0.0, 0.0]))
-                if side == 0
-                else RigidMotion.from_axis_angle(
-                    (0.0, 1.0, 0.0), np.deg2rad(spec.relative_tilt_deg), (x, 0.0, 0.0)
-                )
-            )
-            scene.particles.append(
-                SceneParticle(
-                    vertices=verts,
-                    faces=faces,
-                    motion=motion,
-                    velocity=np.array([spec.approach_speed if side == 0 else -spec.approach_speed, 0.0, 0.0], dtype=REAL),
-                    omega=np.zeros(3, dtype=REAL),
-                    epsilon=epsilon,
-                )
-            )
-    elif spec.kind == "ParticleOnPlane":
-        scene.particles.append(_plane_particle(spec, epsilon))
-        verts, faces = _particle_mesh(spec, 0, 1.0)
-        scene.particles.append(
-            SceneParticle(
+    if spec.kind in ("ParticleParticle", "ScaledPair"):
+        # a ParticleParticle is the ScaledPair at scales (1, 1) whose second
+        # particle is tilted, which breaks the mirror symmetry of two
+        # identically tessellated spheres meeting pole-on; integer scales and
+        # signs pass the caller's epsilon and approach speed through unchanged
+        pair = spec.kind == "ParticleParticle"
+        scales = (1, 1) if pair else spec.scale_factors
+        tilts = (0.0, spec.relative_tilt_deg if pair else 0.0)
+        for side, (s, tilt) in enumerate(zip(scales, tilts)):
+            count = spec.triangle_count
+            if spec.refine_scaled and not pair:
+                # subdivide the scaled particle to keep triangle sizes comparable
+                count *= 4**max(0, int(round(np.log2(max(s, 1.0)))))
+                if count not in _SPHERE_RECIPES:
+                    raise InvalidSpec(f"refined count {count} unsupported")
+            verts, faces = _particle_mesh(spec, side, s, count)
+            sign = 1 if side else -1
+            x = sign * (0.5 * s + 0.5 * spec.initial_gap)
+            scene.particles.append(SceneParticle(
                 vertices=verts,
                 faces=faces,
-                motion=RigidMotion(translation=np.array([0.0, 0.0, 0.5 + spec.drop_height])),
-                velocity=np.zeros(3, dtype=REAL),
-                omega=np.zeros(3, dtype=REAL),
-                epsilon=epsilon,
-            )
-        )
+                motion=RigidMotion.from_axis_angle((0.0, 1.0, 0.0), np.deg2rad(tilt), (x, 0.0, 0.0)),
+                epsilon=epsilon * s,
+                velocity=np.array([-sign * spec.approach_speed, 0.0, 0.0], dtype=REAL),
+            ))
+    elif spec.kind == "ParticleOnPlane":
+        # an immovable tilted plane spanned by two large triangles
+        e = PLANE_EXTENT
+        scene.particles.append(SceneParticle(
+            vertices=np.array([[-e, -e, 0.0], [e, -e, 0.0], [e, e, 0.0], [-e, e, 0.0]], dtype=REAL),
+            faces=np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64),
+            motion=RigidMotion.from_axis_angle((0.0, 1.0, 0.0), np.deg2rad(spec.plane_tilt_deg)),
+            epsilon=epsilon,
+            immovable=True,
+        ))
+        verts, faces = _particle_mesh(spec, 0, 1.0, spec.triangle_count)
+        scene.particles.append(SceneParticle(
+            vertices=verts,
+            faces=faces,
+            motion=RigidMotion(translation=np.array([0.0, 0.0, 0.5 + spec.drop_height])),
+            epsilon=epsilon,
+        ))
         scene.gravity = np.array([0.0, 0.0, -GRAVITY], dtype=REAL)
     elif spec.kind == "CartesianGrid":
         nx, ny, nz = spec.grid_shape
-        meshes = [
-            _particle_mesh(spec, idx, 1.0) for idx in range(nx * ny * nz)
-        ]
+        meshes = [_particle_mesh(spec, idx, 1.0, spec.triangle_count)
+                  for idx in range(nx * ny * nz)]
         # centre spacing twice the actual axis support plus eps, so each
         # particle slightly overlaps the halo of its six axis neighbours
         # even for coarse tessellations whose vertices undershoot the sphere
         extent = max(float(np.abs(verts).max()) for verts, _ in meshes)
         spacing = 2.0 * extent + epsilon
-        for k in range(nz):
-            for j in range(ny):
-                for i in range(nx):
-                    idx = (k * ny + j) * nx + i
-                    verts, faces = meshes[idx]
-                    pos = np.array([i, j, k], dtype=REAL) * spacing
-                    scene.particles.append(
-                        SceneParticle(
-                            vertices=verts,
-                            faces=faces,
-                            motion=RigidMotion(translation=pos),
-                            velocity=np.zeros(3, dtype=REAL),
-                            omega=np.zeros(3, dtype=REAL),
-                            epsilon=epsilon,
-                        )
-                    )
-    elif spec.kind == "ScaledPair":
-        s0, s1 = spec.scale_factors
-        counts = [spec.triangle_count, spec.triangle_count]
-        if spec.refine_scaled:
-            # subdivide the scaled particle to keep triangle sizes comparable
-            for side, s in enumerate((s0, s1)):
-                extra = max(0, int(round(np.log2(max(s, 1.0)))))
-                refined = spec.triangle_count * 4**extra
-                if refined not in _SPHERE_RECIPES:
-                    raise InvalidSpec(f"refined count {refined} unsupported")
-                counts[side] = refined
-        gap = spec.initial_gap
-        x0 = -(0.5 * s0 + 0.5 * gap)
-        x1 = 0.5 * s1 + 0.5 * gap
-        for side, (x, s, count) in enumerate(((x0, s0, counts[0]), (x1, s1, counts[1]))):
-            verts, faces = _particle_mesh(spec, side, s, triangle_count=count)
-            scene.particles.append(
-                SceneParticle(
-                    vertices=verts,
-                    faces=faces,
-                    motion=RigidMotion(translation=np.array([x, 0.0, 0.0])),
-                    velocity=np.array([spec.approach_speed if side == 0 else -spec.approach_speed, 0.0, 0.0], dtype=REAL),
-                    omega=np.zeros(3, dtype=REAL),
-                    epsilon=epsilon * s,
-                )
-            )
+        for (k, j, i), (verts, faces) in zip(np.ndindex(nz, ny, nx), meshes):
+            pos = np.array([i, j, k], dtype=REAL) * spacing
+            scene.particles.append(SceneParticle(
+                vertices=verts,
+                faces=faces,
+                motion=RigidMotion(translation=pos),
+                epsilon=epsilon,
+            ))
     return scene

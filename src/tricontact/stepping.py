@@ -72,6 +72,8 @@ class StepConfig:
             raise ValueError("dt must be positive")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.max_picard_iterations < 1:
+            raise ValueError("max_picard_iterations must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +534,14 @@ def explicit_step(system: System, cfg: StepConfig,
     return stats
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> float:
-    scale = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)))
-    if scale < floor:
-        return 0.0
-    return float(np.linalg.norm(new - old)) / scale
+def _rel_change(new: np.ndarray, old: np.ndarray, floor: float = 1e-9) -> np.ndarray:
+    """Relative changes ``(n, 2)`` of the force and torque halves of ``(n, 6)``
+    rows; 0 where both halves are shorter than ``floor``."""
+    def lengths(rows):
+        return _length(rows.reshape(-1, 3)).reshape(-1, 2).astype(np.float64)
+    scale = np.maximum(lengths(new), lengths(old))
+    return np.divide(lengths(new - old), scale, out=np.zeros_like(scale),
+                     where=~(scale < floor))
 
 
 # Picard relaxation: each particle's blend factor theta starts at 1, grows
@@ -559,53 +564,45 @@ def implicit_step(system: System, cfg: StepConfig,
     ImplicitMultiscalePicard widens its frontiers one level per sweep.
     Each particle blends its new rates with the previous ones by a factor
     theta that grows while successive raw forces agree in direction and
-    shrinks when they flip.
+    shrinks when they flip.  The sweep state is three arrays over the
+    particles: ``theta``, the previous raw wrench ``prev`` and the applied
+    rates ``applied``, the last two None before the first sweep.
     """
     if cfg.mode not in IMPLICIT_MODES:
         raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
     stats = StepStats()
     detect = _detector(system, cfg.mode, params or KernelParams(), stats)
-    n = len(system.particles)
     motions = [p.motion for p in system.particles]
     v_guess = [p.v.copy() for p in system.particles]
     w_guess = [p.omega.copy() for p in system.particles]
     guess_motions = list(motions)
-    theta = np.ones(n)
-    prev_raw = np.zeros((n, 6), dtype=REAL)
-    applied = np.zeros((n, 6), dtype=REAL)
-    have_prev = False
+    theta = np.ones(len(system.particles))
+    prev = applied = None
 
     for sweep in range(cfg.max_picard_iterations):
         stats.begin_sweep()
         contacts, settled = detect(guess_motions)
         force, torque, dv, domega = _rates(system, cfg, contacts, guess_motions, w_guess)
         raw = np.concatenate([force, torque], axis=1)
-
-        if have_prev:
-            for i in range(n):
-                # zero against zero counts as agreement: pulls theta back up
-                # once transient (surrogate) forces have faded
-                theta[i] = (
-                    min(1.0, THETA_GROW * theta[i])
-                    if float(raw[i] @ prev_raw[i]) >= 0.0
-                    else max(THETA_MIN, THETA_SHRINK * theta[i])
-                )
         rates = np.concatenate([dv, domega], axis=1)
-        applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (applied if have_prev else rates)
+
+        if prev is not None:
+            # zero against zero counts as agreement: pulls theta back up
+            # once transient (surrogate) forces have faded
+            agree = (raw[:, None, :] @ prev[:, :, None]).reshape(-1) >= 0.0
+            theta = np.where(agree, np.minimum(1.0, THETA_GROW * theta),
+                             np.maximum(THETA_MIN, THETA_SHRINK * theta))
+        applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (
+            rates if applied is None else applied)
 
         # converged when detection has settled, the raw forces are stationary
         # and the relaxed rates have caught up with them (no stale blend left
         # in the commit); a force-free first sweep needs no second one
-        if have_prev:
-            converged = settled and all(
-                _rel_change(raw[i, :3], prev_raw[i, :3]) <= CONVERGENCE_REL_TOL
-                and _rel_change(raw[i, 3:], prev_raw[i, 3:]) <= CONVERGENCE_REL_TOL
-                and _rel_change(applied[i, :3], rates[i, :3]) <= CONVERGENCE_REL_TOL
-                and _rel_change(applied[i, 3:], rates[i, 3:]) <= CONVERGENCE_REL_TOL
-                for i in range(n)
-            )
-        else:
+        if prev is None:
             converged = settled and not contacts
+        else:
+            converged = settled and bool((np.concatenate(
+                [_rel_change(raw, prev), _rel_change(applied, rates)]) <= CONVERGENCE_REL_TOL).all())
 
         for i, p in enumerate(system.particles):
             if p.immovable:
@@ -613,8 +610,7 @@ def implicit_step(system: System, cfg: StepConfig,
             v_guess[i] = p.v + cfg.dt * (applied[i, :3] + system.gravity)
             w_guess[i] = p.omega + cfg.dt * applied[i, 3:]
             guess_motions[i] = advance_motion(p, motions[i], v_guess[i], w_guess[i], cfg.dt)
-        prev_raw = raw
-        have_prev = True
+        prev = raw
         stats.picard_iterations = sweep + 1
         stats.contacts_merged = int((contacts.level.max(axis=1) == 0).sum())
         if converged:

@@ -144,6 +144,16 @@ class TestRun:
         ("step", "force", 3),
         # a misspelt n_steps must not run the default 10 steps
         pytest.param("top level", "n_step", 3, id="top-level-n_step-3"),
+        # values that used to end in a traceback, or in exit 3 as if the
+        # Picard loop had diverged
+        pytest.param("scene", "grid_shape", [0, 1, 1], id="scene-grid_shape-0-1-1"),
+        pytest.param("scene", "grid_shape", [2, 2], id="scene-grid_shape-2-2"),
+        pytest.param("scene", "grid_shape", [2.0, 1, 1], id="scene-grid_shape-2.0-1-1"),
+        pytest.param("scene", "scale_factors", [0.0, 1.0], id="scene-scale_factors-0-1"),
+        pytest.param("scene", "scale_factors", [-1.0, 1.0], id="scene-scale_factors--1-1"),
+        pytest.param("scene", "scale_factors", [1.0], id="scene-scale_factors-1"),
+        pytest.param("scene", "scale_factors", [1.0, float("nan")], id="scene-scale_factors-1-nan"),
+        pytest.param("step", "max_picard_iterations", 0, id="step-max_picard_iterations-0"),
     ])
     def test_bad_section_key_is_config_error(self, tmp_path, capsys, section, key, value):
         config = RunConfig()
@@ -368,11 +378,14 @@ class TestBadInput:
                       "--samples", "-5"], "--samples", id="validate-tree-samples-negative"),
         pytest.param(["build-tree", "--triangle-count", "20", "--epsilon", "-1",
                       "--out", "{tmp}/tree.json"], "finest_epsilon", id="build-tree-epsilon-negative"),
+        pytest.param(["build-tree", "--obj", "{tmp}/bad.obj", "--out", "{tmp}/tree.json"],
+                     "line 6", id="build-tree-obj-index-outside"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, args, needle):
         # unusable flags or input files end the command with exit 2 and one
         # stderr line, before any work and without a traceback
         (tmp_path / "v0.json").write_text(json.dumps({"version": 0}))
+        (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf -6 3 2\n")
         code = run_cli(*(a.format(tmp=tmp_path) for a in args))
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -76,3 +76,16 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         with pytest.raises(ValueError):
             load_obj(path)
+
+    @pytest.mark.parametrize("face", ["1 2 99", "-9 3 4", "-6 3 2", "0 1 2"])
+    def test_rejects_indices_outside_the_vertices(self, tmp_path, face):
+        # numpy would wrap -6 to a vertex of the wrong face without a word
+        path = tmp_path / "mesh.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf {face}\n")
+        with pytest.raises(ValueError, match="line 6"):
+            load_obj(path)
+
+    def test_negative_indices_count_back_from_the_last_vertex(self, tmp_path):
+        path = tmp_path / "mesh.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf -4 -3 -1\n")
+        assert load_obj(path)[1].tolist() == [[0, 1, 3]]

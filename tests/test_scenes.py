@@ -131,6 +131,36 @@ class TestBuildScene:
         # halo width scales with the particle diameter
         assert scene.particles[1].epsilon == pytest.approx(2.0 * scene.particles[0].epsilon)
 
+    @staticmethod
+    def _fields(particle) -> dict:
+        """Every field of a scene particle, arrays as dtype, shape and bytes."""
+        values = dict(vars(particle), rotation=particle.motion.rotation,
+                      translation=particle.motion.translation)
+        del values["motion"]
+        return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                else (type(v), v) for k, v in values.items()}
+
+    @pytest.mark.parametrize("count", [12, 80, 320])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("gap", [0.0, 2e-3, 5e-2])
+    @pytest.mark.parametrize("epsilon", [1e-2, 0.04])
+    def test_particle_particle_is_the_tilted_unit_scaled_pair(self, count, seed, gap, epsilon):
+        # the premise of the one pair builder: without the tilt the two pair
+        # kinds give byte-identical particles, and the tilt changes only the
+        # rotation of particle 1
+        common = dict(triangle_count=count, eta_r=1.3, seed=seed, initial_gap=gap)
+        scaled = build_scene(SceneSpec(kind="ScaledPair", scale_factors=(1.0, 1.0), **common),
+                             epsilon=epsilon)
+        for tilt in (0.0, 10.0):
+            pair = build_scene(SceneSpec(kind="ParticleParticle", relative_tilt_deg=tilt,
+                                         **common), epsilon=epsilon)
+            for side, (a, b) in enumerate(zip(pair.particles, scaled.particles)):
+                fa, fb = self._fields(a), self._fields(b)
+                if side == 1 and tilt:
+                    assert fa.pop("rotation") != fb.pop("rotation")
+                assert fa == fb
+            assert np.array_equal(pair.gravity, scaled.gravity)
+
     def test_scaled_pair_scale_eight(self):
         spec = SceneSpec(kind="ScaledPair", triangle_count=80,
                          scale_factors=(1.0, 8.0), refine_scaled=True)

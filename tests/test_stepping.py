@@ -381,6 +381,23 @@ class TestImplicit:
         with pytest.raises(ValueError):
             implicit_step(system, StepConfig(mode=mode))
 
+    @pytest.mark.parametrize("dtype", [REAL, np.float64])
+    def test_rel_change_rounds_as_the_per_vector_formula(self, rng, dtype):
+        # the Picard driver tests all halves at once; each change must equal,
+        # bit for bit, the scalar formula applied to one 3-vector at a time
+        def reference(new, old, floor=1e-9):
+            scale = max(float(np.linalg.norm(new)), float(np.linalg.norm(old)))
+            return 0.0 if scale < floor else float(np.linalg.norm(new - old)) / scale
+
+        n = 400
+        new = (rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-12, 6, size=(n, 1))).astype(REAL)
+        old = (new * rng.uniform(0.9, 1.1, size=(n, 6))).astype(dtype)
+        new[:40], old[20:60] = 0.0, 0.0  # zero wrenches, and zero against zero
+        got = stepping._rel_change(new, old)
+        want = [[reference(new[i, h], old[i, h]) for h in (slice(0, 3), slice(3, 6))]
+                for i in range(n)]
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
 
 def mesh_leaves(forest, k):
     """Mesh triangle indices under every id of tree ``k``, keyed by the id
