@@ -84,13 +84,13 @@ def cmd_run(args) -> int:
 
     t_start = time.perf_counter()
     scene = build_scene(config.scene, epsilon=config.kernel.epsilon)
-    system = system_from_scene(scene, config.kernel, config.n_surrogate)
+    system = system_from_scene(scene, n_surrogate=config.n_surrogate)
 
     steps = []
     for index in range(config.n_steps):
         t0 = time.perf_counter()
         try:
-            stats = step(system, config.step, config.kernel)
+            stats = step(system, config.step)
         except PicardDiverged as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DIVERGED

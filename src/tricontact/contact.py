@@ -97,8 +97,8 @@ class ForceModelParams:
     k_s: float = 1000.0
 
     def __post_init__(self):
-        if self.k_s <= 0.0:
-            raise ValueError("spring constant must be positive")
+        if not 0.0 < self.k_s < np.inf:
+            raise ValueError("spring constant k_s must be positive and finite")
 
 
 def immovable_mass() -> MassProperties:

@@ -53,39 +53,31 @@ class Kind(IntEnum):
     NOT_TERMINATED = 2
 
 
+# The iterative kernel's method constants: its sweep count, the factors on
+# the pair's halo of its two settle tests, the penalty weight and diagonal
+# regulariser as factors on the pair's largest squared edge length (so the
+# update is invariant under uniform scaling), and the start value of every
+# barycentric coordinate.
+N_ITERATIVE = 4
+C_FACTOR = 1.0
+MOVE_FACTOR = 0.25
+ALPHA_ITERATIVE = 10.0
+ALPHA_REGULARISER = 1e-4
+START_COORD = 1.0 / 3.0
+
+
 @dataclass
 class KernelParams:
-    """Tunables of the iterative/hybrid kernels.
-
-    ``epsilon`` is the finest-level halo width (relative to a particle
-    diameter of one).  ``alpha_iterative`` and ``alpha_regulariser`` are
-    dimensionless factors: the penalty weight and the diagonal regulariser
-    applied per pair are ``factor * max_squared_edge_length`` so that the
-    update is invariant under uniform scaling of the geometry.
-    ``c_factor`` scales the functional-change settle test and
-    ``move_factor`` the contact-point-movement settle test of the
-    iterative kernel.
-    """
+    """The run's finest-level halo width ``epsilon`` (relative to a particle
+    diameter of one), which ``build_scene`` takes.  The kernels' settings are
+    the constants ``N_ITERATIVE``, ``C_FACTOR``, ``MOVE_FACTOR``,
+    ``ALPHA_ITERATIVE``, ``ALPHA_REGULARISER`` and ``START_COORD``."""
 
     epsilon: float = 1e-2
-    n_iterative: int = 4
-    c_factor: float = 1.0
-    alpha_iterative: float = 10.0
-    alpha_regulariser: float = 1e-4
-    move_factor: float = 0.25
-    start_coord: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.n_iterative < 1:
-            raise ValueError("n_iterative must be at least 1")
-        if self.c_factor <= 0.0:
-            raise ValueError("c_factor must be positive")
-        if self.move_factor <= 0.0:
-            raise ValueError("move_factor must be positive")
-        if self.alpha_iterative <= 0.0 or self.alpha_regulariser <= 0.0:
-            raise ValueError("penalty weights must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass
@@ -412,7 +404,7 @@ def _penalty_gradient(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return alpha * (side + shared)
 
 
-def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, eps) -> BatchResult:
+def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     """Fixed-count alternating descent on the penalised distance functional.
 
     Each sweep relaxes the barycentric coordinates of both triangles in
@@ -428,13 +420,15 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     coordinate descent, and each sweep ends on a feasible iterate whose
     separation can only overestimate the true distance.
 
-    After ``n_iterative`` sweeps a pair counts as settled when the
-    functional change between the two last sweeps is within ``c_factor *
-    eps`` and the contact-point movement is within ``move_factor * eps``
+    After ``N_ITERATIVE`` sweeps a pair counts as settled when the
+    functional change between the two last sweeps is within ``C_FACTOR *
+    eps`` and the contact-point movement is within ``MOVE_FACTOR * eps``
     (the functional test alone is blind for deep pairs whose functional
     value sits below the threshold scale).  Settled pairs with a small
     quadratic value are contacts, settled pairs with a large one are
-    non-contacts, everything else is left open.
+    non-contacts, everything else is left open.  The penalty weight
+    ``ALPHA_ITERATIVE``, the regulariser ``ALPHA_REGULARISER`` and the start
+    coordinate ``START_COORD`` are read at each call, like the other three.
 
     The batch is worked on per coordinate: vectors are ``(3, n)`` arrays
     and each coordinate a length-n row, updated in place in a few
@@ -453,8 +447,8 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     e1b, e2b = vb[1] - vb[0], vb[2] - vb[0]
     dirs = (e1a, e2a, -e1b, -e2b)  # d(diff)/d(coord k)
     sq = _pair_max_sq_edge(va, vb)
-    alpha_it = params.alpha_iterative * sq
-    alpha_reg = params.alpha_regulariser * sq
+    alpha_it = ALPHA_ITERATIVE * sq
+    alpha_reg = ALPHA_REGULARISER * sq
 
     def denominator(e):
         return np.maximum(_dot(e, e, np.empty(n, dtype=REAL), t) + alpha_reg, _TINY)
@@ -466,7 +460,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     e3a, e3b = e2a - e1a, e2b - e1b
     slides = ((e3a, denominator(e3a)), (-e3b, denominator(e3b)))
 
-    x = np.full((4, n), params.start_coord, dtype=REAL)
+    x = np.full((4, n), START_COORD, dtype=REAL)
     d = va[0] - vb[0]  # the difference vector p_a(x) - p_b(x)
     for k, e in enumerate(dirs):
         d += np.multiply(x[k], e, out=vec)
@@ -493,7 +487,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
     midpoint -= np.multiply(d, 0.5, out=vec)
     new_mid = np.empty((3, n), dtype=REAL)
     move = np.empty(n, dtype=REAL)
-    for _ in range(params.n_iterative):
+    for _ in range(N_ITERATIVE):
         j_old, j_total = j_total, j_old
         for k, e in enumerate(dirs):
             # descent substep on the quadratic part along the coordinate,
@@ -532,9 +526,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
 
     jh = _dot(d, d, t, u)
     jh *= 0.5
-    settled = (np.abs(j_total - j_old) <= params.c_factor * eps) & (
-        move <= params.move_factor * eps
-    )
+    settled = (np.abs(j_total - j_old) <= C_FACTOR * eps) & (move <= MOVE_FACTOR * eps)
     contact = settled & (jh <= 2.0 * eps * eps)
 
     kind = np.full(n, np.int8(Kind.NOT_TERMINATED))
@@ -550,14 +542,8 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, params: KernelParams, 
                        np.ascontiguousarray(point_b.T))
 
 
-def hybrid_batch(
-    tri_a: np.ndarray,
-    tri_b: np.ndarray,
-    params: KernelParams,
-    counters: KernelCounters | None,
-    eps,
-    allow_fallback=True,
-) -> BatchResult:
+def hybrid_batch(tri_a: np.ndarray, tri_b: np.ndarray, counters: KernelCounters | None, eps,
+                 allow_fallback=True) -> BatchResult:
     """Iterative kernel with comparison-based postprocessing of open pairs.
 
     ``allow_fallback`` may be a boolean or a per-pair mask; pairs whose
@@ -567,7 +553,7 @@ def hybrid_batch(
     B = as_triangles(tri_b)
     n = A.shape[0]
     eps = _as_eps(eps, n)
-    res = iterative_batch(A, B, params, eps)
+    res = iterative_batch(A, B, eps)
     if counters is not None:
         counters.iterative_invocations += n
 
@@ -592,27 +578,25 @@ def hybrid_batch(
 # ---------------------------------------------------------------------------
 
 
-def _functional_terms(t1, t2, coords, params: KernelParams):
+def _functional_terms(t1, t2, coords):
     """One pair's directions ``d(diff)/d(coord k)``, difference vector
     ``(3, 1)``, coordinates ``(4, 1)`` and penalty weight at ``coords``."""
     va, vb = _coordinates(t1), _coordinates(t2)
     x = np.array(coords, dtype=REAL).reshape(4, 1)
     dirs = (va[1] - va[0], va[2] - va[0], vb[0] - vb[1], vb[0] - vb[2])
     d = va[0] - vb[0] + sum(x[k] * e for k, e in enumerate(dirs))
-    return dirs, d, x, params.alpha_iterative * _pair_max_sq_edge(va, vb)
+    return dirs, d, x, ALPHA_ITERATIVE * _pair_max_sq_edge(va, vb)
 
 
-def functional_value(t1, t2, a1, b1, a2, b2, params: KernelParams | None = None) -> float:
+def functional_value(t1, t2, a1, b1, a2, b2) -> float:
     """Value of the penalised distance functional at given coordinates."""
-    params = params or KernelParams()
-    _, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2), params)
+    _, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2))
     penalty = _penalty(x, alpha, np.empty(1, dtype=REAL), np.empty(1, dtype=REAL))
     return 0.5 * float((d * d).sum()) + float(penalty[0])
 
 
-def gradient_of_J(t1, t2, a1, b1, a2, b2, params: KernelParams | None = None) -> np.ndarray:
+def gradient_of_J(t1, t2, a1, b1, a2, b2) -> np.ndarray:
     """Analytic gradient of the penalised functional, subgradient 0 at kinks."""
-    params = params or KernelParams()
-    dirs, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2), params)
+    dirs, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2))
     grad_hat = np.array([(d * e).sum() for e in dirs], dtype=REAL)
     return grad_hat + _penalty_gradient(x, alpha)[:, 0]

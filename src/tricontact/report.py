@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from . import scenes, stepping, surrogate
+from . import kernels, scenes, stepping, surrogate
 from .contact import ForceModelParams
 from .kernels import KernelParams
 from .scenes import SceneSpec
@@ -37,6 +37,12 @@ RETIRED = {
     "fit.shrink": surrogate.SHRINK,
     "fit.grow": surrogate.GROW,
     "fit.post_scale": 1.0,
+    "kernel.n_iterative": kernels.N_ITERATIVE,
+    "kernel.c_factor": kernels.C_FACTOR,
+    "kernel.move_factor": kernels.MOVE_FACTOR,
+    "kernel.alpha_iterative": kernels.ALPHA_ITERATIVE,
+    "kernel.alpha_regulariser": kernels.ALPHA_REGULARISER,
+    "kernel.start_coord": kernels.START_COORD,
     "scene.plane_extent": scenes.PLANE_EXTENT,
     "scene.gravity": scenes.GRAVITY,
     "scene.noise_octaves": scenes.NOISE_OCTAVES,
@@ -54,19 +60,28 @@ class SchemaMismatch(ValueError):
     pass
 
 
+# what a field declared ``int`` or ``float`` takes; a bool is not a number here
+_NUMBERS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
 def _section(data, path: str, cls=None) -> dict:
     """The keys of ``cls`` in the config section at the dotted ``path``
     (``""`` at the top level).  Retired keys and sections are checked
     against ``RETIRED`` and dropped; a ``ValueError`` names the first other
-    key, or a retired key that holds another value."""
+    key, a retired key that holds another value, or a key whose value is
+    not of its field's declared type (``_NUMBERS``)."""
     where = path.rstrip(".") or "top level"
     if not isinstance(data, dict):
         raise ValueError(f"section {where!r} must be an object")
-    live = {f.name for f in fields(cls)} if cls else set()
+    live = {f.name: f.type for f in fields(cls)} if cls else {}
     out = {}
     for key in sorted(data):
         name = path + key
         if key in live:
+            if live[key] in _NUMBERS:
+                want, what = _NUMBERS[live[key]]
+                if isinstance(data[key], bool) or not isinstance(data[key], want):
+                    raise ValueError(f"{name} must be {what}, not {json.dumps(data[key])}")
             out[key] = data[key]
         elif name in RETIRED:
             if RETIRED[name] is not ANY and data[key] != RETIRED[name]:
@@ -106,21 +121,14 @@ class RunConfig:
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
         data = _section(data, "", RunConfig)
-        scene = SceneSpec.from_dict(_section(data.get("scene", {}), "scene.", SceneSpec))
-        step_data = _section(data.get("step", {}), "step.", StepConfig)
+        scene = SceneSpec.from_dict(_section(data.pop("scene", {}), "scene.", SceneSpec))
+        step_data = _section(data.pop("step", {}), "step.", StepConfig)
         force = _section(step_data.pop("force", None) or {}, "step.force.", ForceModelParams)
         step = StepConfig(**step_data)
         if force:
             step.force = ForceModelParams(**force)
-        kernel = KernelParams(**_section(data.get("kernel", {}), "kernel.", KernelParams))
-        return RunConfig(
-            scene=scene,
-            step=step,
-            kernel=kernel,
-            n_surrogate=int(data.get("n_surrogate", 8)),
-            n_steps=int(data.get("n_steps", 10)),
-            seed=int(data.get("seed", 0)),
-        )
+        kernel = KernelParams(**_section(data.pop("kernel", {}), "kernel.", KernelParams))
+        return RunConfig(scene=scene, step=step, kernel=kernel, **data)
 
 
 def step_record(stats, wall_time_ms: float) -> dict:

@@ -207,8 +207,8 @@ def noisy_sphere_by_count(triangle_count: int, eta_r: float,
     the radial (surface normal) direction, scaled by hierarchical value
     noise, so the result stays a closed star-shaped surface.
     """
-    if eta_r < 1.0:
-        raise InvalidSpec("eta_r must be >= 1")
+    if not 1.0 <= eta_r < np.inf:
+        raise InvalidSpec("eta_r must be finite and >= 1")
     verts, faces = sphere_mesh(triangle_count)
     if eta_r > 1.0:
         noise = value_noise(verts, seed)
@@ -292,8 +292,12 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
             raise InvalidSpec(f"unknown scene kind {self.kind!r}")
-        if self.eta_r < 1.0:
-            raise InvalidSpec("eta_r must be >= 1 (1 = perfect sphere)")
+        if not 1.0 <= self.eta_r < np.inf:
+            raise InvalidSpec("eta_r must be finite and >= 1 (1 = perfect sphere)")
+        for name in ("approach_speed", "initial_gap", "relative_tilt_deg", "plane_tilt_deg",
+                     "drop_height"):
+            if not abs(getattr(self, name)) < np.inf:
+                raise InvalidSpec(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.triangle_count not in _SPHERE_RECIPES:
             raise InvalidSpec(f"unsupported triangle count {self.triangle_count}")
         if not _numbers(self.grid_shape, 3, lambda n: isinstance(n, int) and n >= 1):

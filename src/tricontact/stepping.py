@@ -68,8 +68,8 @@ class StepConfig:
     force: ForceModelParams = field(default_factory=ForceModelParams)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_picard_iterations < 1:
@@ -193,7 +193,7 @@ def system_from_scene(scene, kernel_params: KernelParams | None = None,
                       n_surrogate: int = 8) -> System:
     """Build particles (mass properties + surrogate trees) from a scene.
 
-    ``kernel_params`` is not read: each step takes its own."""
+    ``kernel_params`` is not read: the halo widths come with the scene."""
     particles = []
     for idx, sp in enumerate(scene.particles):
         tris = mesh_to_triangles(sp.vertices, sp.faces)
@@ -284,7 +284,7 @@ _FLAT_SLICE = 16384
 
 
 def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
-                          params: KernelParams, stats: StepStats) -> Contacts:
+                          stats: StepStats) -> Contacts:
     """Unmerged contacts of all mesh-row pairings of the pairs ``pairs``
     (flat detection, the brute-force baseline: no cull).
 
@@ -303,7 +303,7 @@ def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
         eps = 0.5 * (forest.eps[rows_k[0]] + forest.eps[rows_l[0]])
         for s in range(0, gi.size, _FLAT_SLICE):
             a, b = gi[s:s + _FLAT_SLICE], gj[s:s + _FLAT_SLICE]
-            res = hybrid_batch(world[a], world[b], params, stats.kernel, eps)
+            res = hybrid_batch(world[a], world[b], stats.kernel, eps)
             stats.record_checks(0, a.size)
             found.append(forest.contacts(res, res.kind == np.int8(Kind.CONTACT), a, b))
     return Contacts.concat(found)
@@ -335,7 +335,7 @@ _SLICE = 1024
 
 
 def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
-                       params: KernelParams, stats: StepStats, surrogate_contacts: bool):
+                       stats: StepStats, surrogate_contacts: bool):
     """Examine the :class:`Forest` pairings ``(gi[k], gj[k])`` of any pairs.
 
     Every pairing counts as a check in its height bin (the larger height
@@ -361,7 +361,7 @@ def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np
         rows = live[s:s + _SLICE]
         a, b = gi[rows], gj[rows]
         both_fine = np.maximum(forest.height[a], forest.height[b]) == 0
-        res = hybrid_batch(world[a], world[b], params, stats.kernel,
+        res = hybrid_batch(world[a], world[b], stats.kernel,
                            0.5 * (forest.eps[a] + forest.eps[b]), allow_fallback=both_fine)
         is_contact = res.kind == np.int8(Kind.CONTACT)
         found.append(forest.contacts(res, is_contact if surrogate_contacts
@@ -393,7 +393,7 @@ def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
 
 
 def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
-                        params: KernelParams, stats: StepStats) -> Contacts:
+                        stats: StepStats) -> Contacts:
     """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
     together from their roots: one :func:`_evaluate_pairings` per level.
 
@@ -405,7 +405,7 @@ def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     gi, gj = forest.roots(pairs)
     found = []
     while gi.size:
-        contacts, split = _evaluate_pairings(forest, world, gi, gj, params, stats,
+        contacts, split = _evaluate_pairings(forest, world, gi, gj, stats,
                                              surrogate_contacts=False)
         found.append(contacts)
         gi, gj = _split_pairings(forest, gi[split], gj[split])
@@ -429,9 +429,8 @@ class _FusedDetector:
     settled sweep is a complete mesh-level detection at that sweep's poses.
     """
 
-    def __init__(self, system: System, params: KernelParams, stats: StepStats):
+    def __init__(self, system: System, stats: StepStats):
         self.system = system
-        self.params = params
         self.stats = stats
         self.forest = system.forest
         self.pairs = broad_phase_pairs(system)
@@ -442,14 +441,14 @@ class _FusedDetector:
         gi, gj = self.frontier
         found, split = _evaluate_pairings(
             self.forest, self.forest.world(guess_motions, self.pairs), gi, gj,
-            self.params, self.stats, surrogate_contacts=True)
+            self.stats, surrogate_contacts=True)
         if split.any():
             ki, kj = _split_pairings(self.forest, gi[split], gj[split])
             self.frontier = (np.concatenate([gi[~split], ki]), np.concatenate([gj[~split], kj]))
         return merge_contacts(found, [p.epsilon for p in self.system.particles]), not split.any()
 
 
-def _detector(system: System, mode: str, params: KernelParams, stats: StepStats):
+def _detector(system: System, mode: str, stats: StepStats):
     """``detect(motions) -> (merged contacts, settled)`` for ``mode``.
 
     The fused mode keeps its frontier across calls (:class:`_FusedDetector`).
@@ -458,14 +457,14 @@ def _detector(system: System, mode: str, params: KernelParams, stats: StepStats)
     the trees unfolded from their roots, and one merge.
     """
     if mode == "ImplicitMultiscalePicard":
-        return _FusedDetector(system, params, stats)
+        return _FusedDetector(system, stats)
 
     def detect(motions):
         pairs = broad_phase_pairs(system, motions)
         stats.broad_phase_pairs = len(pairs)
         flat = mode in ("ExplicitSingle", "ImplicitSingle")
         find = single_level_contacts if flat else multiscale_contacts
-        found = find(system.forest, motions, pairs, params, stats)
+        found = find(system.forest, motions, pairs, stats)
         return merge_contacts(found, [p.epsilon for p in system.particles]), True
     return detect
 
@@ -511,15 +510,14 @@ def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def explicit_step(system: System, cfg: StepConfig,
-                  params: KernelParams | None = None) -> StepStats:
+def explicit_step(system: System, cfg: StepConfig) -> StepStats:
     """One explicit Euler step: detect, move geometry, then update velocities."""
     if cfg.mode not in EXPLICIT_MODES:
         raise ValueError(f"explicit_step cannot run mode {cfg.mode}")
     stats = StepStats()
     stats.begin_sweep()
     motions = [p.motion for p in system.particles]
-    contacts, _ = _detector(system, cfg.mode, params or KernelParams(), stats)(motions)
+    contacts, _ = _detector(system, cfg.mode, stats)(motions)
     stats.contacts_merged = len(contacts)
     omegas = [p.omega for p in system.particles]
     _, _, dv, domega = _rates(system, cfg, contacts, motions, omegas)
@@ -553,8 +551,7 @@ THETA_GROW = 1.2
 THETA_SHRINK = 0.5
 
 
-def implicit_step(system: System, cfg: StepConfig,
-                  params: KernelParams | None = None) -> StepStats:
+def implicit_step(system: System, cfg: StepConfig) -> StepStats:
     """One implicit Euler step in any implicit mode: relaxed Picard sweeps
     on guessed end-of-step states, then the commit.
 
@@ -571,7 +568,7 @@ def implicit_step(system: System, cfg: StepConfig,
     if cfg.mode not in IMPLICIT_MODES:
         raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
     stats = StepStats()
-    detect = _detector(system, cfg.mode, params or KernelParams(), stats)
+    detect = _detector(system, cfg.mode, stats)
     motions = [p.motion for p in system.particles]
     v_guess = [p.v.copy() for p in system.particles]
     w_guess = [p.omega.copy() for p in system.particles]
@@ -630,7 +627,7 @@ def implicit_step(system: System, cfg: StepConfig,
 
 
 def step(system: System, cfg: StepConfig, params: KernelParams | None = None) -> StepStats:
-    """Advance one step in the configured mode."""
+    """Advance one step in the configured mode; ``params`` is not read."""
     if cfg.mode in EXPLICIT_MODES:
-        return explicit_step(system, cfg, params)
-    return implicit_step(system, cfg, params)
+        return explicit_step(system, cfg)
+    return implicit_step(system, cfg)

@@ -259,7 +259,7 @@ class SurrogateTree:
     ``parent`` is -1 at the root, ``height`` 1 at a leaf.  The constructor
     derives both and ``kid_start``, and raises ``ValueError`` unless the
     given arrays form a tree, each child numbered after its parent, over a
-    permutation of the mesh, with a positive ``finest_epsilon``.
+    permutation of the mesh, with a positive finite ``finest_epsilon``.
     """
 
     tri: np.ndarray
@@ -281,8 +281,8 @@ class SurrogateTree:
             raise ValueError("tree arrays have inconsistent lengths")
         if (self.kid_count < 1).any():
             raise ValueError("a tree node has no children")
-        if not self.finest_epsilon > 0.0:
-            raise ValueError("finest_epsilon must be positive")
+        if not 0.0 < self.finest_epsilon < np.inf:
+            raise ValueError("finest_epsilon must be positive and finite")
         n_fine = self.kids.size - (n - 1)
         if self.kids.min() < 1 or self.kids.max() >= n + n_fine:
             raise ValueError("tree child id out of range")
@@ -379,7 +379,7 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int, seed: int = 0,
     over the immediate children, which by transitivity contains all leaf
     geometry.  Identical inputs yield identical trees.  ``n_surrogate``
     must be at least 2, or a split would never shrink a node, and
-    ``finest_epsilon`` positive.
+    ``finest_epsilon`` positive and finite.
     """
     triangles = as_triangles(triangles)
     if triangles.shape[0] == 0:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from tricontact import kernels
 from tricontact.geometry import REAL, as_triangles
 from tricontact.kernels import (_TINY, BatchResult, Kind, _as_eps,
                                 _closest_segment_segment, _segment_triangle_crossings,
@@ -348,7 +349,7 @@ def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     return BatchResult(kind, distance, point_a, point_b)
 
 
-def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
+def iterative_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     """The iterative kernel on ``(n, 3)`` rows with ``einsum`` dot products."""
     A = as_triangles(tri_a)
     B = as_triangles(tri_b)
@@ -363,8 +364,8 @@ def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
     dirs = (e1a, e2a, -e1b, -e2b)  # d(diff)/d(coord k)
 
     sq = _pair_max_sq_edge(A, B)
-    alpha_it = params.alpha_iterative * sq
-    alpha_reg = params.alpha_regulariser * sq
+    alpha_it = kernels.ALPHA_ITERATIVE * sq
+    alpha_reg = kernels.ALPHA_REGULARISER * sq
     denom = np.stack(
         [np.einsum("ij,ij->i", e, e) for e in dirs],
         axis=1,
@@ -378,7 +379,7 @@ def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
     denom3a = np.maximum(np.einsum("ij,ij->i", e3a, e3a) + alpha_reg, _TINY)
     denom3b = np.maximum(np.einsum("ij,ij->i", e3b, e3b) + alpha_reg, _TINY)
 
-    x = np.full((n, 4), params.start_coord, dtype=REAL)
+    x = np.full((n, 4), kernels.START_COORD, dtype=REAL)
 
     def diff_vec(x):
         return (
@@ -402,7 +403,7 @@ def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
     # threshold scale (deep contacts), so both are tracked
     midpoint = A[:, 0] + x[:, 0, None] * e1a + x[:, 1, None] * e2a - 0.5 * d
     move = np.full(n, np.inf, dtype=REAL)
-    for _ in range(params.n_iterative):
+    for _ in range(kernels.N_ITERATIVE):
         j_old = j_total
         for k, e in enumerate(dirs):
             # descent substep on the quadratic part along the coordinate,
@@ -432,8 +433,8 @@ def iterative_batch_reference(tri_a, tri_b, params, eps) -> BatchResult:
         midpoint = new_mid
 
     jh = 0.5 * np.einsum("ij,ij->i", d, d)
-    settled = (np.abs(j_total - j_old) <= params.c_factor * eps) & (
-        move <= params.move_factor * eps
+    settled = (np.abs(j_total - j_old) <= kernels.C_FACTOR * eps) & (
+        move <= kernels.MOVE_FACTOR * eps
     )
     contact = settled & (jh <= 2.0 * eps * eps)
 

@@ -14,7 +14,7 @@ from oracles import sampling_distance_batch
 from conftest import sphere_triangles
 from tricontact.contact import merge_contacts
 from tricontact.geometry import RigidMotion, mesh_to_triangles
-from tricontact.kernels import (KernelParams, comparison_batch,
+from tricontact.kernels import (C_FACTOR, KernelParams, comparison_batch,
                                 functional_value, gradient_of_J, hybrid_batch)
 from tricontact.report import RunConfig, build_report, step_record, strip_volatile
 from tricontact.scenes import SceneSpec, build_scene, generate_noisy_sphere
@@ -76,8 +76,8 @@ def test_criterion_1_kernel_oracle_equivalence():
     never_above = bool((exact.distance <= oracle + 1e-9).all())
     within_grid = bool((oracle - exact.distance <= bound + 1e-9).all())
 
-    hybrid = hybrid_batch(A, B, params, None, eps)
-    band = np.abs(exact.distance - 2.0 * params.epsilon) <= params.c_factor * params.epsilon
+    hybrid = hybrid_batch(A, B, None, eps)
+    band = np.abs(exact.distance - 2.0 * params.epsilon) <= C_FACTOR * params.epsilon
     out_of_band_mismatch = int(((hybrid.kind != exact.kind) & ~band).sum())
 
     ok = never_above and within_grid and out_of_band_mismatch == 0
@@ -88,7 +88,6 @@ def test_criterion_1_kernel_oracle_equivalence():
 
 
 def test_criterion_2_gradient_check():
-    params = KernelParams()
     rng = np.random.default_rng(20260802)
     h = 1e-6
     worst = 0.0
@@ -104,13 +103,13 @@ def test_criterion_2_gradient_check():
         kink_dist = min(kink_dist, abs(x[0] + x[1] - 1.0), abs(x[2] + x[3] - 1.0))
         if kink_dist < 10.0 * h:
             continue
-        g = gradient_of_J(A, B, *x, params)
+        g = gradient_of_J(A, B, *x)
         fd = np.empty(4)
         for i in range(4):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd[i] = (functional_value(A, B, *xp, params) - functional_value(A, B, *xm, params)) / (2 * h)
+            fd[i] = (functional_value(A, B, *xp) - functional_value(A, B, *xm)) / (2 * h)
         denom = max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, float(np.linalg.norm(g - fd)) / denom)
         checked += 1
@@ -141,10 +140,10 @@ def test_criterion_3_lemma_equivalence():
                 rng, translation=(1.0 + gap, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)))
             motions = [p.motion for p in system.particles]
             single = merge_contacts(
-                single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
+                single_level_contacts(system.forest, motions, [(0, 1)], StepStats()),
                 params.epsilon)
             multi = merge_contacts(
-                multiscale_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
+                multiscale_contacts(system.forest, motions, [(0, 1)], StepStats()),
                 params.epsilon)
             scenes += 1
             if len(single) != len(multi):

@@ -114,6 +114,12 @@ class TestRun:
         ("scene", "plane_extent", 8.0, 2),
         ("scene", "gravity", 1.62, 2),
         ("scene", "noise_octaves", 1, 2),
+        ("kernel", "n_iterative", 1, 2),
+        ("kernel", "c_factor", 2.0, 2),
+        ("kernel", "move_factor", 0.5, 2),
+        ("kernel", "alpha_iterative", 1.0, 2),
+        ("kernel", "alpha_regulariser", 1e-3, 2),
+        ("kernel", "start_coord", 0.25, 2),
     ])
     def test_fit_post_scale_in_config(self, tmp_path, capsys, section, key, value, expected):
         # configs and reports written while these retired options existed
@@ -182,7 +188,7 @@ class TestRun:
         del old["fit"]
         for name in RETIRED:
             section, _, key = name.rpartition(".")
-            if section in ("scene", "step"):
+            if section in ("scene", "step", "kernel"):
                 old[section].pop(key, None)
         assert load_report(out)["config"] == old
 
@@ -355,8 +361,31 @@ class TestCompare:
         assert out["counter_ratios"]["total_checks"] > 1.0
 
 
+# config files whose values are not of their field's type or not finite,
+# each with the key its error line names
+BAD_CONFIGS = {
+    "n_steps-2.9": ({"n_steps": 2.9}, "n_steps"),
+    "n_steps-true": ({"n_steps": True}, "n_steps"),
+    "n_surrogate-2.5": ({"n_surrogate": 2.5}, "n_surrogate"),
+    "max_picard_iterations-2.5": ({"step": {"max_picard_iterations": 2.5}},
+                                  "max_picard_iterations"),
+    "dt-string": ({"step": {"dt": "1e-4"}}, "dt"),
+    "k_s-nan": ({"step": {"force": {"k_s": float("nan")}}}, "k_s"),
+    "approach_speed-nan": ({"scene": {"approach_speed": float("nan")}}, "approach_speed"),
+    "initial_gap-nan": ({"scene": {"initial_gap": float("nan")}}, "initial_gap"),
+    "drop_height-nan": ({"scene": {"drop_height": float("nan")}}, "drop_height"),
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("args, needle", [
+        *(pytest.param(["run", "--seed", "1", flag, value], key, id=f"run{flag}-{value}")
+          for flag, key in (("--dt", "dt"), ("--eta-r", "eta_r"), ("--epsilon", "epsilon"))
+          for value in ("nan", "inf")),
+        pytest.param(["build-tree", "--triangle-count", "20", "--epsilon", "inf",
+                      "--out", "{tmp}/tree.json"], "finest_epsilon", id="build-tree-epsilon-inf"),
+        *(pytest.param(["run", "--seed", "1", "--config", f"{{tmp}}/{name}.json"], needle,
+                       id=f"run-config-{name}") for name, (_, needle) in BAD_CONFIGS.items()),
         pytest.param(["run", "--seed", "1", "--steps", "0"], "n_steps", id="run-steps-0"),
         pytest.param(["run", "--seed", "1", "--steps", "1", "--triangle-count", "0"],
                      "triangle count 0", id="run-triangle-count-0"),
@@ -386,6 +415,8 @@ class TestBadInput:
         # stderr line, before any work and without a traceback
         (tmp_path / "v0.json").write_text(json.dumps({"version": 0}))
         (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf -6 3 2\n")
+        for name, (config, _) in BAD_CONFIGS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
         code = run_cli(*(a.format(tmp=tmp_path) for a in args))
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -40,7 +40,7 @@ def flat_contacts(tris_i, tris_j, offset_j, stats=None):
     """Single-level contacts of two meshes, the second one translated."""
     particles = [mesh_particle(tris_i), mesh_particle(tris_j, offset_j)]
     return single_level_contacts(Forest(particles, (0, 1)), [p.motion for p in particles],
-                                 [(0, 1)], KernelParams(), stats or StepStats())
+                                 [(0, 1)], stats or StepStats())
 
 
 def make_contacts(positions, normals, eps=1e-2, pair=(0, 1), level=(0, 0)):

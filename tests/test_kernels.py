@@ -5,9 +5,10 @@ from oracles import (central_difference, comparison_batch_reference,
                      iterative_batch_reference, mesh_pair_population,
                      sampling_distance_batch)
 
+from tricontact import kernels
 from tricontact.geometry import REAL, RigidMotion, triangle
-from tricontact.kernels import (DegenerateTriangle, KernelCounters, KernelParams,
-                                Kind, comparison_batch, functional_value,
+from tricontact.kernels import (ALPHA_ITERATIVE, C_FACTOR, DegenerateTriangle, KernelCounters,
+                                KernelParams, Kind, comparison_batch, functional_value,
                                 gradient_of_J, hybrid_batch, iterative_batch)
 
 from conftest import sphere_triangles
@@ -93,22 +94,20 @@ class TestComparison:
 
 class TestIterative:
     def test_parallel_offset_converges(self):
-        p = KernelParams()
-        r = iterative_batch(UNIT, offset(UNIT, dz=1.0), p, p.epsilon)
+        r = iterative_batch(UNIT, offset(UNIT, dz=1.0), EPS)
         assert r.kind[0] == Kind.NO_CONTACT
         assert r.distance[0] == pytest.approx(1.0, abs=1e-9)
         # J-hat = 0.5 * d^2 at the analytic minimum
         jh = 0.5 * r.distance[0]**2
         assert jh == pytest.approx(0.5, abs=1e-9)
 
-    def test_fixed_sweep_count(self, rng):
+    def test_fixed_sweep_count(self, rng, monkeypatch):
         # the iterative kernel does identical work regardless of input
         A = rng.normal(size=(50, 3, 3))
         B = rng.normal(size=(50, 3, 3))
-        p1 = KernelParams(n_iterative=1)
-        p4 = KernelParams(n_iterative=4)
-        r1 = iterative_batch(A, B, p1, np.full(50, 1e-2))
-        r4 = iterative_batch(A, B, p4, np.full(50, 1e-2))
+        r4 = iterative_batch(A, B, np.full(50, 1e-2))
+        monkeypatch.setattr(kernels, "N_ITERATIVE", 1)
+        r1 = iterative_batch(A, B, np.full(50, 1e-2))
         # more sweeps never increase the measured distance
         assert (r4.distance <= r1.distance + 1e-9).all()
 
@@ -116,18 +115,16 @@ class TestIterative:
         # degenerate flat valley: either unsettled within four sweeps or the
         # fallback-quality answer
         t2 = offset(UNIT, dx=5.0, dz=0.0)
-        p = KernelParams()
-        r = iterative_batch(UNIT, t2, p, p.epsilon)
-        exact = comparison_batch(UNIT, t2, p.epsilon)
+        r = iterative_batch(UNIT, t2, EPS)
+        exact = comparison_batch(UNIT, t2, EPS)
         assert (r.kind[0] == Kind.NOT_TERMINATED
-                or abs(r.distance[0] - exact.distance[0]) <= p.c_factor * p.epsilon + 1e-4)
+                or abs(r.distance[0] - exact.distance[0]) <= C_FACTOR * EPS + 1e-4)
 
     def test_converged_never_underestimates(self, rng):
         meshes = [sphere_triangles(1), sphere_triangles(2)]
         A, B = mesh_pair_population(rng, 1500, meshes)
-        p = KernelParams()
-        eps = np.full(len(A), p.epsilon)
-        it = iterative_batch(A, B, p, eps)
+        eps = np.full(len(A), EPS)
+        it = iterative_batch(A, B, eps)
         cm = comparison_batch(A, B, eps)
         settled = it.kind != np.int8(Kind.NOT_TERMINATED)
         # feasible final iterates can only overestimate the true distance
@@ -136,19 +133,18 @@ class TestIterative:
     def test_converged_contact_distances_accurate(self, rng):
         meshes = [sphere_triangles(1), sphere_triangles(2)]
         A, B = mesh_pair_population(rng, 1000, meshes)
-        p = KernelParams()
-        eps = np.full(len(A), p.epsilon)
-        it = iterative_batch(A, B, p, eps)
+        eps = np.full(len(A), EPS)
+        it = iterative_batch(A, B, eps)
         cm = comparison_batch(A, B, eps)
         contact = it.kind == np.int8(Kind.CONTACT)
         assert contact.any()
         err = np.abs(it.distance[contact] - cm.distance[contact])
-        assert err.max() <= p.c_factor * p.epsilon + 1e-4
+        assert err.max() <= C_FACTOR * EPS + 1e-4
 
     def test_barycentric_iterates_recorded_when_open(self, rng):
         # construct a crawling configuration that stays open
         t2 = offset(UNIT, dx=40.0, dz=0.01)
-        r = iterative_batch(UNIT, t2, KernelParams(), EPS)
+        r = iterative_batch(UNIT, t2, EPS)
         assert np.isfinite(r.point_a).all() and np.isfinite(r.point_b).all()
         assert np.isfinite(r.distance).all()
 
@@ -157,55 +153,50 @@ class TestGradient:
     def test_zero_at_interior_minimum(self):
         # two parallel offset triangles: the quadratic part is stationary at
         # matching coordinates, penalties inactive
-        p = KernelParams()
-        g = gradient_of_J(UNIT, offset(UNIT, dz=1.0), 0.3, 0.3, 0.3, 0.3, p)
+        g = gradient_of_J(UNIT, offset(UNIT, dz=1.0), 0.3, 0.3, 0.3, 0.3)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_matches_finite_differences_interior(self, rng):
-        p = KernelParams()
         worst = 0.0
         for _ in range(100):
             A = rng.normal(size=(3, 3))
             B = rng.normal(size=(3, 3)) + np.array([1.0, 0, 0])
             x = rng.uniform(0.05, 0.45, size=4)
-            g = gradient_of_J(A, B, *x, p)
-            fd = central_difference(lambda y: functional_value(A, B, *y, p), x)
+            g = gradient_of_J(A, B, *x)
+            fd = central_difference(lambda y: functional_value(A, B, *y), x)
             denom = max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, np.linalg.norm(g - fd) / denom)
         assert worst < 1e-4
 
     def test_penalty_contribution_active(self, rng):
-        p = KernelParams()
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 3)) + np.array([1.0, 0, 0])
         x = np.array([-0.1, 0.3, 0.3, 0.3])
-        g_active = gradient_of_J(A, B, *x, p)
-        g_inside = gradient_of_J(A, B, 0.1, 0.3, 0.3, 0.3, p)
+        g_active = gradient_of_J(A, B, *x)
+        g_inside = gradient_of_J(A, B, 0.1, 0.3, 0.3, 0.3)
         sq = max(
             np.einsum("ij,ij->i", A[[1, 2, 0]] - A, A[[1, 2, 0]] - A).max(),
             np.einsum("ij,ij->i", B[[1, 2, 0]] - B, B[[1, 2, 0]] - B).max(),
         )
         # the a1 component carries the -alpha_iterative penalty term
-        fd = central_difference(lambda y: functional_value(A, B, *y, p), x)
+        fd = central_difference(lambda y: functional_value(A, B, *y), x)
         assert np.linalg.norm(g_active - fd) / np.linalg.norm(fd) < 1e-4
-        assert g_active[0] - g_inside[0] == pytest.approx(-p.alpha_iterative * sq, rel=0.5)
+        assert g_active[0] - g_inside[0] == pytest.approx(-ALPHA_ITERATIVE * sq, rel=0.5)
 
     def test_subgradient_zero_exactly_at_kink(self):
-        p = KernelParams()
         A = UNIT
         B = offset(UNIT, dz=1.0)
-        g_at_kink = gradient_of_J(A, B, 0.0, 0.3, 0.3, 0.3, p)
-        g_inside = gradient_of_J(A, B, 1e-9, 0.3, 0.3, 0.3, p)
+        g_at_kink = gradient_of_J(A, B, 0.0, 0.3, 0.3, 0.3)
+        g_inside = gradient_of_J(A, B, 1e-9, 0.3, 0.3, 0.3)
         assert g_at_kink[0] == pytest.approx(g_inside[0], abs=1e-6)
 
 
 class TestHybrid:
     def test_pass_through_when_settled(self):
-        p = KernelParams()
         counters = KernelCounters()
         t2 = offset(UNIT, dz=1.0)
-        r_h = hybrid_batch(UNIT, t2, p, counters, p.epsilon)
-        r_i = iterative_batch(UNIT, t2, p, p.epsilon)
+        r_h = hybrid_batch(UNIT, t2, counters, EPS)
+        r_i = iterative_batch(UNIT, t2, EPS)
         assert r_i.kind[0] != Kind.NOT_TERMINATED
         assert r_h.kind[0] == r_i.kind[0]
         assert r_h.distance[0] == r_i.distance[0]
@@ -213,12 +204,11 @@ class TestHybrid:
         assert counters.fallback_invocations == 0
 
     def test_fallback_path_and_counters(self):
-        p = KernelParams()
         counters = KernelCounters()
         t2 = offset(UNIT, dx=40.0, dz=0.01)  # crawling configuration
-        r_i = iterative_batch(UNIT, t2, p, p.epsilon)
-        r_h = hybrid_batch(UNIT, t2, p, counters, p.epsilon)
-        r_c = comparison_batch(UNIT, t2, p.epsilon)
+        r_i = iterative_batch(UNIT, t2, EPS)
+        r_h = hybrid_batch(UNIT, t2, counters, EPS)
+        r_c = comparison_batch(UNIT, t2, EPS)
         assert r_h.kind[0] != Kind.NOT_TERMINATED
         if r_i.kind[0] == Kind.NOT_TERMINATED:
             assert counters.fallback_invocations == 1
@@ -228,19 +218,18 @@ class TestHybrid:
     def test_never_not_terminated(self, rng):
         A = rng.normal(size=(500, 3, 3))
         B = rng.normal(size=(500, 3, 3))
-        res = hybrid_batch(A, B, KernelParams(), None, 1e-2)
+        res = hybrid_batch(A, B, None, 1e-2)
         assert not (res.kind == np.int8(Kind.NOT_TERMINATED)).any()
 
     def test_classification_against_comparison(self, rng):
         meshes = [sphere_triangles(1), sphere_triangles(2)]
         A, B = mesh_pair_population(rng, 3000, meshes)
-        p = KernelParams()
-        eps = np.full(len(A), p.epsilon)
+        eps = np.full(len(A), EPS)
         counters = KernelCounters()
-        hy = hybrid_batch(A, B, p, counters, eps)
+        hy = hybrid_batch(A, B, counters, eps)
         cm = comparison_batch(A, B, eps)
         agree = hy.kind == cm.kind
-        band = np.abs(cm.distance - 2 * p.epsilon) <= p.c_factor * p.epsilon
+        band = np.abs(cm.distance - 2 * EPS) <= C_FACTOR * EPS
         assert agree.mean() >= 0.999
         assert (agree | band).all()
         assert counters.fallback_invocations <= counters.iterative_invocations
@@ -249,12 +238,11 @@ class TestHybrid:
     def test_fallback_gate(self, rng, gate):
         A = rng.normal(size=(500, 3, 3))
         B = rng.normal(size=(500, 3, 3))
-        p = KernelParams()
         allow = {"all": True, "none": False, "mask": np.arange(500) % 2 == 0}[gate]
         counters = KernelCounters()
-        res = hybrid_batch(A, B, p, counters, p.epsilon, allow_fallback=allow)
-        it = iterative_batch(A, B, p, p.epsilon)
-        cm = comparison_batch(A, B, p.epsilon)
+        res = hybrid_batch(A, B, counters, EPS, allow_fallback=allow)
+        it = iterative_batch(A, B, EPS)
+        cm = comparison_batch(A, B, EPS)
         open_ = it.kind == np.int8(Kind.NOT_TERMINATED)
         fallback = open_ & allow
         assert open_.sum() >= 10
@@ -268,17 +256,16 @@ class TestHybrid:
             assert np.array_equal(got[~fallback], getattr(it, name)[~fallback]), name
 
     def test_degenerate_propagates_only_from_fallback(self):
-        p = KernelParams()
         bad = triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
         far = offset(UNIT, dz=1.0)
         # a settled pair never consults the comparison kernel
-        r = hybrid_batch(bad, far, p, None, p.epsilon)
+        r = hybrid_batch(bad, far, None, EPS)
         assert r.kind[0] != Kind.NOT_TERMINATED
         # an open one does, and the comparison kernel cannot take it
         crossing = triangle([-1, -1, 1], [2, 1, 1], [1, 0, -1])
-        assert iterative_batch(bad, crossing, p, p.epsilon).kind[0] == Kind.NOT_TERMINATED
+        assert iterative_batch(bad, crossing, EPS).kind[0] == Kind.NOT_TERMINATED
         with pytest.raises(DegenerateTriangle):
-            hybrid_batch(bad, crossing, p, None, p.epsilon)
+            hybrid_batch(bad, crossing, None, EPS)
 
 
 class TestBatchClosest:
@@ -286,45 +273,40 @@ class TestBatchClosest:
 
     def test_empty(self):
         empty = np.empty((0, 3, 3))
-        p = KernelParams()
-        assert len(hybrid_batch(empty, empty, p, None, p.epsilon)) == 0
+        assert len(hybrid_batch(empty, empty, None, EPS)) == 0
 
     def test_single_pair_equals_hybrid(self):
-        p = KernelParams()
         t2 = offset(UNIT, dz=0.005)
-        single = hybrid_batch(UNIT, t2, p, None, p.epsilon)
-        batched = hybrid_batch([UNIT, UNIT], [t2, offset(UNIT, dz=1.0)], p, None, p.epsilon)
+        single = hybrid_batch(UNIT, t2, None, EPS)
+        batched = hybrid_batch([UNIT, UNIT], [t2, offset(UNIT, dz=1.0)], None, EPS)
         assert len(single) == 1
         assert batched.kind[0] == single.kind[0]
         assert batched.distance[0] == pytest.approx(single.distance[0])
 
     def test_elementwise_equals_map(self, rng):
-        p = KernelParams()
         A = rng.normal(size=(64, 3, 3))
         B = rng.normal(size=(64, 3, 3))
-        batched = hybrid_batch(A, B, p, None, p.epsilon)
+        batched = hybrid_batch(A, B, None, EPS)
         for k, (a, b) in enumerate(zip(A, B)):
-            want = hybrid_batch(a, b, p, None, p.epsilon)
+            want = hybrid_batch(a, b, None, EPS)
             assert batched.kind[k] == want.kind[0]
             assert batched.distance[k] == pytest.approx(want.distance[0], abs=1e-12)
 
     def test_counters_accumulate(self, rng):
-        p = KernelParams()
         counters = KernelCounters()
         A = rng.normal(size=(32, 3, 3))
         B = rng.normal(size=(32, 3, 3))
-        hybrid_batch(A, B, p, counters, p.epsilon)
+        hybrid_batch(A, B, counters, EPS)
         assert counters.iterative_invocations == 32
         assert counters.fallback_invocations <= 32
 
 
 class TestParams:
-    @pytest.mark.parametrize("field", ["epsilon", "c_factor", "move_factor",
-                                       "alpha_iterative", "alpha_regulariser"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field", ["epsilon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_rejected(self, field, value):
-        # with move_factor <= 0 no pair would ever settle and every pair
-        # would fall back to the comparison kernel without a word
+        # a NaN halo would fail every comparison unseen, an infinite one
+        # would put every pairing of every tree level in contact
         with pytest.raises(ValueError):
             KernelParams(**{field: value})
 
@@ -381,11 +363,10 @@ class TestAgainstReference:
             assert np.abs(a - b).max() <= tol, (label, name)
 
     def test_iterative(self, rng):
-        params = KernelParams()
         for label, (A, B) in self.batches(rng):
             eps = rng.uniform(1e-3, 5e-2, size=len(A))
-            self.assert_agree(label, iterative_batch(A, B, params, eps),
-                              iterative_batch_reference(A, B, params, eps), A, B)
+            self.assert_agree(label, iterative_batch(A, B, eps),
+                              iterative_batch_reference(A, B, eps), A, B)
 
     def test_comparison(self, rng):
         for label, (A, B) in self.batches(rng):

@@ -202,7 +202,7 @@ class TestBuildScene:
         for i, j in broad_phase_pairs(sys2):
             if interior in (i, j):
                 found = multiscale_contacts(sys2.forest, [p.motion for p in sys2.particles],
-                                            [(i, j)], KernelParams(), StepStats())
+                                            [(i, j)], StepStats())
                 if found:
                     partners.add(j if i == interior else i)
         assert len(partners) == 6

@@ -166,8 +166,7 @@ class TestMultiscaleDetection:
     def test_disjoint_roots_no_finest_checks(self):
         system = two_sphere_system(gap=4.0)
         stats = StepStats()
-        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
-                                    KernelParams(), stats)
+        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)], stats)
         assert len(found) == 0
         assert stats.finest_checks == 0
         assert stats.checks_by_level.get(max(stats.checks_by_level), 0) >= 1
@@ -190,11 +189,9 @@ class TestMultiscaleDetection:
             tip1 = verts1[np.argmin(verts1[:, 0])]
             gap = np.array([rng.uniform(-2.0 * params.epsilon, params.epsilon), 0.0, 0.0])
             p1.motion = RigidMotion(rot.rotation, tip0 - tip1 + gap)
-            single = single_level_contacts(system.forest, motions_of(system), [(0, 1)],
-                                           params, StepStats())
+            single = single_level_contacts(system.forest, motions_of(system), [(0, 1)], StepStats())
             assert single
-            multi = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
-                                        params, StepStats())
+            multi = multiscale_contacts(system.forest, motions_of(system), [(0, 1)], StepStats())
             ms = merge_contacts(single, params.epsilon)
             mm = merge_contacts(multi, params.epsilon)
             assert len(ms) == len(mm)
@@ -208,8 +205,7 @@ class TestMultiscaleDetection:
         spec = SceneSpec(kind="ParticleOnPlane", triangle_count=80, drop_height=0.0)
         system = system_from_scene(build_scene(spec), KernelParams())
         stats = StepStats()
-        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
-                                    KernelParams(), stats)
+        found = multiscale_contacts(system.forest, motions_of(system), [(0, 1)], stats)
         assert found
         # mixed-level pairings occurred (plane is finest while sphere is not)
         assert any(lvl > 0 for lvl in stats.checks_by_level)
@@ -222,14 +218,13 @@ class TestMultiscaleDetection:
         sizes = []
         original = stepping.hybrid_batch
 
-        def recording(A, B, params, counters, eps, allow_fallback=True):
+        def recording(A, B, counters, eps, allow_fallback=True):
             sizes.append(A.shape[0])
-            return original(A, B, params, counters, eps, allow_fallback)
+            return original(A, B, counters, eps, allow_fallback)
 
         monkeypatch.setattr(stepping, "hybrid_batch", recording)
         system = two_sphere_system(gap=1e-3, count=320)
-        multiscale_contacts(system.forest, motions_of(system), [(0, 1)],
-                            KernelParams(), StepStats())
+        multiscale_contacts(system.forest, motions_of(system), [(0, 1)], StepStats())
         assert len(sizes) > 2
         for prev, nxt in zip(sizes, sizes[1:]):
             assert nxt <= 64 * prev  # N_surrogate = 8
@@ -237,7 +232,7 @@ class TestMultiscaleDetection:
     def test_fallbacks_only_on_finest(self):
         system = two_sphere_system(gap=1e-3, count=320)
         stats = StepStats()
-        multiscale_contacts(system.forest, motions_of(system), [(0, 1)], KernelParams(), stats)
+        multiscale_contacts(system.forest, motions_of(system), [(0, 1)], stats)
         # comparison calls happen only as finest-level fallbacks
         assert stats.kernel.comparison_invocations == stats.kernel.fallback_invocations
         assert stats.kernel.fallback_invocations <= stats.finest_checks
@@ -282,8 +277,7 @@ class TestOneDetectionPath:
         runs = []
         for s in (system, bare):
             stats = StepStats()
-            runs.append((single_level_contacts(s.forest, motions_of(s), [(0, 1)],
-                                               KernelParams(), stats), stats))
+            runs.append((single_level_contacts(s.forest, motions_of(s), [(0, 1)], stats), stats))
         (got, got_stats), (want, want_stats) = runs
         assert len(got) and got_stats == want_stats
         for f in dataclasses.fields(got):
@@ -319,12 +313,12 @@ def test_three_detections_agree(seed, gap):
     p1.motion = RigidMotion(rot.rotation, verts0[np.argmax(verts0[:, 0])]
                             - verts1[np.argmin(verts1[:, 0])] + [gap, 0.0, 0.0])
     motions = motions_of(system)
-    params, eps = KernelParams(), [p.epsilon for p in system.particles]
+    eps = [p.epsilon for p in system.particles]
     multi = merge_contacts(
-        multiscale_contacts(system.forest, motions, [(0, 1)], params, StepStats()), eps)
+        multiscale_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
     single = merge_contacts(
-        single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()), eps)
-    detect = _FusedDetector(system, params, StepStats())
+        single_level_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
+    detect = _FusedDetector(system, StepStats())
     settled = False
     while not settled:
         fused, settled = detect(motions)
@@ -432,7 +426,7 @@ class TestFusedFrontier:
         swept = 0
         for _ in range(6):
             motions = random_contact_pose(system, rng)
-            detect = _FusedDetector(system, KernelParams(), StepStats())
+            detect = _FusedDetector(system, StepStats())
             for _ in range(8):
                 shift = rng.normal(scale=2e-3, size=3)
                 _, settled = detect([motions[0], RigidMotion(motions[1].rotation,
@@ -454,11 +448,10 @@ class TestFusedFrontier:
         # single-level contacts (criterion 3's tolerances)
         rng = np.random.default_rng(42)
         system = two_sphere_system(count=80)
-        params = KernelParams()
         found_any = False
         for _ in range(8):
             motions = random_contact_pose(system, rng)
-            detect = _FusedDetector(system, params, StepStats())
+            detect = _FusedDetector(system, StepStats())
             for _ in range(10):
                 contacts, settled = detect(motions)
                 if settled:
@@ -466,7 +459,7 @@ class TestFusedFrontier:
             assert settled
             assert all(max(c.level) == 0 for c in contacts)
             single = merge_contacts(
-                single_level_contacts(system.forest, motions, [(0, 1)], params, StepStats()),
+                single_level_contacts(system.forest, motions, [(0, 1)], StepStats()),
                 [p.epsilon for p in system.particles])
             assert len(contacts) == len(single)
             for a, b in zip(single, contacts):
@@ -633,7 +626,6 @@ class TestBatchedUnfolding:
         # one-pair call, and the counters of all one-pair calls together
         rng = np.random.default_rng(8)
         system = _cull_scene("grid")
-        params = KernelParams()
         touching = 0
         for _ in range(3):
             motions = [stepping.advance_motion(p, p.motion, rng.normal(scale=2e-3, size=3),
@@ -641,10 +633,10 @@ class TestBatchedUnfolding:
                        for p in system.particles]
             pairs = broad_phase_pairs(system, motions)
             batched, summed = StepStats(), StepStats()
-            found = multiscale_contacts(system.forest, motions, pairs, params, batched)
+            found = multiscale_contacts(system.forest, motions, pairs, batched)
             for i, j in pairs:
                 one = StepStats()
-                alone = multiscale_contacts(system.forest, motions, [(i, j)], params, one)
+                alone = multiscale_contacts(system.forest, motions, [(i, j)], one)
                 mine = sorted((c for c in found if c.pair == (i, j)), key=lambda c: c.source)
                 alone = sorted(alone, key=lambda c: c.source)
                 assert [(c.source, c.level) for c in mine] == [(c.source, c.level) for c in alone]
@@ -670,9 +662,9 @@ class TestBatchedUnfolding:
         sizes = []
         original = stepping.hybrid_batch
 
-        def recording(A, B, params, counters, eps, allow_fallback=True):
+        def recording(A, B, counters, eps, allow_fallback=True):
             sizes.append(A.shape[0])
-            return original(A, B, params, counters, eps, allow_fallback)
+            return original(A, B, counters, eps, allow_fallback)
 
         monkeypatch.setattr(stepping, "hybrid_batch", recording)
         system = copy.deepcopy(_cull_scene("grid"))
