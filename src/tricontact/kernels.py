@@ -235,9 +235,11 @@ def _segment_triangle_crossings(p, q, tris):
     """Proper crossings of segments [p,q] through triangle interiors.
 
     Returns ``(valid (n,), point (n, 3))``; coplanar grazing does not count
-    (those configurations are caught by the feature tests).
+    (those configurations are caught by the feature tests).  Evaluated in
+    float64 whatever ``REAL`` is: in float32 the Gram determinant of a
+    sliver triangle cancels, and far-off points test as inside.
     """
-    tris = as_triangles(tris)
+    p, q, tris = (np.asarray(x, dtype=np.float64) for x in (p, q, as_triangles(tris)))
     a = tris[:, 0]
     n = np.cross(tris[:, 1] - a, tris[:, 2] - a)
     dp = np.einsum("ij,ij->i", p - a, n)
@@ -260,7 +262,7 @@ def _segment_triangle_crossings(p, q, tris):
     b1 = (vv * wu - uv * wvv) / det_safe
     b2 = (uu * wvv - uv * wu) / det_safe
     inside = (b1 >= 0.0) & (b2 >= 0.0) & (b1 + b2 <= 1.0)
-    return crossing & inside, x
+    return crossing & inside, np.asarray(x, dtype=REAL)
 
 
 def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:

@@ -60,8 +60,9 @@ class SchemaMismatch(ValueError):
     pass
 
 
-# what a field declared ``int`` or ``float`` takes; a bool is not a number here
-_NUMBERS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+# what a field declared ``int``, ``float`` or ``bool`` takes; a bool is not a number
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false")}
 
 
 def _section(data, path: str, cls=None) -> dict:
@@ -69,7 +70,7 @@ def _section(data, path: str, cls=None) -> dict:
     (``""`` at the top level).  Retired keys and sections are checked
     against ``RETIRED`` and dropped; a ``ValueError`` names the first other
     key, a retired key that holds another value, or a key whose value is
-    not of its field's declared type (``_NUMBERS``)."""
+    not of its field's declared type (``_TYPES``)."""
     where = path.rstrip(".") or "top level"
     if not isinstance(data, dict):
         raise ValueError(f"section {where!r} must be an object")
@@ -78,9 +79,9 @@ def _section(data, path: str, cls=None) -> dict:
     for key in sorted(data):
         name = path + key
         if key in live:
-            if live[key] in _NUMBERS:
-                want, what = _NUMBERS[live[key]]
-                if isinstance(data[key], bool) or not isinstance(data[key], want):
+            if live[key] in _TYPES:
+                want, what = _TYPES[live[key]]
+                if isinstance(data[key], bool) != (want is bool) or not isinstance(data[key], want):
                     raise ValueError(f"{name} must be {what}, not {json.dumps(data[key])}")
             out[key] = data[key]
         elif name in RETIRED:

@@ -3,26 +3,27 @@
 Every mode detects through one :class:`Forest`, which stacks all
 particles' tree and mesh rows into one id space, and ``_detector`` picks
 the mode's detection in one place.  Candidate pairs come from one
-bounding-sphere test over all particle pairs.  The Single modes detect
-flat: all mesh-row pairings of every pair, the brute-force baseline,
-which reads no tree and culls nothing (:func:`single_level_contacts`).
-ExplicitMultiscale and ImplicitSurrogateInPicard unfold the trees of all
-pairs together from their roots, one batch per level
-(:func:`multiscale_contacts`).  ImplicitMultiscalePicard, the fused
-scheme, keeps a frontier of node pairings across the Picard sweeps of a
-step and widens it one level per sweep where contact is possible.  The
-three implicit modes share one Picard driver and differ only in this
-choice.
+bounding-sphere test over all particle pairs.  All kernel work takes one
+route, ``_kernel_pass``, and all tree detection one round, ``_refine``:
+count the checks, cull, run the kernel, split.  The Single modes detect
+flat: one kernel pass over all mesh-row pairings of every pair, the
+brute-force baseline, which reads no tree and culls nothing
+(:func:`single_level_contacts`).  ExplicitMultiscale and
+ImplicitSurrogateInPicard refine the trees of all pairs from their roots
+until no pairing splits (:func:`multiscale_contacts`).
+ImplicitMultiscalePicard, the fused scheme, runs one round per Picard
+sweep on a frontier of node pairings that it keeps across a step.  The
+three implicit modes share one Picard driver and differ only in this.
 
-All detection work is batched through the hybrid kernel; comparison-based
-fallbacks run only for pairs of real mesh triangles, never on surrogate
-levels.  Tree pairings whose halos a separating axis proves apart skip the
-kernel; they still count as checks (pairings examined) and also as
-``StepStats.culled``.  Counter reports are deterministic for identical
-configurations.  Contacts stay one :class:`~tricontact.contact.Contacts`
-struct of arrays from the kernel hits to the wrench: built by
-:meth:`Forest.contacts`, merged by one :func:`merge_contacts` call per
-detection, and turned into per-particle rates by ``_rates``.
+Comparison-based fallbacks run only for pairs of real mesh triangles,
+never on surrogate levels.  Tree pairings whose halos a separating axis
+proves apart skip the kernel; they still count as checks (pairings
+examined) and also as ``StepStats.culled``.  Counter reports are
+deterministic for identical configurations.  Contacts stay one
+:class:`~tricontact.contact.Contacts` struct of arrays from the kernel
+hits to the wrench: built by :meth:`Forest.contacts`, merged by one
+:func:`merge_contacts` call per detection, and turned into per-particle
+rates by ``_rates``.
 """
 
 from __future__ import annotations
@@ -91,13 +92,13 @@ class Forest:
     row per mesh triangle, which the tree's CSR lists as the children of
     their leaves.  A mesh row has the particle's halo ``epsilon``, height 0
     and itself as its only child, so that pairings split alike whatever
-    their sides.  Every row's owner is particle ``labels[k]`` and its
-    source is its node id, or its mesh triangle index on the mesh level
-    (height 0); ``tri`` holds the rows' body-frame triangles.  A pairing
-    is a pair of ids.
+    their sides.  Every row's owner is its particle's position ``k`` and
+    its source is its node id, or its mesh triangle index on the mesh
+    level (height 0); ``tri`` holds the rows' body-frame triangles.  A
+    pairing is a pair of ids.
     """
 
-    def __init__(self, particles: list[Particle], labels):
+    def __init__(self, particles: list[Particle]):
         trees = [p.tree or _NO_TREE for p in particles]
         fine = [len(p.body_tris) for p in particles]
         nodes = np.array([t.n_nodes for t in trees], dtype=np.int32)
@@ -110,7 +111,7 @@ class Forest:
         self.height = np.concatenate([np.pad(t.height, (0, f)) for t, f in zip(trees, fine)],
                                      dtype=np.int32)
         self.source = np.concatenate([np.r_[:t.n_nodes, :f] for t, f in zip(trees, fine)])
-        self.owner = np.repeat(np.asarray(labels, dtype=np.int32), np.diff(self.offset))
+        self.owner = np.repeat(np.arange(len(particles), dtype=np.int32), np.diff(self.offset))
         self.kids = np.concatenate([np.r_[t.kids, t.n_nodes:t.n_nodes + f] + o
                                     for t, f, o in zip(trees, fine, self.offset)], dtype=np.int32)
         self.kid_count = np.concatenate([np.pad(t.kid_count, (0, f), constant_values=1)
@@ -186,7 +187,7 @@ class System:
     @cached_property
     def forest(self) -> Forest:
         """All particles' tree rows in one id space, owners = particle ids."""
-        return Forest(self.particles, range(len(self.particles)))
+        return Forest(self.particles)
 
 
 def system_from_scene(scene, kernel_params: KernelParams | None = None,
@@ -277,10 +278,31 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
     return list(zip(i[near].tolist(), j[near].tolist()))
 
 
-# Mesh-triangle pairs per flat kernel call: small enough that the iterative
-# kernel's per-coordinate buffers (about 12 MB) stay in cache, which makes it
-# about twice as fast per pair as one call over a whole 320 x 320 batch.
+# Pairings per kernel call: mesh-triangle pairs of flat detection, small
+# enough that the iterative kernel's per-coordinate buffers (about 12 MB)
+# stay in cache, which makes it about twice as fast per pair as one call
+# over a whole 320 x 320 batch; and tree pairings per cull and kernel call.
 _FLAT_SLICE = 16384
+_SLICE = 1024
+_NO_IDS = np.zeros(0, dtype=np.int32)
+
+
+def _kernel_pass(forest: Forest, world: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 stats: StepStats, size: int) -> tuple[Contacts, np.ndarray]:
+    """Contacts and hybrid-kernel verdicts ``kind`` of the :class:`Forest`
+    pairings ``(a[k], b[k])``, ``size`` per kernel call (the kernels work
+    row by row, so ``size`` changes no result).  Each pairing's halo is the
+    mean of its rows' ``eps``, the comparison fallback runs on mesh-level
+    pairings only, and every hit, on any level, yields a contact."""
+    found, kinds = [], [np.zeros(0, dtype=np.int8)]
+    for s in range(0, a.size, size):
+        sa, sb = a[s:s + size], b[s:s + size]
+        res = hybrid_batch(world[sa], world[sb], stats.kernel,
+                           0.5 * (forest.eps[sa] + forest.eps[sb]),
+                           allow_fallback=np.maximum(forest.height[sa], forest.height[sb]) == 0)
+        found.append(forest.contacts(res, res.kind == np.int8(Kind.CONTACT), sa, sb))
+        kinds.append(res.kind)
+    return Contacts.concat(found), np.concatenate(kinds)
 
 
 def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
@@ -288,25 +310,16 @@ def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     """Unmerged contacts of all mesh-row pairings of the pairs ``pairs``
     (flat detection, the brute-force baseline: no cull).
 
-    Only mesh rows are read, and each particle is moved once.  Each pair's
-    pairings go to the kernel in row-major source order, ``_FLAT_SLICE``
-    at a time, with the pair's halo as one scalar: the kernels work row by
-    row, so the slice size changes neither the contacts, which come in
-    (pair, source) order, nor the counters, only the number of kernel
-    calls."""
+    Only mesh rows are read, and each particle is moved once.  The
+    pairings of all pairs, pair by pair in row-major source order, take
+    one :func:`_kernel_pass` in ``_FLAT_SLICE`` slices, which may span
+    pairs; the contacts come in (pair, source) order."""
     world = forest.world(motions, pairs, mesh_only=True)
-    found = []
-    for k, l in pairs:
-        rows_k = np.arange(forest.mesh[k], forest.offset[k + 1])
-        rows_l = np.arange(forest.mesh[l], forest.offset[l + 1])
-        gi, gj = np.repeat(rows_k, rows_l.size), np.tile(rows_l, rows_k.size)
-        eps = 0.5 * (forest.eps[rows_k[0]] + forest.eps[rows_l[0]])
-        for s in range(0, gi.size, _FLAT_SLICE):
-            a, b = gi[s:s + _FLAT_SLICE], gj[s:s + _FLAT_SLICE]
-            res = hybrid_batch(world[a], world[b], stats.kernel, eps)
-            stats.record_checks(0, a.size)
-            found.append(forest.contacts(res, res.kind == np.int8(Kind.CONTACT), a, b))
-    return Contacts.concat(found)
+    rows = [np.arange(forest.mesh[k], forest.offset[k + 1]) for k in range(forest.mesh.size)]
+    gi = np.concatenate([_NO_IDS, *(np.repeat(rows[k], rows[l].size) for k, l in pairs)])
+    gj = np.concatenate([_NO_IDS, *(np.tile(rows[l], rows[k].size) for k, l in pairs)])
+    stats.record_checks(0, gi.size)
+    return _kernel_pass(forest, world, gi, gj, stats, _FLAT_SLICE)[0]
 
 
 def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -330,86 +343,55 @@ def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.nd
     return (length > 0.0) & (gap > reach + 64.0 * np.finfo(tri_a.dtype).eps * scale)
 
 
-# Pairings per cull call, kernel call and split slice: bounds the working set.
-_SLICE = 1024
-
-
-def _evaluate_pairings(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
-                       stats: StepStats, surrogate_contacts: bool):
-    """Examine the :class:`Forest` pairings ``(gi[k], gj[k])`` of any pairs.
+def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
+            stats: StepStats):
+    """One round of tree detection on the :class:`Forest` pairings
+    ``(gi[k], gj[k])`` of any pairs.
 
     Every pairing counts as a check in its height bin (the larger height
-    of the two sides).  Pairings whose halos :func:`_separated` proves
-    apart are culled: no contact, no split, no kernel work.  The rest go
-    through the hybrid kernel ``_SLICE`` at a time, with the comparison
-    fallback on mesh-level pairings only.  Mesh-level hits always yield
-    contacts (pair = the two owners), surrogate-level hits only with
-    ``surrogate_contacts``.  Returns the contacts and the mask of pairings
-    that split: those with contact or an unsettled verdict, not mesh-mesh.
+    of its sides).  Pairings whose halos :func:`_separated` proves apart,
+    ``_SLICE`` at a time, are culled; the rest take one
+    :func:`_kernel_pass`.  A pairing with contact or an unsettled verdict
+    splits into ``children(gi[k]) x children(gj[k])`` unless it is
+    mesh-mesh (a mesh side stays as itself).  Returns the contacts of every
+    level, the pairings that did not split and the children of those that
+    did, parents in order and each one's children in row-major order.
     """
-    for lvl, count in enumerate(np.bincount(np.maximum(forest.height[gi], forest.height[gj]))):
+    height = np.maximum(forest.height[gi], forest.height[gj])
+    for lvl, count in enumerate(np.bincount(height)):
         stats.record_checks(lvl, int(count))
-    kept = [np.zeros(0, dtype=bool)]
-    for s in range(0, gi.size, _SLICE):
-        a, b = gi[s:s + _SLICE], gj[s:s + _SLICE]
-        kept.append(~_separated(world[a], world[b], forest.eps[a] + forest.eps[b]))
-    live = np.flatnonzero(np.concatenate(kept))
+    kept = [~_separated(world[a], world[b], forest.eps[a] + forest.eps[b])
+            for a, b in ((gi[s:s + _SLICE], gj[s:s + _SLICE]) for s in range(0, gi.size, _SLICE))]
+    live = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *kept]))
     stats.culled += gi.size - live.size
+    contacts, kind = _kernel_pass(forest, world, gi[live], gj[live], stats, _SLICE)
     split = np.zeros(gi.size, dtype=bool)
-    found = []
-    for s in range(0, live.size, _SLICE):
-        rows = live[s:s + _SLICE]
-        a, b = gi[rows], gj[rows]
-        both_fine = np.maximum(forest.height[a], forest.height[b]) == 0
-        res = hybrid_batch(world[a], world[b], stats.kernel,
-                           0.5 * (forest.eps[a] + forest.eps[b]), allow_fallback=both_fine)
-        is_contact = res.kind == np.int8(Kind.CONTACT)
-        found.append(forest.contacts(res, is_contact if surrogate_contacts
-                                     else is_contact & both_fine, a, b))
-        split[rows] = (is_contact | (res.kind == np.int8(Kind.NOT_TERMINATED))) & ~both_fine
-    return Contacts.concat(found), split
-
-
-def _split_pairings(forest: Forest, gi: np.ndarray, gj: np.ndarray):
-    """Child pairings ``children(gi[k]) x children(gj[k])`` of every pairing.
-
-    Pairings stay in order and each one's children come in row-major
-    order, ``_SLICE`` parents at a time.  A mesh side stays as itself, so
-    a mesh-mesh pairing would split into itself; callers pass only
-    pairings with a surrogate side.
-    """
-    out_i, out_j = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for s in range(0, gi.size, _SLICE):
-        pi, pj = gi[s:s + _SLICE], gj[s:s + _SLICE]
-        ni = forest.kid_count[pi]
-        nj = forest.kid_count[pj]
-        sizes = ni * nj
-        parent = np.repeat(np.arange(pi.size), sizes)
-        offset = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        cols = nj[parent]
-        out_i.append(forest.kids[forest.kid_start[pi[parent]] + offset // cols])
-        out_j.append(forest.kids[forest.kid_start[pj[parent]] + offset % cols])
-    return np.concatenate(out_i), np.concatenate(out_j)
+    split[live] = kind != np.int8(Kind.NO_CONTACT)
+    split &= height > 0
+    pi, pj = gi[split], gj[split]
+    ni, nj = forest.kid_count[pi], forest.kid_count[pj]
+    sizes = ni * nj
+    parent = np.repeat(np.arange(pi.size), sizes)
+    offset = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    children = (forest.kids[forest.kid_start[pi[parent]] + offset // nj[parent]],
+                forest.kids[forest.kid_start[pj[parent]] + offset % nj[parent]])
+    return contacts, (gi[~split], gj[~split]), children
 
 
 def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
                         stats: StepStats) -> Contacts:
     """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
-    together from their roots: one :func:`_evaluate_pairings` per level.
-
-    A pairing with contact or an unsettled verdict splits into its child
-    pairings, every other pairing retires, and only contacts between real
-    mesh triangles are kept.  Comparison fallbacks run on mesh-level
-    pairings only."""
+    together from their roots: one :func:`_refine` round per level, on the
+    children of the last; the pairings that do not split retire, and only
+    contacts between real mesh triangles are kept."""
     world = forest.world(motions, pairs)
     gi, gj = forest.roots(pairs)
     found = []
     while gi.size:
-        contacts, split = _evaluate_pairings(forest, world, gi, gj, stats,
-                                             surrogate_contacts=False)
+        contacts, _, (gi, gj) = _refine(forest, world, gi, gj, stats)
         found.append(contacts)
-        gi, gj = _split_pairings(forest, gi[split], gj[split])
-    return Contacts.concat(found)
+    found = Contacts.concat(found)
+    return found.take(found.level.max(axis=1) == 0)
 
 
 class _FusedDetector:
@@ -418,15 +400,15 @@ class _FusedDetector:
     The broad phase runs once, at the start-of-step poses.  One frontier
     of :class:`Forest` pairings ``(gi, gj)`` serves all candidate pairs;
     each pair's part always forms a cut of its pair tree, starting at the
-    roots (each step makes a new detector).  A sweep evaluates the whole
-    frontier at the guessed poses as one batch; every pairing with contact
-    or an unsettled verdict that is not mesh-mesh splits into its child
-    pairings, every other pairing stays.  The frontier only refines within
-    a step, so it widens at most one level per sweep and cannot oscillate.
-    Halo contacts on surrogate levels are returned as well, merged per
-    level, so their damped forces feed the guess.  A sweep is settled when
-    no pairing split: a surrogate-level contact always splits, so a
-    settled sweep is a complete mesh-level detection at that sweep's poses.
+    roots (each step makes a new detector).  A sweep runs one
+    :func:`_refine` round on the whole frontier at the guessed poses; the
+    pairings that did not split and the children of those that did form
+    the next frontier.  The frontier only refines within a step, so it
+    widens at most one level per sweep and cannot oscillate.  Halo
+    contacts on surrogate levels are returned as well, merged per level,
+    so their damped forces feed the guess.  A sweep is settled when no
+    pairing split: a surrogate-level contact always splits, so a settled
+    sweep is a complete mesh-level detection at that sweep's poses.
     """
 
     def __init__(self, system: System, stats: StepStats):
@@ -438,14 +420,10 @@ class _FusedDetector:
         self.frontier = self.forest.roots(self.pairs)
 
     def __call__(self, guess_motions: list[RigidMotion]) -> tuple[Contacts, bool]:
-        gi, gj = self.frontier
-        found, split = _evaluate_pairings(
-            self.forest, self.forest.world(guess_motions, self.pairs), gi, gj,
-            self.stats, surrogate_contacts=True)
-        if split.any():
-            ki, kj = _split_pairings(self.forest, gi[split], gj[split])
-            self.frontier = (np.concatenate([gi[~split], ki]), np.concatenate([gj[~split], kj]))
-        return merge_contacts(found, [p.epsilon for p in self.system.particles]), not split.any()
+        found, stay, kids = _refine(self.forest, self.forest.world(guess_motions, self.pairs),
+                                    *self.frontier, self.stats)
+        self.frontier = tuple(map(np.concatenate, zip(stay, kids)))
+        return merge_contacts(found, [p.epsilon for p in self.system.particles]), not kids[0].size
 
 
 def _detector(system: System, mode: str, stats: StepStats):

@@ -374,6 +374,7 @@ BAD_CONFIGS = {
     "approach_speed-nan": ({"scene": {"approach_speed": float("nan")}}, "approach_speed"),
     "initial_gap-nan": ({"scene": {"initial_gap": float("nan")}}, "initial_gap"),
     "drop_height-nan": ({"scene": {"drop_height": float("nan")}}, "drop_height"),
+    "refine_scaled-no": ({"scene": {"refine_scaled": "no"}}, "refine_scaled"),
 }
 
 

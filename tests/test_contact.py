@@ -39,7 +39,7 @@ def mesh_particle(tris, offset=(0.0, 0.0, 0.0), epsilon=1e-2):
 def flat_contacts(tris_i, tris_j, offset_j, stats=None):
     """Single-level contacts of two meshes, the second one translated."""
     particles = [mesh_particle(tris_i), mesh_particle(tris_j, offset_j)]
-    return single_level_contacts(Forest(particles, (0, 1)), [p.motion for p in particles],
+    return single_level_contacts(Forest(particles), [p.motion for p in particles],
                                  [(0, 1)], stats or StepStats())
 
 

@@ -11,7 +11,7 @@ from tricontact import stepping
 from tricontact.geometry import REAL, RigidMotion, degenerate_mask
 from tricontact.kernels import KernelParams, Kind, comparison_batch
 from tricontact.scenes import SceneSpec, build_scene
-from tricontact.contact import merge_contacts
+from tricontact.contact import Contacts, merge_contacts
 from tricontact.stepping import (IMPLICIT_MODES, PicardDiverged,
                                  StepConfig, StepStats, _FusedDetector,
                                  broad_phase_pairs, explicit_step,
@@ -38,8 +38,7 @@ def total_momentum(system):
 class TestForest:
     def test_structure(self):
         system = two_sphere_system(count=80)
-        labels = (5, 2)
-        forest = stepping.Forest(system.particles, labels)
+        forest = stepping.Forest(system.particles)
         assert forest.eps.dtype == REAL and forest.tri.dtype == REAL
         assert forest.height.dtype == forest.kids.dtype == forest.offset.dtype == np.int32
         assert forest.offset[0] == 0 and forest.offset[-1] == forest.height.size
@@ -56,7 +55,7 @@ class TestForest:
             assert np.array_equal(forest.eps[nodes], tree.eps.astype(REAL))
             assert (forest.eps[mesh] == REAL(tree.finest_epsilon)).all()
             # owner and source map back to the particle, its nodes and triangles
-            assert (forest.owner[lo:hi] == labels[k]).all()
+            assert (forest.owner[lo:hi] == k).all()
             assert np.array_equal(forest.source[nodes], np.arange(tree.n_nodes))
             assert np.array_equal(forest.source[mesh], np.arange(n_fine))
             # children stay inside the tree: a node's are the tree's CSR
@@ -174,7 +173,7 @@ class TestMultiscaleDetection:
     def test_equivalence_lemma(self, rng):
         # randomised two-particle poses: multiscale merged contacts equal
         # the single-level ones exactly
-        from tricontact.contact import merge_contacts
+        from tricontact.contact import Contacts, merge_contacts
 
         system = two_sphere_system(gap=1e-3, count=80)
         params = KernelParams()
@@ -559,6 +558,10 @@ NEAR = [0.0] + [s * r for r in (1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3) for s in (
 # float32 rounding at the threshold, found with no rounding slack in the cull
 @example(seed=1, size=0.001, slivers=(1e-4, 1e-2), shift=100.0, eps=(0.09375, 1e-5),
          rel_gap=0.0, dtype=np.float32)
+# a float32 false contact at distance 0 with a 1e-4 sliver, from the
+# comparison kernel's edge-triangle crossing test
+@example(seed=46125, size=1.0, slivers=(0.01, 1e-4), shift=0.0, eps=(0.0625, 0.0625),
+         rel_gap=1.0, dtype=np.float32)
 def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap, dtype):
     # place B along a random axis u so that its projection gap to A along
     # the centroid line is the halo reach times (1 + rel_gap); whenever the
@@ -619,6 +622,15 @@ class TestSeparatingAxisCull:
         assert sum(s.contacts_merged for s in with_cull) > 0
 
 
+def _add_counts(total: StepStats, one: StepStats) -> None:
+    """Add the checks, culls and kernel counters of ``one`` to ``total``."""
+    for lvl, count in one.checks_by_level.items():
+        total.record_checks(lvl, count)
+    total.culled += one.culled
+    for key, count in dataclasses.asdict(one.kernel).items():
+        setattr(total.kernel, key, getattr(total.kernel, key) + count)
+
+
 class TestBatchedUnfolding:
     def test_all_pairs_pass_matches_pair_by_pair(self):
         # jittered poses of the 2x2x2 grid: unfolding every broad-phase pair
@@ -643,17 +655,35 @@ class TestBatchedUnfolding:
                 for a, b in zip(mine, alone):
                     assert np.array_equal(a.position, b.position)
                     assert np.array_equal(a.normal, b.normal)
-                for lvl, count in one.checks_by_level.items():
-                    summed.record_checks(lvl, count)
-                summed.culled += one.culled
-                for key, count in dataclasses.asdict(one.kernel).items():
-                    setattr(summed.kernel, key, getattr(summed.kernel, key) + count)
+                _add_counts(summed, one)
                 touching += bool(alone)
             assert len(found) == sum(1 for c in found if c.pair in pairs)
             assert batched.checks_by_level == summed.checks_by_level
             assert batched.culled == summed.culled
             assert batched.kernel == summed.kernel
         assert touching > 0
+
+    def test_flat_slices_span_pairs(self, monkeypatch):
+        # flat detection of all broad-phase pairs of the grid in kernel calls
+        # of 1,000 pairs, which span pairs of 6,400, gives bitwise the
+        # contacts of the one-pair calls in turn, and their summed counters
+        monkeypatch.setattr(stepping, "_FLAT_SLICE", 1000)
+        system = _cull_scene("grid")
+        motions = motions_of(system)
+        pairs = broad_phase_pairs(system, motions)
+        batched, summed = StepStats(), StepStats()
+        found = single_level_contacts(system.forest, motions, pairs, batched)
+        alone = []
+        for pair in pairs:
+            one = StepStats()
+            alone.append(single_level_contacts(system.forest, motions, [pair], one))
+            _add_counts(summed, one)
+        alone = Contacts.concat(alone)
+        assert len(pairs) > 1 and len(found) and batched.kernel.fallback_invocations
+        for f in dataclasses.fields(Contacts):
+            assert np.array_equal(getattr(found, f.name), getattr(alone, f.name))
+        assert batched.checks_by_level == summed.checks_by_level
+        assert batched.kernel == summed.kernel
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
         # one ExplicitMultiscale step on the grid: the hybrid-kernel calls
