@@ -168,7 +168,6 @@ class Particle:
     omega: np.ndarray
     mass: MassProperties
     epsilon: float
-    immovable: bool = False
 
     def bound_radius(self) -> float:
         com = self.mass.center_of_mass
@@ -209,7 +208,6 @@ def system_from_scene(scene, kernel_params: KernelParams | None = None,
                 omega=np.asarray(sp.omega, dtype=REAL).copy(),
                 mass=mass,
                 epsilon=sp.epsilon,
-                immovable=sp.immovable,
             )
         )
     return System(particles=particles, gravity=np.asarray(scene.gravity, dtype=REAL))
@@ -500,7 +498,7 @@ def explicit_step(system: System, cfg: StepConfig) -> StepStats:
     omegas = [p.omega for p in system.particles]
     _, _, dv, domega = _rates(system, cfg, contacts, motions, omegas)
     for i, p in enumerate(system.particles):
-        if p.immovable:
+        if p.mass.immovable:
             continue
         p.motion = advance_motion(p, p.motion, p.v, p.omega, cfg.dt)
         p.v = p.v + cfg.dt * (dv[i] + system.gravity)
@@ -580,7 +578,7 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
                 [_rel_change(raw, prev), _rel_change(applied, rates)]) <= CONVERGENCE_REL_TOL).all())
 
         for i, p in enumerate(system.particles):
-            if p.immovable:
+            if p.mass.immovable:
                 continue
             v_guess[i] = p.v + cfg.dt * (applied[i, :3] + system.gravity)
             w_guess[i] = p.omega + cfg.dt * applied[i, 3:]
@@ -594,7 +592,7 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
         raise PicardDiverged(system.step_index, cfg.max_picard_iterations)
 
     for i, p in enumerate(system.particles):
-        if p.immovable:
+        if p.mass.immovable:
             continue
         p.motion = guess_motions[i]
         p.v = v_guess[i]

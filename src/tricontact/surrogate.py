@@ -49,7 +49,7 @@ BETA_SIZE = 8             # even exponent of the max-distance term
 ALPHA_AREA = 1e-3         # area-regulariser weight, times (mean child area)**2
 ALPHA_INSIDE = 1.0        # weight of the outside penalty
 BETA_NORMAL = 2           # exponent of the outside penalty
-MAX_FIT_ITERATIONS = 80   # descent iterations per problem, at most
+MAX_FIT_ITERATIONS = 80   # accepted steps per problem, at most
 REL_TOL = 1e-8            # an accepted step improving less than this converges
 INITIAL_STEP = 0.05       # first step length, relative to the children's extent
 SHRINK = 0.5              # backtracking factor of a rejected step
@@ -120,9 +120,15 @@ def _seed_batch(children: np.ndarray) -> np.ndarray:
 def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
     """Fit one surrogate triangle per problem of a (m, c, 3, 3) batch.
 
-    Gradient descent with per-problem backtracking from a copied child
-    triangle; every returned triangle scores no worse than its seed.  Each
-    row depends on its own problem only, so batching changes no bits.
+    Gradient descent with backtracking from a copied child triangle, in one
+    loop that scores one candidate per row per pass: a live row whose
+    candidate scores lower takes the step and grows it by ``GROW``, any
+    other shrinks its step by ``SHRINK``.  A row leaves on a step improving
+    less than ``REL_TOL``, after ``MAX_FIT_ITERATIONS`` steps or 40 failed
+    trials in a row, when its step falls to ``1e-14 * diam / gnorm``, or on
+    a zero gradient.  Every returned triangle scores no worse than its
+    seed.  Rows depend on their own problem only, so batching changes no
+    bits, and a batch costs as many energy evaluations as its slowest row.
     """
     children = np.asarray(children, dtype=REAL)
     if children.ndim != 4 or children.shape[0] == 0 or children.shape[1] == 0:
@@ -134,39 +140,30 @@ def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
     energy, grad = _fit_terms(tris, children, *setup)
     diam = np.maximum(np.ptp(children.reshape(m, -1, 3), axis=1).max(axis=1), 1e-12)
     step = INITIAL_STEP * diam
-    active = np.ones(m, dtype=bool)
-
-    for _ in range(MAX_FIT_ITERATIONS):
-        if not active.any():
-            break
+    steps = np.zeros(m, dtype=np.int64)   # accepted steps
+    failed = np.zeros(m, dtype=np.int64)  # failed trials since the last step
+    live = np.ones(m, dtype=bool)
+    while True:
         gnorm = np.linalg.norm(grad.reshape(m, 9), axis=1)
-        active &= gnorm > 0.0
-        trying = active.copy()
-        moved = np.zeros(m, dtype=bool)
-        for _ in range(40):
-            if not trying.any():
-                break
-            scale = np.where(gnorm > 0.0, step / np.maximum(gnorm, 1e-300), 0.0)
-            cand = tris - scale[:, None, None] * grad
-            cand_energy, cand_grad = _fit_terms(cand, children, *setup)
-            better = trying & (cand_energy < energy)
-            if better.any():
-                improvement = energy[better] - cand_energy[better]
-                small = improvement <= REL_TOL * np.maximum(np.abs(cand_energy[better]), 1e-30)
-                tris[better] = cand[better]
-                energy[better] = cand_energy[better]
-                # the next iteration descends from the accepted candidate's gradient
-                grad[better] = cand_grad[better]
-                step[better] *= GROW
-                moved[better] = True
-                # converged problems leave the active set
-                conv_idx = np.nonzero(better)[0][small]
-                active[conv_idx] = False
-            trying &= ~better
-            step[trying] *= SHRINK
-            trying &= step * gnorm > 1e-14 * diam
-        active &= moved
-    return tris
+        live &= (gnorm > 0.0) & (steps < MAX_FIT_ITERATIONS) & (failed < 40)
+        if not live.any():
+            return tris
+        scale = np.where(gnorm > 0.0, step / np.maximum(gnorm, 1e-300), 0.0)
+        cand = tris - scale[:, None, None] * grad
+        cand_energy, cand_grad = _fit_terms(cand, children, *setup)
+        better = live & (cand_energy < energy)
+        worse = live & ~better
+        improvement = energy[better] - cand_energy[better]
+        live[better] = improvement > REL_TOL * np.maximum(np.abs(cand_energy[better]), 1e-30)
+        tris[better] = cand[better]
+        energy[better] = cand_energy[better]
+        grad[better] = cand_grad[better]
+        step[better] *= GROW
+        step[worse] *= SHRINK
+        steps += better
+        failed[better] = 0
+        failed += worse
+        live &= ~worse | (step * gnorm > 1e-14 * diam)
 
 
 def conservative_epsilon(surrogates: np.ndarray, children: np.ndarray,
@@ -259,7 +256,8 @@ class SurrogateTree:
     ``parent`` is -1 at the root, ``height`` 1 at a leaf.  The constructor
     derives both and ``kid_start``, and raises ``ValueError`` unless the
     given arrays form a tree, each child numbered after its parent, over a
-    permutation of the mesh, with a positive finite ``finest_epsilon``.
+    permutation of the mesh, with finite triangles and halos and a positive
+    finite ``finest_epsilon``.
     """
 
     tri: np.ndarray
@@ -279,6 +277,8 @@ class SurrogateTree:
                 or self.kid_count.shape != (n,) or self.kids.ndim != 1
                 or int(self.kid_count.sum()) != self.kids.size):
             raise ValueError("tree arrays have inconsistent lengths")
+        if not (np.isfinite(self.tri).all() and np.isfinite(self.eps).all()):
+            raise ValueError("tree triangles and halos must be finite")
         if (self.kid_count < 1).any():
             raise ValueError("a tree node has no children")
         if not 0.0 < self.finest_epsilon < np.inf:

@@ -4,14 +4,16 @@ These deliberately avoid the production code paths they check: distances
 come from dense barycentric sampling, gradients from central finite
 differences, contact wrenches from a loop over single contacts.  The kernel
 references at the end are the batch kernels' first versions; they share the
-row-wise feature helpers with the library and differ from it in layout.
+row-wise feature helpers with the library and differ from it in layout.  The
+surrogate-fit reference is the fit's first version, a descent loop around a
+backtracking loop.
 """
 
 import math
 
 import numpy as np
 
-from tricontact import kernels
+from tricontact import kernels, surrogate
 from tricontact.geometry import REAL, as_triangles
 from tricontact.kernels import (_TINY, BatchResult, Kind, _as_eps,
                                 _closest_segment_segment, _segment_triangle_crossings,
@@ -447,3 +449,66 @@ def iterative_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     distance = np.sqrt(2.0 * jh)
     return BatchResult(kind, distance, point_a, point_b)
 
+
+# ---------------------------------------------------------------------------
+# Surrogate-fit reference: the batch fit as first written, a descent loop of
+# at most ``MAX_FIT_ITERATIONS`` iterations, each backtracking every row for
+# up to 40 trials until the slowest row of the iteration finds its step.
+# ``tests/test_surrogate.py`` checks that the production fit's single trial
+# loop gives the same rows.  The ``exits`` tally is the only addition.
+# ---------------------------------------------------------------------------
+
+
+def fit_reference(children):
+    """Fitted ``(m, 3, 3)`` triangles of a ``(m, c, 3, 3)`` batch, and how
+    many rows left by each exit: ``converged`` (an improvement below
+    ``REL_TOL``), ``cap`` (``MAX_FIT_ITERATIONS`` steps), ``trials`` (40
+    failed trials), ``tiny_step`` and ``zero_gradient``.  Reads the
+    ``surrogate`` constants at call time."""
+    children = np.asarray(children, dtype=REAL)
+    m = children.shape[0]
+    setup = surrogate._fit_setup(children)
+    exits = dict.fromkeys(("converged", "cap", "trials", "tiny_step", "zero_gradient"), 0)
+
+    tris = surrogate._seed_batch(children)
+    energy, grad = surrogate._fit_terms(tris, children, *setup)
+    diam = np.maximum(np.ptp(children.reshape(m, -1, 3), axis=1).max(axis=1), 1e-12)
+    step = surrogate.INITIAL_STEP * diam
+    active = np.ones(m, dtype=bool)
+
+    for _ in range(surrogate.MAX_FIT_ITERATIONS):
+        if not active.any():
+            break
+        gnorm = np.linalg.norm(grad.reshape(m, 9), axis=1)
+        exits["zero_gradient"] += int((active & ~(gnorm > 0.0)).sum())
+        active &= gnorm > 0.0
+        trying = active.copy()
+        moved = np.zeros(m, dtype=bool)
+        for _ in range(40):
+            if not trying.any():
+                break
+            scale = np.where(gnorm > 0.0, step / np.maximum(gnorm, 1e-300), 0.0)
+            cand = tris - scale[:, None, None] * grad
+            cand_energy, cand_grad = surrogate._fit_terms(cand, children, *setup)
+            better = trying & (cand_energy < energy)
+            if better.any():
+                improvement = energy[better] - cand_energy[better]
+                small = improvement <= surrogate.REL_TOL * np.maximum(
+                    np.abs(cand_energy[better]), 1e-30)
+                tris[better] = cand[better]
+                energy[better] = cand_energy[better]
+                grad[better] = cand_grad[better]
+                step[better] *= surrogate.GROW
+                moved[better] = True
+                conv_idx = np.nonzero(better)[0][small]
+                active[conv_idx] = False
+                exits["converged"] += conv_idx.size
+            trying &= ~better
+            step[trying] *= surrogate.SHRINK
+            tiny = trying & ~(step * gnorm > 1e-14 * diam)
+            exits["tiny_step"] += int(tiny.sum())
+            trying &= ~tiny
+        exits["trials"] += int(trying.sum())
+        active &= moved
+    exits["cap"] = int(active.sum())
+    return tris, exits

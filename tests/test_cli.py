@@ -6,6 +6,7 @@ import pytest
 from tricontact.cli import main
 from tricontact.report import (RETIRED, RunConfig, SchemaMismatch, compare_reports,
                                load_report, strip_volatile)
+from tricontact.surrogate import TREE_FORMAT_VERSION
 
 # the config echo of a report written before the fit, relaxation and three
 # scene settings became constants, so it holds their retired keys
@@ -377,6 +378,11 @@ BAD_CONFIGS = {
     "refine_scaled-no": ({"scene": {"refine_scaled": "no"}}, "refine_scaled"),
 }
 
+# a one-node tree over one triangle whose halo is NaN
+NAN_HALO_TREE = {"version": TREE_FORMAT_VERSION, "n_surrogate": 8, "finest_epsilon": 0.01,
+                 "mesh_checksum": "0", "tri": [[0.0] * 9], "eps": [float("nan")],
+                 "kids": [1], "kid_count": [1]}
+
 
 class TestBadInput:
     @pytest.mark.parametrize("args, needle", [
@@ -406,6 +412,8 @@ class TestBadInput:
                      "missing", id="build-tree-out-missing-dir"),
         pytest.param(["validate-tree", "--triangle-count", "80", "--tree", "{tmp}/none.json",
                       "--samples", "-5"], "--samples", id="validate-tree-samples-negative"),
+        pytest.param(["validate-tree", "--triangle-count", "80", "--tree", "{tmp}/nan.json"],
+                     "finite", id="validate-tree-nan-halo"),
         pytest.param(["build-tree", "--triangle-count", "20", "--epsilon", "-1",
                       "--out", "{tmp}/tree.json"], "finest_epsilon", id="build-tree-epsilon-negative"),
         pytest.param(["build-tree", "--obj", "{tmp}/bad.obj", "--out", "{tmp}/tree.json"],
@@ -415,6 +423,7 @@ class TestBadInput:
         # unusable flags or input files end the command with exit 2 and one
         # stderr line, before any work and without a traceback
         (tmp_path / "v0.json").write_text(json.dumps({"version": 0}))
+        (tmp_path / "nan.json").write_text(json.dumps(NAN_HALO_TREE))
         (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf -6 3 2\n")
         for name, (config, _) in BAD_CONFIGS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(config))

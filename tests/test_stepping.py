@@ -32,7 +32,7 @@ def motions_of(system):
 
 
 def total_momentum(system):
-    return sum(p.mass.mass * p.v for p in system.particles if not p.immovable)
+    return sum(p.mass.mass * p.v for p in system.particles if not p.mass.immovable)
 
 
 class TestForest:

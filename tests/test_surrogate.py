@@ -1,13 +1,15 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference
+from oracles import central_difference, fit_reference
 
 from conftest import cached_tree
+from tricontact import surrogate
 from tricontact.geometry import triangle, triangle_normals
 from tricontact.kernels import closest_point_triangle_batch
 from tricontact.surrogate import (TREE_FORMAT_VERSION, EmptyInput, EmptyMesh,
@@ -63,6 +65,46 @@ class TestFit:
         batch = fit_surrogate_triangle_batch(children)
         for row, problem in zip(batch, children):
             assert np.array_equal(row, fit_surrogate_triangle_batch(problem[None])[0])
+
+    def test_matches_nested_loop_reference(self, monkeypatch):
+        # row by row, the one trial loop scores the candidates of a descent
+        # loop around a backtracking loop, up to each of its exits
+        reached = Counter()
+        for constants in ({}, {"MAX_FIT_ITERATIONS": 3}, {"SHRINK": 0.9}):
+            monkeypatch.undo()
+            for name, value in constants.items():
+                monkeypatch.setattr(surrogate, name, value)
+            rng = np.random.default_rng(11)
+            for scale in (1e-3, 0.3, 3.0):
+                for _ in range(4):
+                    m, c = rng.integers(1, 7), rng.integers(1, 10)
+                    children = (rng.normal(scale=scale, size=(m, c, 3, 3))
+                                + rng.normal(size=(m, 1, 1, 3)))
+                    expected, exits = fit_reference(children)
+                    assert np.array_equal(fit_surrogate_triangle_batch(children), expected)
+                    assert sum(exits.values()) == m
+                    reached.update(exits)
+        assert min(reached["cap"], reached["trials"], reached["tiny_step"]) > 0
+
+    def test_batch_costs_its_slowest_row(self, monkeypatch):
+        # each row steps or backtracks on its own, so no row waits for the
+        # slowest row of a descent iteration
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _fit_terms(*args)
+
+        monkeypatch.setattr(surrogate, "_fit_terms", counted)
+
+        def cost(batch):
+            calls.clear()
+            fit_surrogate_triangle_batch(batch)
+            return len(calls)
+
+        rng = np.random.default_rng(0)
+        children = rng.normal(scale=0.3, size=(6, 8, 3, 3)) + rng.normal(size=(6, 1, 1, 3))
+        assert cost(children) == max(cost(problem[None]) for problem in children)
 
     def test_planar_patch_stays_planar(self, rng):
         # 8 triangles tiling a unit square in z = 0, normals +z
@@ -269,6 +311,9 @@ class TestSerialization:
         (lambda d: d["kids"].__setitem__(1, d["kids"][0]), "exactly one parent"),
         (lambda d: d["kids"].__setitem__(-1, d["kids"][-2]), "permutation"),
         (lambda d: d.update(finest_epsilon=-1.0), "finest_epsilon"),
+        (lambda d: d["eps"].__setitem__(0, float("nan")), "finite"),
+        (lambda d: d["eps"].__setitem__(-1, float("inf")), "finite"),
+        (lambda d: d["tri"][1].__setitem__(4, float("nan")), "finite"),
     ])
     def test_malformed_rejected(self, tree320, corrupt, message):
         doc = json.loads(tree_to_json(tree320))
