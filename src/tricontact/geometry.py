@@ -149,7 +149,10 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an OBJ file; returns (vertices (m, 3), faces (n, 3) int).
 
     Only ``v`` and triangular ``f`` records are honoured; normals and
-    texture coordinates on ``f`` entries are ignored.
+    texture coordinates on ``f`` entries are ignored, and so is a ``v``
+    record's fourth (``w``) number.  A ``v`` record needs three finite
+    numbers, an ``f`` record vertices read before it; ``ValueError`` names
+    the line that has not.
     """
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
@@ -159,7 +162,11 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                vertices.append([float(c) for c in parts[1:4]])
+                xyz = [float(c) for c in parts[1:4]]
+                if len(xyz) < 3 or not np.isfinite(xyz).all():
+                    raise ValueError(f"line {number}: vertex {' '.join(parts[1:])} needs "
+                                     "three finite coordinates")
+                vertices.append(xyz)
             elif parts[0] == "f":
                 idx = [int(tok.split("/")[0]) for tok in parts[1:]]
                 if len(idx) != 3:

@@ -304,6 +304,18 @@ class SceneSpec:
             raise InvalidSpec(f"grid_shape must be three integers >= 1, not {self.grid_shape!r}")
         if not _numbers(self.scale_factors, 2, lambda s: 0.0 < s < np.inf):
             raise InvalidSpec(f"scale_factors must be two positive numbers, not {self.scale_factors!r}")
+        for count in self.pair_counts():
+            if count not in _SPHERE_RECIPES:
+                raise InvalidSpec(f"refined count {count} unsupported")
+
+    def pair_counts(self) -> tuple[int, int]:
+        """Triangle counts of a pair scene's two particles: ``triangle_count``,
+        except that a refined ScaledPair subdivides a particle scaled by ``s``
+        ``round(log2(s))`` times, to keep triangle sizes comparable."""
+        if self.kind != "ScaledPair" or not self.refine_scaled:
+            return self.triangle_count, self.triangle_count
+        return tuple(self.triangle_count * 4**max(0, int(round(np.log2(max(s, 1.0)))))
+                     for s in self.scale_factors)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -360,13 +372,7 @@ def build_scene(spec: SceneSpec, epsilon: float = 1e-2) -> Scene:
         pair = spec.kind == "ParticleParticle"
         scales = (1, 1) if pair else spec.scale_factors
         tilts = (0.0, spec.relative_tilt_deg if pair else 0.0)
-        for side, (s, tilt) in enumerate(zip(scales, tilts)):
-            count = spec.triangle_count
-            if spec.refine_scaled and not pair:
-                # subdivide the scaled particle to keep triangle sizes comparable
-                count *= 4**max(0, int(round(np.log2(max(s, 1.0)))))
-                if count not in _SPHERE_RECIPES:
-                    raise InvalidSpec(f"refined count {count} unsupported")
+        for side, (s, tilt, count) in enumerate(zip(scales, tilts, spec.pair_counts())):
             verts, faces = _particle_mesh(spec, side, s, count)
             sign = 1 if side else -1
             x = sign * (0.5 * s + 0.5 * spec.initial_gap)

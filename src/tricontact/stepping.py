@@ -276,25 +276,24 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
     return list(zip(i[near].tolist(), j[near].tolist()))
 
 
-# Pairings per kernel call: mesh-triangle pairs of flat detection, small
-# enough that the iterative kernel's per-coordinate buffers (about 12 MB)
-# stay in cache, which makes it about twice as fast per pair as one call
-# over a whole 320 x 320 batch; and tree pairings per cull and kernel call.
-_FLAT_SLICE = 16384
+# Pairings per kernel call: few enough that the iterative kernel's buffers
+# (about 12 MB) stay in cache, twice as fast per pair as one 320 x 320 call;
+# and tree pairings per cull call, where larger slices cost memory and time.
+_KERNEL_SLICE = 16384
 _SLICE = 1024
 _NO_IDS = np.zeros(0, dtype=np.int32)
 
 
 def _kernel_pass(forest: Forest, world: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 stats: StepStats, size: int) -> tuple[Contacts, np.ndarray]:
+                 stats: StepStats) -> tuple[Contacts, np.ndarray]:
     """Contacts and hybrid-kernel verdicts ``kind`` of the :class:`Forest`
-    pairings ``(a[k], b[k])``, ``size`` per kernel call (the kernels work
-    row by row, so ``size`` changes no result).  Each pairing's halo is the
-    mean of its rows' ``eps``, the comparison fallback runs on mesh-level
-    pairings only, and every hit, on any level, yields a contact."""
+    pairings ``(a[k], b[k])``, ``_KERNEL_SLICE`` per kernel call (the kernels
+    work row by row, so slicing changes no result).  Each pairing's halo is
+    the mean of its rows' ``eps``, the comparison fallback runs on
+    mesh-level pairings only, and every hit, on any level, yields a contact."""
     found, kinds = [], [np.zeros(0, dtype=np.int8)]
-    for s in range(0, a.size, size):
-        sa, sb = a[s:s + size], b[s:s + size]
+    for s in range(0, a.size, _KERNEL_SLICE):
+        sa, sb = a[s:s + _KERNEL_SLICE], b[s:s + _KERNEL_SLICE]
         res = hybrid_batch(world[sa], world[sb], stats.kernel,
                            0.5 * (forest.eps[sa] + forest.eps[sb]),
                            allow_fallback=np.maximum(forest.height[sa], forest.height[sb]) == 0)
@@ -310,14 +309,14 @@ def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
 
     Only mesh rows are read, and each particle is moved once.  The
     pairings of all pairs, pair by pair in row-major source order, take
-    one :func:`_kernel_pass` in ``_FLAT_SLICE`` slices, which may span
-    pairs; the contacts come in (pair, source) order."""
+    one :func:`_kernel_pass`, whose slices may span pairs; the contacts
+    come in (pair, source) order."""
     world = forest.world(motions, pairs, mesh_only=True)
     rows = [np.arange(forest.mesh[k], forest.offset[k + 1]) for k in range(forest.mesh.size)]
     gi = np.concatenate([_NO_IDS, *(np.repeat(rows[k], rows[l].size) for k, l in pairs)])
     gj = np.concatenate([_NO_IDS, *(np.tile(rows[l], rows[k].size) for k, l in pairs)])
     stats.record_checks(0, gi.size)
-    return _kernel_pass(forest, world, gi, gj, stats, _FLAT_SLICE)[0]
+    return _kernel_pass(forest, world, gi, gj, stats)[0]
 
 
 def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
@@ -362,7 +361,7 @@ def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
             for a, b in ((gi[s:s + _SLICE], gj[s:s + _SLICE]) for s in range(0, gi.size, _SLICE))]
     live = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *kept]))
     stats.culled += gi.size - live.size
-    contacts, kind = _kernel_pass(forest, world, gi[live], gj[live], stats, _SLICE)
+    contacts, kind = _kernel_pass(forest, world, gi[live], gj[live], stats)
     split = np.zeros(gi.size, dtype=bool)
     split[live] = kind != np.int8(Kind.NO_CONTACT)
     split &= height > 0

@@ -12,7 +12,7 @@ immediate children by penalised descent and assigns the smallest halo that
 keeps the conservative chain intact.
 
 A tree is flat arrays over node ids in preorder (root = 0): each node's
-triangle, halo, parent and height, and CSR children (``kids``, ``kid_start``,
+triangle, halo and height, and CSR children (``kids``, ``kid_start``,
 ``kid_count``) in which a leaf's children are the fine ids ``n_nodes + t``
 of its mesh triangles ``t``.  Tree files store them as JSON (format 2).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -253,11 +253,11 @@ TREE_FORMAT_VERSION = 2
 class SurrogateTree:
     """A surrogate tree as flat arrays over node ids (see the module doc).
 
-    ``parent`` is -1 at the root, ``height`` 1 at a leaf.  The constructor
-    derives both and ``kid_start``, and raises ``ValueError`` unless the
-    given arrays form a tree, each child numbered after its parent, over a
-    permutation of the mesh, with finite triangles and halos and a positive
-    finite ``finest_epsilon``.
+    ``height`` is 1 at a leaf.  The constructor derives it and
+    ``kid_start``, and raises ``ValueError`` unless the given arrays form a
+    tree, each child numbered after its parent, over a permutation of the
+    mesh, with finite triangles and halos and a positive finite
+    ``finest_epsilon``.
     """
 
     tri: np.ndarray
@@ -268,7 +268,6 @@ class SurrogateTree:
     finest_epsilon: float
     mesh_checksum: str
     kid_start: np.ndarray = field(init=False)
-    parent: np.ndarray = field(init=False)
     height: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -296,13 +295,11 @@ class SurrogateTree:
             raise ValueError("tree leaf payloads are not a permutation of the mesh")
 
         self.kid_start = np.cumsum(self.kid_count) - self.kid_count
-        self.parent = np.full(n, -1, dtype=np.int64)
-        self.parent[self.kids[inner]] = owner[inner]
         # one above the tallest child; each pass settles one more level
         self.height = np.ones(n, dtype=np.int64)
         while True:
             up = np.ones(n, dtype=np.int64)
-            np.maximum.at(up, self.parent[1:], self.height[1:] + 1)
+            np.maximum.at(up, owner[inner], self.height[self.kids[inner]] + 1)
             if np.array_equal(up, self.height):
                 break
             self.height = up
@@ -379,7 +376,8 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int, seed: int = 0,
     over the immediate children, which by transitivity contains all leaf
     geometry.  Identical inputs yield identical trees.  ``n_surrogate``
     must be at least 2, or a split would never shrink a node, and
-    ``finest_epsilon`` positive and finite.
+    ``finest_epsilon`` positive and finite.  The tree is made from its fitted
+    arrays, checked as a loaded one is: a non-finite mesh coordinate raises.
     """
     triangles = as_triangles(triangles)
     if triangles.shape[0] == 0:
@@ -392,16 +390,15 @@ def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int, seed: int = 0,
     leaf, kid_lists = zip(*skeleton)
     leaf, n = np.array(leaf), len(skeleton)
     kid_count = np.array([k.size for k in kid_lists], dtype=np.int64)
-    tree = SurrogateTree(np.zeros((n, 3, 3), dtype=REAL), np.zeros(n),
-                         np.concatenate(kid_lists) + np.repeat(np.where(leaf, n, 0), kid_count),
-                         kid_count, n_surrogate, finest_epsilon, mesh_checksum(triangles))
+    layout = SurrogateTree(np.zeros((n, 3, 3), dtype=REAL), np.zeros(n),
+                           np.concatenate(kid_lists) + np.repeat(np.where(leaf, n, 0), kid_count),
+                           kid_count, n_surrogate, finest_epsilon, mesh_checksum(triangles))
 
     # fit bottom-up, one pass per height: every child of a node is lower
-    tri, eps = tree.child_rows(triangles)
-    for h in range(1, int(tree.height[0]) + 1):
-        _batch_fit_and_chain(tree, np.flatnonzero(tree.height == h), tri, eps)
-    tree.tri[:], tree.eps[:] = tri[:n], eps[:n]
-    return tree
+    tri, eps = layout.child_rows(triangles)
+    for h in range(1, int(layout.height[0]) + 1):
+        _batch_fit_and_chain(layout, np.flatnonzero(layout.height == h), tri, eps)
+    return replace(layout, tri=tri[:n].copy(), eps=eps[:n].copy())
 
 
 # ---------------------------------------------------------------------------

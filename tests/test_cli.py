@@ -376,6 +376,9 @@ BAD_CONFIGS = {
     "initial_gap-nan": ({"scene": {"initial_gap": float("nan")}}, "initial_gap"),
     "drop_height-nan": ({"scene": {"drop_height": float("nan")}}, "drop_height"),
     "refine_scaled-no": ({"scene": {"refine_scaled": "no"}}, "refine_scaled"),
+    "refined-count-81920": ({"scene": {"kind": "ScaledPair", "triangle_count": 1280,
+                                       "scale_factors": [8.0, 1.0], "refine_scaled": True}},
+                            "refined count 81920"),
 }
 
 # a one-node tree over one triangle whose halo is NaN
@@ -418,6 +421,10 @@ class TestBadInput:
                       "--out", "{tmp}/tree.json"], "finest_epsilon", id="build-tree-epsilon-negative"),
         pytest.param(["build-tree", "--obj", "{tmp}/bad.obj", "--out", "{tmp}/tree.json"],
                      "line 6", id="build-tree-obj-index-outside"),
+        pytest.param(["build-tree", "--obj", "{tmp}/nan.obj", "--out", "{tmp}/tree.json"],
+                     "line 2", id="build-tree-obj-nan-coordinate"),
+        pytest.param(["build-tree", "--obj", "{tmp}/short.obj", "--out", "{tmp}/tree.json"],
+                     "line 1", id="build-tree-obj-short-vertex"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, args, needle):
         # unusable flags or input files end the command with exit 2 and one
@@ -425,6 +432,8 @@ class TestBadInput:
         (tmp_path / "v0.json").write_text(json.dumps({"version": 0}))
         (tmp_path / "nan.json").write_text(json.dumps(NAN_HALO_TREE))
         (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf -6 3 2\n")
+        (tmp_path / "nan.obj").write_text("v 0 0 0\nv nan 1 0\nv 1 0 0\nv 1 1 0\nf 1 2 3\nf 1 3 4\n")
+        (tmp_path / "short.obj").write_text("v 0 0\nv 0 0\nv 0 0\nf 1 2 3\n")
         for name, (config, _) in BAD_CONFIGS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(config))
         code = run_cli(*(a.format(tmp=tmp_path) for a in args))

@@ -118,8 +118,8 @@ class TestSingleLevelDetection:
         # flat detection in kernel calls of 1,000 pairs finds what the default
         # slices find, bit for bit, with the same counters
         runs = []
-        for size in (stepping._FLAT_SLICE, 1000):
-            monkeypatch.setattr(stepping, "_FLAT_SLICE", size)
+        for size in (stepping._KERNEL_SLICE, 1000):
+            monkeypatch.setattr(stepping, "_KERNEL_SLICE", size)
             stats = StepStats()
             runs.append((flat_contacts(sphere320, sphere320, (1.005, 0.02, 0.0), stats), stats))
         (got, stats), (want, want_stats) = runs

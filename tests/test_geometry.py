@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from tricontact.geometry import (RigidMotion, degenerate_mask, load_obj,
+from tricontact.geometry import (REAL, RigidMotion, degenerate_mask, load_obj,
                                  mesh_to_triangles, save_obj, triangle)
 
 
 class TestRigidMotion:
     def test_identity_is_noop(self, rng):
-        tris = rng.normal(size=(5, 3, 3))
+        tris = rng.normal(size=(5, 3, 3)).astype(REAL)
         assert np.array_equal(RigidMotion.identity().apply_points(tris), tris)
 
     def test_translation_only(self):
@@ -84,6 +84,19 @@ class TestObj:
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf {face}\n")
         with pytest.raises(ValueError, match="line 6"):
             load_obj(path)
+
+    @pytest.mark.parametrize("record", ["v 0 0", "v", "v nan 1 0", "v 1 inf 0", "v 0 0 -1e999"])
+    def test_rejects_short_or_non_finite_vertices(self, tmp_path, record):
+        # three "v 0 0" records would otherwise regroup into two vertices
+        path = tmp_path / "mesh.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\n{record}\nv 0 1 0\nf 1 2 4\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_obj(path)
+
+    def test_ignores_a_vertex_weight(self, tmp_path):
+        path = tmp_path / "mesh.obj"
+        path.write_text("v 0 0 0 1\nv 1 0 0 0.5\nv 0 1 0 2\nf 1 2 3\n")
+        assert load_obj(path)[0].tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
     def test_negative_indices_count_back_from_the_last_vertex(self, tmp_path):
         path = tmp_path / "mesh.obj"

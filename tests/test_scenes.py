@@ -83,6 +83,19 @@ class TestSceneSpec:
         back = SceneSpec.from_dict(spec.as_dict())
         assert back == spec
 
+    @pytest.mark.parametrize("count, scales", [(1280, (8.0, 1.0)), (20480, (1.0, 2.0)),
+                                               (12, (1.0, 2.0))])
+    def test_unsupported_refined_count_rejected_when_made(self, count, scales):
+        # the refined count is the spec's own rule, checked before any build
+        with pytest.raises(InvalidSpec, match="refined count"):
+            SceneSpec(kind="ScaledPair", triangle_count=count, scale_factors=scales,
+                      refine_scaled=True)
+
+    def test_pair_counts(self):
+        spec = SceneSpec(kind="ScaledPair", triangle_count=80, scale_factors=(0.5, 3.0))
+        assert spec.pair_counts() == (80, 80)
+        assert SceneSpec(**{**spec.as_dict(), "refine_scaled": True}).pair_counts() == (80, 1280)
+
 
 class TestBuildScene:
     def test_particle_particle_determinism(self):

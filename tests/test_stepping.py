@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cached_tree
 from tricontact import stepping
 from tricontact.geometry import REAL, RigidMotion, degenerate_mask
 from tricontact.kernels import KernelParams, Kind, comparison_batch
@@ -667,7 +668,7 @@ class TestBatchedUnfolding:
         # flat detection of all broad-phase pairs of the grid in kernel calls
         # of 1,000 pairs, which span pairs of 6,400, gives bitwise the
         # contacts of the one-pair calls in turn, and their summed counters
-        monkeypatch.setattr(stepping, "_FLAT_SLICE", 1000)
+        monkeypatch.setattr(stepping, "_KERNEL_SLICE", 1000)
         system = _cull_scene("grid")
         motions = motions_of(system)
         pairs = broad_phase_pairs(system, motions)
@@ -701,8 +702,35 @@ class TestBatchedUnfolding:
         stats = explicit_step(system, StepConfig(dt=1e-4, mode="ExplicitMultiscale"))
         levels = 1 + max(int(p.tree.height[0]) for p in system.particles)
         assert stats.broad_phase_pairs > levels and stats.contacts_merged > 0
-        assert max(sizes) <= stepping._SLICE
-        assert len(sizes) <= levels + sum(sizes) // stepping._SLICE
+        assert max(sizes) <= stepping._KERNEL_SLICE
+        assert len(sizes) <= levels + sum(sizes) // stepping._KERNEL_SLICE
+
+    def test_one_kernel_call_per_refine_round(self, monkeypatch):
+        # one ImplicitSurrogateInPicard step on the 2x2x2 grid of 320-triangle
+        # spheres, some of whose rounds keep more live pairings than one cull
+        # slice holds: each round still takes one kernel call
+        calls, rounds = [], []
+        kernel, refine = stepping.hybrid_batch, stepping._refine
+
+        def counting_kernel(A, *args, **kwargs):
+            calls.append(A.shape[0])
+            return kernel(A, *args, **kwargs)
+
+        def counting_refine(*args):
+            rounds.append(args[2].size)
+            return refine(*args)
+
+        monkeypatch.setattr(stepping, "hybrid_batch", counting_kernel)
+        monkeypatch.setattr(stepping, "_refine", counting_refine)
+        # the eight meshes are the same perfect sphere, so one tree serves all
+        monkeypatch.setattr(stepping, "build_surrogate_tree",
+                            lambda tris, n, seed, finest_epsilon:
+                            cached_tree("sphere320", tris, n, 0, finest_epsilon))
+        spec = SceneSpec(kind="CartesianGrid", triangle_count=320, grid_shape=(2, 2, 2), seed=3)
+        system = system_from_scene(build_scene(spec))
+        stats = step(system, StepConfig(dt=1e-4, mode="ImplicitSurrogateInPicard"))
+        assert stats.contacts_merged > 0 and max(calls) > stepping._SLICE
+        assert len(calls) == len(rounds)
 
 
 _CULL_SCENES: dict = {}

@@ -206,8 +206,9 @@ def payload(tree, node):
 def node_levels(tree):
     """Distance of every node from the root (preorder: parents come first)."""
     level = np.zeros(tree.n_nodes, dtype=np.int64)
-    for node in range(1, tree.n_nodes):
-        level[node] = level[tree.parent[node]] + 1
+    for node in tree.nodes():
+        kids = tree.kids_of(node)
+        level[kids[kids < tree.n_nodes]] = level[node] + 1
     return level
 
 
@@ -264,6 +265,14 @@ class TestTree:
     def test_epsilon_at_least_finest(self, tree320):
         for node in tree320.nodes():
             assert tree320.eps[node] >= tree320.finest_epsilon - 1e-12
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_mesh_rejected(self, sphere80, value):
+        # the tree is checked as made from its fitted arrays, as a loaded one is
+        tris = sphere80.copy()
+        tris[17, 1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            build_surrogate_tree(tris, 8, seed=0)
 
 
 class TestValidation:
@@ -331,7 +340,7 @@ class TestSerialization:
             tree_from_json(json.dumps(doc))
 
 
-ARRAYS = ("tri", "eps", "parent", "height", "kids", "kid_start", "kid_count")
+ARRAYS = ("tri", "eps", "height", "kids", "kid_start", "kid_count")
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,12 +350,13 @@ def test_tree_properties(n_tris, n_surrogate, seed, mesh_seed):
     tris = np.random.default_rng(mesh_seed).normal(size=(n_tris, 3, 3))
     tree = build_surrogate_tree(tris, n_surrogate, seed=seed)
     n = tree.n_nodes
-    # the CSR and parent describe the same tree
-    owner = np.repeat(np.arange(n), tree.kid_count)
+    # every node but the root is one node's child; a node's height is one
+    # more than its tallest inner child's, 1 at a leaf
     inner = tree.kids < n
-    assert tree.parent[0] == -1
-    assert np.array_equal(tree.parent[tree.kids[inner]], owner[inner])
     assert np.array_equal(np.sort(tree.kids[inner]), np.arange(1, n))
+    for i in tree.nodes():
+        kids = tree.kids_of(i)
+        assert tree.height[i] == 1 + max(tree.height[kids[kids < n]], default=0)
     # leaf payloads are a permutation of the mesh, each at most n_surrogate
     assert np.array_equal(np.sort(tree.kids[~inner]), np.arange(n, n + n_tris))
     assert max(payload(tree, i).size for i in tree.nodes() if is_leaf(tree, i)) <= n_surrogate
