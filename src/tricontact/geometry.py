@@ -151,8 +151,8 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
     Only ``v`` and triangular ``f`` records are honoured; normals and
     texture coordinates on ``f`` entries are ignored, and so is a ``v``
     record's fourth (``w``) number.  A ``v`` record needs three finite
-    numbers, an ``f`` record vertices read before it; ``ValueError`` names
-    the line that has not.
+    numbers, an ``f`` record three vertex numbers read before it;
+    ``ValueError`` names the line that has not.
     """
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
@@ -162,15 +162,22 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                xyz = [float(c) for c in parts[1:4]]
+                try:
+                    xyz = [float(c) for c in parts[1:4]]
+                except ValueError:
+                    xyz = []
                 if len(xyz) < 3 or not np.isfinite(xyz).all():
                     raise ValueError(f"line {number}: vertex {' '.join(parts[1:])} needs "
                                      "three finite coordinates")
                 vertices.append(xyz)
             elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                try:
+                    idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                except ValueError:
+                    idx = []
                 if len(idx) != 3:
-                    raise ValueError("only triangulated faces are supported")
+                    raise ValueError(f"line {number}: face {' '.join(parts[1:])} needs three "
+                                     "vertex numbers (only triangles are supported)")
                 # OBJ counts from 1, or from -1 back from the last vertex read
                 if not all(0 < abs(i) <= len(vertices) for i in idx):
                     raise ValueError(f"line {number}: face {' '.join(parts[1:])} names a vertex "

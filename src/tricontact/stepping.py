@@ -10,20 +10,28 @@ flat: one kernel pass over all mesh-row pairings of every pair, the
 brute-force baseline, which reads no tree and culls nothing
 (:func:`single_level_contacts`).  ExplicitMultiscale and
 ImplicitSurrogateInPicard refine the trees of all pairs from their roots
-until no pairing splits (:func:`multiscale_contacts`).
-ImplicitMultiscalePicard, the fused scheme, runs one round per Picard
-sweep on a frontier of node pairings that it keeps across a step.  The
-three implicit modes share one Picard driver and differ only in this.
+until no pairing splits (:func:`multiscale_contacts`).  A round splits
+only the taller side of a pairing, both sides when the heights are
+equal, and never a mesh side.  ImplicitMultiscalePicard, the fused
+scheme, unfolds to settled in every Picard sweep too, so each sweep is a
+complete detection and it takes the sweeps of ImplicitSurrogateInPicard;
+it no longer widens one level per sweep.  It carries the settled
+:class:`Cut` from sweep to sweep within a step and skips the pairings
+that the particles' motion since the last sweep cannot have brought into
+reach.  The three implicit modes share one Picard driver and differ only
+in this.
 
 Comparison-based fallbacks run only for pairs of real mesh triangles,
-never on surrogate levels.  Tree pairings whose halos a separating axis
-proves apart skip the kernel; they still count as checks (pairings
-examined) and also as ``StepStats.culled``.  Counter reports are
-deterministic for identical configurations.  Contacts stay one
-:class:`~tricontact.contact.Contacts` struct of arrays from the kernel
-hits to the wrench: built by :meth:`Forest.contacts`, merged by one
-:func:`merge_contacts` call per detection, and turned into per-particle
-rates by ``_rates``.
+never on surrogate levels, and only mesh-level hits become contacts.
+Tree pairings whose halos a separating axis proves apart skip the
+kernel; they still count as checks (pairings examined) and also as
+``StepStats.culled``.  Pairings that the fused scheme skips on a
+positive margin are no checks; they count as ``StepStats.reused``.
+Counter reports are deterministic for identical configurations.
+Contacts stay one :class:`~tricontact.contact.Contacts` struct of arrays
+from the kernel hits to the wrench: built by :meth:`Forest.contacts`,
+merged by one :func:`merge_contacts` call per detection, and turned into
+per-particle rates by ``_rates``.
 """
 
 from __future__ import annotations
@@ -91,11 +99,12 @@ class Forest:
     first its nodes in preorder, root first, then from ``mesh[k]`` on one
     row per mesh triangle, which the tree's CSR lists as the children of
     their leaves.  A mesh row has the particle's halo ``epsilon``, height 0
-    and itself as its only child, so that pairings split alike whatever
-    their sides.  Every row's owner is its particle's position ``k`` and
-    its source is its node id, or its mesh triangle index on the mesh
-    level (height 0); ``tri`` holds the rows' body-frame triangles.  A
-    pairing is a pair of ids.
+    and itself as its only child.  Every row's owner is its particle's
+    position ``k`` and its source is its node id, or its mesh triangle
+    index on the mesh level (height 0); ``tri`` holds the rows' body-frame
+    triangles.  ``com[k]`` is particle ``k``'s body-frame centre of mass
+    and ``radius[k]`` the largest distance from it to a vertex of the
+    tree's rows, nodes included.  A pairing is a pair of ids.
     """
 
     def __init__(self, particles: list[Particle]):
@@ -117,6 +126,20 @@ class Forest:
         self.kid_count = np.concatenate([np.pad(t.kid_count, (0, f), constant_values=1)
                                          for t, f in zip(trees, fine)])
         self.kid_start = np.cumsum(self.kid_count) - self.kid_count
+        self.com = np.array([p.mass.center_of_mass for p in particles], dtype=np.float64)
+        self.radius = np.array([_length(self.tri[lo:hi].reshape(-1, 3) - c).max() for lo, hi, c
+                                in zip(self.offset[:-1], self.offset[1:], self.com)])
+
+    def moved(self, before: list[RigidMotion], after: list[RigidMotion]) -> np.ndarray:
+        """Per particle, a bound on how far any vertex of its rows moves from
+        the poses ``before`` to ``after``: ``|dc| + |dR|_F radius``, with c
+        the world centre of mass and R the rotation matrix."""
+        out = np.zeros(len(before))
+        for k, (m0, m1) in enumerate(zip(before, after)):
+            dc = m1.apply_points(self.com[k]) - m0.apply_points(self.com[k])
+            dr = m1.rotation_matrix().astype(np.float64) - m0.rotation_matrix()
+            out[k] = np.linalg.norm(dc.astype(np.float64)) + np.linalg.norm(dr) * self.radius[k]
+        return out
 
     def roots(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Root pairings of the tree pairs ``(k, l)`` (positions in ``particles``)."""
@@ -228,6 +251,7 @@ class StepStats:
     kernel: KernelCounters = field(default_factory=KernelCounters)
     broad_phase_pairs: int = 0
     culled: int = 0  # tree pairings proved clear before the kernel (also checks)
+    reused: int = 0  # cut pairings skipped on a positive margin (no checks)
 
     def record_checks(self, level_bin: int, count: int) -> None:
         """Count ``count`` pairings examined in ``level_bin`` in the current
@@ -289,15 +313,15 @@ def _kernel_pass(forest: Forest, world: np.ndarray, a: np.ndarray, b: np.ndarray
     """Contacts and hybrid-kernel verdicts ``kind`` of the :class:`Forest`
     pairings ``(a[k], b[k])``, ``_KERNEL_SLICE`` per kernel call (the kernels
     work row by row, so slicing changes no result).  Each pairing's halo is
-    the mean of its rows' ``eps``, the comparison fallback runs on
-    mesh-level pairings only, and every hit, on any level, yields a contact."""
+    the mean of its rows' ``eps``; the comparison fallback runs on, and
+    contacts come from, mesh-level pairings only."""
     found, kinds = [], [np.zeros(0, dtype=np.int8)]
     for s in range(0, a.size, _KERNEL_SLICE):
         sa, sb = a[s:s + _KERNEL_SLICE], b[s:s + _KERNEL_SLICE]
+        mesh = np.maximum(forest.height[sa], forest.height[sb]) == 0
         res = hybrid_batch(world[sa], world[sb], stats.kernel,
-                           0.5 * (forest.eps[sa] + forest.eps[sb]),
-                           allow_fallback=np.maximum(forest.height[sa], forest.height[sb]) == 0)
-        found.append(forest.contacts(res, res.kind == np.int8(Kind.CONTACT), sa, sb))
+                           0.5 * (forest.eps[sa] + forest.eps[sb]), allow_fallback=mesh)
+        found.append(forest.contacts(res, mesh & (res.kind == np.int8(Kind.CONTACT)), sa, sb))
         kinds.append(res.kind)
     return Contacts.concat(found), np.concatenate(kinds)
 
@@ -319,14 +343,17 @@ def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     return _kernel_pass(forest, world, gi, gj, stats)[0]
 
 
-def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Mask of pairings that a separating axis proves farther apart than ``reach``.
+def _margin(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """By how much a separating axis proves pairings farther apart than
+    ``reach``: positive for a proof, -inf where there is no axis.
 
     The axis is the unit vector u between the triangles' centroids (none
-    if they coincide); as ``|b - a| >= (b - a).u``, a gap ``min(b.u) -
-    max(a.u)`` beyond ``reach`` plus a few rounding units of the pairing's
-    own largest coordinate proves the pairing clear (Gottschalk, Lin and
-    Manocha, SIGGRAPH 1996; Ericson, *Real-Time Collision Detection*, 5.2)."""
+    if they coincide); as ``|b - a| >= (b - a).u``, the gap ``min(b.u) -
+    max(a.u)`` less ``reach`` and a few rounding units of the pairing's
+    own largest coordinate is a margin by which the pairing is clear
+    (Gottschalk, Lin and Manocha, SIGGRAPH 1996; Ericson, *Real-Time
+    Collision Detection*, 5.2).  It stays a lower bound while the
+    vertices move by less than it in total."""
     # vertex by vertex: numpy's reductions over short inner axes are slow
     axis = tri_b[:, 0] + tri_b[:, 1] + tri_b[:, 2] - (tri_a[:, 0] + tri_a[:, 1] + tri_a[:, 2])
     length = np.sqrt(np.einsum("ij,ij->i", axis, axis))
@@ -337,7 +364,14 @@ def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.nd
            - np.maximum(np.maximum(pa[:, 0], pa[:, 1]), pa[:, 2]))
     scale = np.maximum.reduce([np.abs(t[:, v, k]) for t in (tri_a, tri_b)
                                for v in range(3) for k in range(3)])
-    return (length > 0.0) & (gap > reach + 64.0 * np.finfo(tri_a.dtype).eps * scale)
+    margin = gap - (reach + 64.0 * np.finfo(tri_a.dtype).eps * scale)
+    return np.where(length > 0.0, margin, -np.inf)
+
+
+def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Mask of pairings that a separating axis proves farther apart than
+    ``reach``: a positive :func:`_margin`."""
+    return _margin(tri_a, tri_b, reach) > 0.0
 
 
 def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
@@ -346,90 +380,128 @@ def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
     ``(gi[k], gj[k])`` of any pairs.
 
     Every pairing counts as a check in its height bin (the larger height
-    of its sides).  Pairings whose halos :func:`_separated` proves apart,
+    of its sides).  Pairings with a positive :func:`_margin`, computed
     ``_SLICE`` at a time, are culled; the rest take one
     :func:`_kernel_pass`.  A pairing with contact or an unsettled verdict
-    splits into ``children(gi[k]) x children(gj[k])`` unless it is
-    mesh-mesh (a mesh side stays as itself).  Returns the contacts of every
-    level, the pairings that did not split and the children of those that
-    did, parents in order and each one's children in row-major order.
+    splits unless it is mesh-mesh: its taller side opens into its
+    children, both sides when the heights are equal, and a mesh side never
+    (Ericson, *Real-Time Collision Detection*, 6.3.2).  Returns the
+    mesh-level contacts, the pairings that did not split with their
+    margins (-inf unless culled), and the children of those that did,
+    parents in order and each one's children in row-major order.
     """
     height = np.maximum(forest.height[gi], forest.height[gj])
     for lvl, count in enumerate(np.bincount(height)):
         stats.record_checks(lvl, int(count))
-    kept = [~_separated(world[a], world[b], forest.eps[a] + forest.eps[b])
-            for a, b in ((gi[s:s + _SLICE], gj[s:s + _SLICE]) for s in range(0, gi.size, _SLICE))]
-    live = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *kept]))
+    margin = np.concatenate([np.zeros(0), *(
+        _margin(world[a], world[b], forest.eps[a] + forest.eps[b])
+        for a, b in ((gi[s:s + _SLICE], gj[s:s + _SLICE]) for s in range(0, gi.size, _SLICE)))])
+    live = np.flatnonzero(~(margin > 0.0))
+    margin[live] = -np.inf
     stats.culled += gi.size - live.size
     contacts, kind = _kernel_pass(forest, world, gi[live], gj[live], stats)
     split = np.zeros(gi.size, dtype=bool)
     split[live] = kind != np.int8(Kind.NO_CONTACT)
     split &= height > 0
     pi, pj = gi[split], gj[split]
-    ni, nj = forest.kid_count[pi], forest.kid_count[pj]
+    # the taller side opens, both on a tie; a side that does not open stays
+    # as itself (a mesh row's only child is itself, so the lookup is safe)
+    opens = (forest.height[pi] >= forest.height[pj], forest.height[pj] >= forest.height[pi])
+    ni, nj = (np.where(o, forest.kid_count[p], 1) for o, p in zip(opens, (pi, pj)))
     sizes = ni * nj
     parent = np.repeat(np.arange(pi.size), sizes)
     offset = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    children = (forest.kids[forest.kid_start[pi[parent]] + offset // nj[parent]],
-                forest.kids[forest.kid_start[pj[parent]] + offset % nj[parent]])
-    return contacts, (gi[~split], gj[~split]), children
+    kid = (offset // nj[parent], offset % nj[parent])
+    children = tuple(np.where(o[parent], forest.kids[forest.kid_start[p[parent]] + k], p[parent])
+                     for o, p, k in zip(opens, (pi, pj), kid))
+    return contacts, (gi[~split], gj[~split], margin[~split]), children
+
+
+@dataclass
+class Cut:
+    """Pairings ``(gi[k], gj[k])`` of the pair trees of some tree pairs that
+    cover each of their mesh pairs exactly once, each with a ``margin`` by
+    which its halos are certified apart at the poses ``motions`` (-inf
+    where none is known; ``motions`` is None before the first detection)."""
+
+    gi: np.ndarray
+    gj: np.ndarray
+    margin: np.ndarray
+    motions: list[RigidMotion] | None = None
+
+    @staticmethod
+    def roots(forest: Forest, pairs) -> "Cut":
+        gi, gj = forest.roots(pairs)
+        return Cut(gi, gj, np.full(gi.size, -np.inf))
 
 
 def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
-                        stats: StepStats) -> Contacts:
+                        stats: StepStats, cut: Cut | None = None) -> Contacts:
     """Unmerged mesh-level contacts of the tree pairs ``pairs``, unfolded
-    together from their roots: one :func:`_refine` round per level, on the
-    children of the last; the pairings that do not split retire, and only
-    contacts between real mesh triangles are kept."""
+    together from ``cut``, or from their roots if it is None: one
+    :func:`_refine` round per level, on the children of the last, until no
+    pairing splits.
+
+    A given cut's margins first lose the motion bound of both sides'
+    particles since ``cut.motions`` (:meth:`Forest.moved`); the pairings
+    whose margin stays positive cannot have come into reach, so they are
+    skipped and counted as ``reused``, not as checks (conservative
+    advancement: Mirtich, PhD thesis, Berkeley 1996).  The cut then
+    becomes the settled one at ``motions``: the skipped pairings and every
+    round's pairings that did not split."""
     world = forest.world(motions, pairs)
-    gi, gj = forest.roots(pairs)
+    if cut is None:
+        cut = Cut.roots(forest, pairs)
+    margin = cut.margin
+    if cut.motions is not None:
+        moved = forest.moved(cut.motions, motions)
+        margin = margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]])
+    skip = margin > 0.0
+    stats.reused += int(skip.sum())
+    kept = [(cut.gi[skip], cut.gj[skip], margin[skip])]
+    gi, gj = cut.gi[~skip], cut.gj[~skip]
     found = []
     while gi.size:
-        contacts, _, (gi, gj) = _refine(forest, world, gi, gj, stats)
+        contacts, stay, (gi, gj) = _refine(forest, world, gi, gj, stats)
         found.append(contacts)
-    found = Contacts.concat(found)
-    return found.take(found.level.max(axis=1) == 0)
+        kept.append(stay)
+    cut.gi, cut.gj, cut.margin = map(np.concatenate, zip(*kept))
+    cut.motions = list(motions)
+    return Contacts.concat(found)
 
 
 class _FusedDetector:
     """Per-sweep detection of the fused multiscale Picard scheme.
 
-    The broad phase runs once, at the start-of-step poses.  One frontier
-    of :class:`Forest` pairings ``(gi, gj)`` serves all candidate pairs;
-    each pair's part always forms a cut of its pair tree, starting at the
-    roots (each step makes a new detector).  A sweep runs one
-    :func:`_refine` round on the whole frontier at the guessed poses; the
-    pairings that did not split and the children of those that did form
-    the next frontier.  The frontier only refines within a step, so it
-    widens at most one level per sweep and cannot oscillate.  Halo
-    contacts on surrogate levels are returned as well, merged per level,
-    so their damped forces feed the guess.  A sweep is settled when no
-    pairing split: a surrogate-level contact always splits, so a settled
-    sweep is a complete mesh-level detection at that sweep's poses.
+    The broad phase runs once, at the start-of-step poses, and one
+    :class:`Cut` serves all candidate pairs for the step, starting at the
+    roots (each step makes a new detector).  Every sweep unfolds it to
+    settled at the guessed poses through :func:`multiscale_contacts`, so
+    each sweep is a complete mesh-level detection, and returns the merged
+    contacts.
     """
 
     def __init__(self, system: System, stats: StepStats):
         self.system = system
         self.stats = stats
-        self.forest = system.forest
         self.pairs = broad_phase_pairs(system)
         stats.broad_phase_pairs = len(self.pairs)
-        self.frontier = self.forest.roots(self.pairs)
+        self.cut = Cut.roots(system.forest, self.pairs)
 
-    def __call__(self, guess_motions: list[RigidMotion]) -> tuple[Contacts, bool]:
-        found, stay, kids = _refine(self.forest, self.forest.world(guess_motions, self.pairs),
-                                    *self.frontier, self.stats)
-        self.frontier = tuple(map(np.concatenate, zip(stay, kids)))
-        return merge_contacts(found, [p.epsilon for p in self.system.particles]), not kids[0].size
+    def __call__(self, guess_motions: list[RigidMotion]) -> Contacts:
+        found = multiscale_contacts(self.system.forest, guess_motions, self.pairs, self.stats,
+                                    self.cut)
+        return merge_contacts(found, [p.epsilon for p in self.system.particles])
 
 
 def _detector(system: System, mode: str, stats: StepStats):
-    """``detect(motions) -> (merged contacts, settled)`` for ``mode``.
+    """``detect(motions) -> merged contacts`` for ``mode``, a complete
+    mesh-level detection at the given poses in every mode.
 
-    The fused mode keeps its frontier across calls (:class:`_FusedDetector`).
-    Every other mode detects afresh at the given poses, so it is always
-    settled: the broad phase, then flat detection (the Single modes) or
-    the trees unfolded from their roots, and one merge.
+    The fused mode keeps its cut across calls (:class:`_FusedDetector`).
+    Every other mode detects afresh: the broad phase, then flat detection
+    (the Single modes) or the trees unfolded from their roots, and one
+    merge.
     """
     if mode == "ImplicitMultiscalePicard":
         return _FusedDetector(system, stats)
@@ -440,7 +512,7 @@ def _detector(system: System, mode: str, stats: StepStats):
         flat = mode in ("ExplicitSingle", "ImplicitSingle")
         find = single_level_contacts if flat else multiscale_contacts
         found = find(system.forest, motions, pairs, stats)
-        return merge_contacts(found, [p.epsilon for p in system.particles]), True
+        return merge_contacts(found, [p.epsilon for p in system.particles])
     return detect
 
 
@@ -451,15 +523,12 @@ def _detector(system: System, mode: str, stats: StepStats):
 
 def _rates(system: System, cfg: StepConfig, contacts: Contacts,
            motions: list[RigidMotion], omegas: list[np.ndarray]):
-    """Raw force/torque and the induced (dv, domega) per particle.
-
-    A contact of surrogate height ``h`` (the larger side's) pushes at
-    ``2**-h`` of its spring; each centre of mass moves to the world once."""
+    """Raw force/torque and the induced (dv, domega) per particle of the
+    mesh-level ``contacts``; each centre of mass moves to the world once."""
     masses = [p.mass for p in system.particles]
     com = np.array([m.apply_points(p.mass.center_of_mass)
                     for m, p in zip(motions, system.particles)])
     forces = contact_force(contacts, masses, com, cfg.force.k_s)
-    forces *= 0.5 ** contacts.level.max(axis=1)[:, None]
     return accumulate(contacts, forces, masses, com, [m.rotation_matrix() for m in motions],
                       omegas)
 
@@ -492,7 +561,7 @@ def explicit_step(system: System, cfg: StepConfig) -> StepStats:
     stats = StepStats()
     stats.begin_sweep()
     motions = [p.motion for p in system.particles]
-    contacts, _ = _detector(system, cfg.mode, stats)(motions)
+    contacts = _detector(system, cfg.mode, stats)(motions)
     stats.contacts_merged = len(contacts)
     omegas = [p.omega for p in system.particles]
     _, _, dv, domega = _rates(system, cfg, contacts, motions, omegas)
@@ -530,13 +599,16 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
     """One implicit Euler step in any implicit mode: relaxed Picard sweeps
     on guessed end-of-step states, then the commit.
 
-    Each sweep detects through :func:`_detector` at the guessed poses and
-    learns whether the detection itself has settled: ImplicitSingle and
-    ImplicitSurrogateInPicard detect afresh in every sweep and always are,
-    ImplicitMultiscalePicard widens its frontiers one level per sweep.
-    Each particle blends its new rates with the previous ones by a factor
-    theta that grows while successive raw forces agree in direction and
-    shrinks when they flip.  The sweep state is three arrays over the
+    Each sweep detects through :func:`_detector` at the guessed poses, a
+    complete mesh-level detection in every mode: ImplicitSingle and
+    ImplicitSurrogateInPicard detect afresh, and ImplicitMultiscalePicard
+    unfolds its cut to settled (splitting the taller side of a pairing,
+    both on equal heights, never a mesh side) and skips the pairings that
+    cannot have moved into reach, so it no longer widens one level per
+    sweep and takes the same sweeps as the other two.  Each particle
+    blends its new rates with the previous ones by a factor theta that
+    grows while successive raw forces agree in direction and shrinks when
+    they flip.  The sweep state is three arrays over the
     particles: ``theta``, the previous raw wrench ``prev`` and the applied
     rates ``applied``, the last two None before the first sweep.
     """
@@ -553,27 +625,27 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
 
     for sweep in range(cfg.max_picard_iterations):
         stats.begin_sweep()
-        contacts, settled = detect(guess_motions)
+        contacts = detect(guess_motions)
         force, torque, dv, domega = _rates(system, cfg, contacts, guess_motions, w_guess)
         raw = np.concatenate([force, torque], axis=1)
         rates = np.concatenate([dv, domega], axis=1)
 
         if prev is not None:
             # zero against zero counts as agreement: pulls theta back up
-            # once transient (surrogate) forces have faded
+            # once contact forces have faded
             agree = (raw[:, None, :] @ prev[:, :, None]).reshape(-1) >= 0.0
             theta = np.where(agree, np.minimum(1.0, THETA_GROW * theta),
                              np.maximum(THETA_MIN, THETA_SHRINK * theta))
         applied = theta[:, None] * rates + (1.0 - theta[:, None]) * (
             rates if applied is None else applied)
 
-        # converged when detection has settled, the raw forces are stationary
-        # and the relaxed rates have caught up with them (no stale blend left
-        # in the commit); a force-free first sweep needs no second one
+        # converged when the raw forces are stationary and the relaxed rates
+        # have caught up with them (no stale blend left in the commit); a
+        # force-free first sweep needs no second one
         if prev is None:
-            converged = settled and not contacts
+            converged = not contacts
         else:
-            converged = settled and bool((np.concatenate(
+            converged = bool((np.concatenate(
                 [_rel_change(raw, prev), _rel_change(applied, rates)]) <= CONVERGENCE_REL_TOL).all())
 
         for i, p in enumerate(system.particles):
@@ -584,7 +656,7 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
             guess_motions[i] = advance_motion(p, motions[i], v_guess[i], w_guess[i], cfg.dt)
         prev = raw
         stats.picard_iterations = sweep + 1
-        stats.contacts_merged = int((contacts.level.max(axis=1) == 0).sum())
+        stats.contacts_merged = len(contacts)
         if converged:
             break
     else:

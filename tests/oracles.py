@@ -200,7 +200,7 @@ def mesh_pair_population(rng: np.random.Generator, n_pairs: int,
     return A, B
 
 
-def contact_wrench_reference(pairs, levels, positions, normals, eps, masses, coms,
+def contact_wrench_reference(pairs, positions, normals, eps, masses, coms,
                              k_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle contact force and torque about each centre of mass, one
     contact at a time, for movable particles.
@@ -208,12 +208,11 @@ def contact_wrench_reference(pairs, levels, positions, normals, eps, masses, com
     Each contact pushes its first particle with the normal spring
     ``k_s * (1 - |n| / eps_first) * sqrt(reduced mass)`` along ``n`` (along
     the line between the centres of mass, at full strength, when ``n`` is
-    zero), scaled by ``2**-h`` for the larger surrogate height ``h`` of its
-    sides; its second particle takes the negated force.
+    zero); its second particle takes the negated force.
     """
     force = np.zeros((len(masses), 3))
     torque = np.zeros((len(masses), 3))
-    for (i, j), level, x, n, (eps_first, _) in zip(pairs, levels, positions, normals, eps):
+    for (i, j), x, n, (eps_first, _) in zip(pairs, positions, normals, eps):
         length = math.sqrt(float(n @ n))
         if length < 1e-12:
             axis = coms[i] - coms[j]
@@ -221,7 +220,7 @@ def contact_wrench_reference(pairs, levels, positions, normals, eps, masses, com
         else:
             direction, engagement = n / length, 1.0 - length / eps_first
         reduced = 1.0 / (1.0 / masses[i] + 1.0 / masses[j])
-        f = direction * (k_s * engagement * math.sqrt(reduced) * 0.5 ** int(max(level)))
+        f = direction * (k_s * engagement * math.sqrt(reduced))
         for p, fp in ((i, f), (j, -f)):
             force[p] += fp
             torque[p] += np.cross(x - coms[p], fp)

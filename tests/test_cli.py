@@ -215,6 +215,17 @@ class TestRun:
         report = load_report(out)
         assert report["aggregate"]["culled"] == sum(s["culled"] for s in report["steps"]) > 0
 
+    def test_reused_in_steps_and_aggregate(self, tmp_path):
+        # the fused mode skips pairings on a positive margin: counted as
+        # reused in each step and the aggregate, never as checks
+        out, cfg_path = tmp_path / "r.json", tmp_path / "touching.json"
+        cfg_path.write_text(json.dumps({"scene": {"triangle_count": 80, "initial_gap": 2e-3}}))
+        code = run_cli("run", "--config", str(cfg_path), "--seed", "3", "--steps", "2",
+                       "--mode", "ImplicitMultiscalePicard", "--report", str(out))
+        assert code == 0
+        report = load_report(out)
+        assert report["aggregate"]["reused"] == sum(s["reused"] for s in report["steps"]) > 0
+
 
 class TestTreeCommands:
     @pytest.mark.parametrize("n_surrogate", ["1", "0"])
@@ -425,6 +436,12 @@ class TestBadInput:
                      "line 2", id="build-tree-obj-nan-coordinate"),
         pytest.param(["build-tree", "--obj", "{tmp}/short.obj", "--out", "{tmp}/tree.json"],
                      "line 1", id="build-tree-obj-short-vertex"),
+        pytest.param(["build-tree", "--obj", "{tmp}/word.obj", "--out", "{tmp}/tree.json"],
+                     "line 1", id="build-tree-obj-vertex-word"),
+        pytest.param(["build-tree", "--obj", "{tmp}/wordface.obj", "--out", "{tmp}/tree.json"],
+                     "line 4", id="build-tree-obj-face-word"),
+        pytest.param(["build-tree", "--obj", "{tmp}/quad.obj", "--out", "{tmp}/tree.json"],
+                     "line 5", id="build-tree-obj-quad"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, args, needle):
         # unusable flags or input files end the command with exit 2 and one
@@ -434,6 +451,9 @@ class TestBadInput:
         (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf -6 3 2\n")
         (tmp_path / "nan.obj").write_text("v 0 0 0\nv nan 1 0\nv 1 0 0\nv 1 1 0\nf 1 2 3\nf 1 3 4\n")
         (tmp_path / "short.obj").write_text("v 0 0\nv 0 0\nv 0 0\nf 1 2 3\n")
+        (tmp_path / "word.obj").write_text("v 0 0 x\nv 1 0 0\nv 1 1 0\nf 1 2 3\n")
+        (tmp_path / "wordface.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 x\n")
+        (tmp_path / "quad.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         for name, (config, _) in BAD_CONFIGS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(config))
         code = run_cli(*(a.format(tmp=tmp_path) for a in args))

@@ -308,10 +308,10 @@ class TestNewtonThirdLaw:
 @given(seed=st.integers(0, 2**32 - 1), n_particles=st.integers(3, 4),
        n_contacts=st.integers(0, 40))
 def test_force_assembly_properties(seed, n_particles, n_contacts):
-    # random contacts among movable particles, at every surrogate height
-    # and some with zero normals: the forces sum to zero and the torques
-    # about the origin, sum(tau_i + c_i x F_i), to zero, both to round-off,
-    # and the array path matches a per-contact reference loop
+    # random mesh-level contacts among movable particles, some with zero
+    # normals: the forces sum to zero and the torques about the origin,
+    # sum(tau_i + c_i x F_i), to zero, both to round-off, and the array
+    # path matches a per-contact reference loop
     rng = np.random.default_rng(seed)
     particles = []
     for _ in range(n_particles):
@@ -329,8 +329,7 @@ def test_force_assembly_properties(seed, n_particles, n_contacts):
     normal *= (rng.uniform(0.0, 1.0, size=n_contacts) * eps[:, 0]
                / np.linalg.norm(normal, axis=1))[:, None]
     normal[rng.random(n_contacts) < 0.1] = 0.0
-    contacts = Contacts(np.stack([i, j], axis=1), np.zeros((n_contacts, 2), dtype=np.int64),
-                        rng.integers(0, 5, size=(n_contacts, 2)),
+    contacts = Contacts(np.stack([i, j], axis=1), *np.zeros((2, n_contacts, 2), dtype=np.int64),
                         rng.normal(size=(n_contacts, 3)), normal, eps)
     motions = [p.motion for p in particles]
     force, torque, _, _ = stepping._rates(System(particles), StepConfig(), contacts, motions,
@@ -338,7 +337,7 @@ def test_force_assembly_properties(seed, n_particles, n_contacts):
 
     coms = np.array([m.apply_points(p.mass.center_of_mass) for m, p in zip(motions, particles)])
     ref_force, ref_torque = contact_wrench_reference(
-        contacts.pair, contacts.level, contacts.position, contacts.normal, contacts.eps,
+        contacts.pair, contacts.position, contacts.normal, contacts.eps,
         [p.mass.mass for p in particles], coms, StepConfig().force.k_s)
     # bounds on the summed terms: |f| <= k_s sqrt(M), lever arms <= |x| + |c|
     f_scale = 1.0 + n_contacts * StepConfig().force.k_s * np.sqrt(3.0)

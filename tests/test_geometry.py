@@ -74,7 +74,14 @@ class TestObj:
     def test_rejects_quads(self, tmp_path):
         path = tmp_path / "mesh.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 5"):
+            load_obj(path)
+
+    @pytest.mark.parametrize("face", ["1 2", "1 2 x", "1 2/x 3x"])
+    def test_rejects_faces_not_three_numbers(self, tmp_path, face):
+        path = tmp_path / "mesh.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf {face}\n")
+        with pytest.raises(ValueError, match="line 5"):
             load_obj(path)
 
     @pytest.mark.parametrize("face", ["1 2 99", "-9 3 4", "-6 3 2", "0 1 2"])
@@ -85,7 +92,8 @@ class TestObj:
         with pytest.raises(ValueError, match="line 6"):
             load_obj(path)
 
-    @pytest.mark.parametrize("record", ["v 0 0", "v", "v nan 1 0", "v 1 inf 0", "v 0 0 -1e999"])
+    @pytest.mark.parametrize("record", ["v 0 0", "v", "v nan 1 0", "v 1 inf 0", "v 0 0 -1e999",
+                                        "v 0 0 x", "v 1,5 0 0"])
     def test_rejects_short_or_non_finite_vertices(self, tmp_path, record):
         # three "v 0 0" records would otherwise regroup into two vertices
         path = tmp_path / "mesh.obj"

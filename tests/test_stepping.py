@@ -244,11 +244,11 @@ class TestOneDetectionPath:
         ("ImplicitSingle", "single_level_contacts"),
         ("ExplicitMultiscale", "multiscale_contacts"),
         ("ImplicitSurrogateInPicard", "multiscale_contacts"),
-        ("ImplicitMultiscalePicard", None),
+        ("ImplicitMultiscalePicard", "multiscale_contacts"),
     ])
     def test_step_detects_through_module_attribute(self, mode, entry, monkeypatch):
         # each mode reaches its entry point as a module attribute, once per
-        # detection; the fused mode keeps its own frontier instead
+        # detection; the fused mode passes its cut along
         calls = []
 
         def recording(name, original):
@@ -261,7 +261,7 @@ class TestOneDetectionPath:
             monkeypatch.setattr(stepping, name, recording(name, getattr(stepping, name)))
         stats = step(two_sphere_system(gap=2e-3), StepConfig(dt=1e-4, mode=mode))
         assert stats.contacts_merged > 0
-        assert calls == ([entry] * max(stats.picard_iterations, 1) if entry else [])
+        assert calls == [entry] * max(stats.picard_iterations, 1)
 
     def test_flat_detection_reads_no_tree(self):
         # particles without trees have mesh rows only, and flat detection and
@@ -300,8 +300,8 @@ _EQUIVALENCE_SYSTEM: list = []
 @given(seed=st.integers(0, 2**32 - 1), gap=st.floats(-2e-2, 1e-2))
 def test_three_detections_agree(seed, gap):
     # random poses of two 80-triangle spheres: unfolding the trees, flat
-    # detection and the fused detector's first settled sweep find the same
-    # merged contacts, within criterion 3's tolerances
+    # detection and the fused detector's first sweep find the same merged
+    # contacts, within criterion 3's tolerances
     if not _EQUIVALENCE_SYSTEM:
         _EQUIVALENCE_SYSTEM.append(two_sphere_system(count=80))
     system = _EQUIVALENCE_SYSTEM[0]
@@ -318,10 +318,7 @@ def test_three_detections_agree(seed, gap):
         multiscale_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
     single = merge_contacts(
         single_level_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
-    detect = _FusedDetector(system, StepStats())
-    settled = False
-    while not settled:
-        fused, settled = detect(motions)
+    fused = _FusedDetector(system, StepStats())(motions)
     for found in (multi, fused):
         assert len(found) == len(single)
         for a, b in zip(single, found):
@@ -415,48 +412,64 @@ def random_contact_pose(system, rng):
     return [p.motion for p in system.particles]
 
 
+def cut_cover(forest, cut):
+    """How many pairings of ``cut`` lie over each (mesh tri of 0, mesh tri
+    of 1) pair of trees 0 and 1."""
+    leaves = mesh_leaves(forest, 0), mesh_leaves(forest, 1)
+    cover = np.zeros([int(forest.offset[k + 1] - forest.mesh[k]) for k in (0, 1)], dtype=np.int64)
+    for a, b in zip(cut.gi - forest.offset[0], cut.gj - forest.offset[1]):
+        cover[np.ix_(leaves[0][int(a)], leaves[1][int(b)])] += 1
+    return cover
+
+
+def recording_unfolds(monkeypatch):
+    """Calls of ``stepping.multiscale_contacts`` with a cut, recorded as
+    (motions, pairs, contacts, cut after the call)."""
+    calls, original = [], stepping.multiscale_contacts
+
+    def recording(forest, motions, pairs, stats, cut=None):
+        found = original(forest, motions, pairs, stats, cut)
+        if cut is not None:
+            calls.append((list(motions), pairs, found, copy.deepcopy(cut)))
+        return found
+
+    monkeypatch.setattr(stepping, "multiscale_contacts", recording)
+    return calls
+
+
 class TestFusedFrontier:
     def test_frontier_is_cut_after_every_sweep(self):
         # every (mesh tri of i, mesh tri of j) pair lies under exactly one
-        # frontier pairing, while the poses move from sweep to sweep
+        # cut pairing, while the poses move from sweep to sweep, and every
+        # sweep is settled: at its poses, no pairing of the cut that its
+        # margin does not prove apart splits again
         rng = np.random.default_rng(41)
         system = two_sphere_system(count=80)
-        leaves_i, leaves_j = mesh_leaves(system.forest, 0), mesh_leaves(system.forest, 1)
-        n_i, n_j = (len(p.body_tris) for p in system.particles)
-        swept = 0
+        forest = system.forest
         for _ in range(6):
             motions = random_contact_pose(system, rng)
             detect = _FusedDetector(system, StepStats())
-            for _ in range(8):
+            for _ in range(4):
                 shift = rng.normal(scale=2e-3, size=3)
-                _, settled = detect([motions[0], RigidMotion(motions[1].rotation,
-                                                             motions[1].translation + shift)])
-                swept += 1
-                # the global frontier in each tree's own ids
-                gi, gj = detect.frontier
-                gi, gj = gi - detect.forest.offset[0], gj - detect.forest.offset[1]
-                cover = np.zeros((n_i, n_j), dtype=np.int64)
-                for a, b in zip(gi, gj):
-                    cover[np.ix_(leaves_i[int(a)], leaves_j[int(b)])] += 1
-                assert (cover == 1).all()
-                if settled:
-                    break
-        assert swept > 6
+                moved = [motions[0], RigidMotion(motions[1].rotation,
+                                                 motions[1].translation + shift)]
+                detect(moved)
+                cut = detect.cut
+                assert (cut_cover(forest, cut) == 1).all()
+                near = ~(cut.margin > 0.0)
+                _, _, (kids, _) = stepping._refine(forest, forest.world(moved, [(0, 1)]),
+                                                   cut.gi[near], cut.gj[near], StepStats())
+                assert kids.size == 0
 
     def test_settled_sweep_is_complete_detection(self):
-        # with fixed poses, the first settled sweep finds exactly the merged
+        # with fixed poses, the first sweep finds exactly the merged
         # single-level contacts (criterion 3's tolerances)
         rng = np.random.default_rng(42)
         system = two_sphere_system(count=80)
         found_any = False
         for _ in range(8):
             motions = random_contact_pose(system, rng)
-            detect = _FusedDetector(system, StepStats())
-            for _ in range(10):
-                contacts, settled = detect(motions)
-                if settled:
-                    break
-            assert settled
+            contacts = _FusedDetector(system, StepStats())(motions)
             assert all(max(c.level) == 0 for c in contacts)
             single = merge_contacts(
                 single_level_contacts(system.forest, motions, [(0, 1)], StepStats()),
@@ -471,14 +484,13 @@ class TestFusedFrontier:
 
     @pytest.mark.parametrize("count,gap", [(80, 1e-2), (80, 2e-2), (320, 2e-2)])
     def test_no_contact_step_sweep_bound(self, count, gap):
-        # root halos overlap but the meshes do not touch: the frontier widens
-        # one level per sweep, then one settled sweep and one to converge
+        # root halos overlap but the meshes do not touch: the first sweep is
+        # a complete detection, finds no contact and converges
         system = two_sphere_system(gap=gap, speed=0.0, count=count)
-        height = max(int(p.tree.height[0]) for p in system.particles)
         stats = implicit_step(system, StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard"))
         assert stats.broad_phase_pairs == 1 and stats.total_checks > 0
         assert stats.contacts_merged == 0
-        assert stats.picard_iterations <= height + 2
+        assert stats.picard_iterations == 1
 
     def test_checks_within_twice_surrogate_in_picard(self):
         # criterion-7 scene: fused detection costs at most twice the checks
@@ -491,6 +503,112 @@ class TestFusedFrontier:
             cfg = StepConfig(dt=1e-4, mode=mode)
             per_step[mode] = np.mean([step(system, cfg).total_checks for _ in range(20)])
         assert per_step["ImplicitMultiscalePicard"] <= 2.0 * per_step["ImplicitSurrogateInPicard"]
+
+    def test_every_sweep_equals_unfolding_from_roots(self, monkeypatch):
+        # ten steps of the criterion-7 pair: at every sweep's poses, the
+        # merged contacts of the cut equal those unfolded from the roots,
+        # bitwise, and some pairings were skipped
+        calls = recording_unfolds(monkeypatch)
+        system = copy.deepcopy(_cull_scene("pair"))
+        cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
+        reused = sum(step(system, cfg).reused for _ in range(10))
+        assert len(calls) > 10 and reused > 0
+        eps = [p.epsilon for p in system.particles]
+        for motions, pairs, found, _ in calls:
+            fused = merge_contacts(found, eps)
+            fresh = merge_contacts(stepping.multiscale_contacts(
+                system.forest, motions, pairs, StepStats()), eps)
+            for f in dataclasses.fields(Contacts):
+                assert np.array_equal(getattr(fused, f.name), getattr(fresh, f.name))
+        assert sum(len(found) for _, _, found, _ in calls) > 0
+
+    def test_cut_covers_trees_of_unequal_height(self, monkeypatch):
+        # a ScaledPair whose refined side has the taller tree: pairings of
+        # unequal heights open their taller side only, and after every sweep
+        # each mesh pair still lies under exactly one cut pairing
+        calls = recording_unfolds(monkeypatch)
+        spec = SceneSpec(kind="ScaledPair", triangle_count=80, scale_factors=(1.0, 2.0),
+                         refine_scaled=True, initial_gap=5e-3, approach_speed=0.2, seed=3)
+        system = system_from_scene(build_scene(spec))
+        heights = [int(p.tree.height[0]) for p in system.particles]
+        assert heights[0] < heights[1]
+        cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
+        assert sum(step(system, cfg).contacts_merged for _ in range(3)) > 0
+        forest = system.forest
+        assert len(calls) >= 3
+        for _, _, _, cut in calls:
+            assert (cut_cover(forest, cut) == 1).all()
+        # at the last poses the root pairing splits into the taller root's
+        # children, each paired with the shorter root
+        short, tall = forest.offset[:2]
+        _, _, (gi, gj) = stepping._refine(forest, forest.world(motions_of(system), [(0, 1)]),
+                                          forest.offset[:1], forest.offset[1:2], StepStats())
+        start = forest.kid_start[tall]
+        assert (gi == short).all()
+        assert np.array_equal(gj, forest.kids[start:start + forest.kid_count[tall]])
+
+    def test_final_states_equal_implicit_single(self):
+        # 40 steps of an 80-triangle pair: the fused mode's sweeps and final
+        # states equal ImplicitSingle's, bitwise
+        runs = []
+        for mode in ("ImplicitSingle", "ImplicitMultiscalePicard"):
+            spec = SceneSpec(kind="ParticleParticle", triangle_count=80,
+                             initial_gap=2e-3, approach_speed=0.5, seed=3)
+            system = system_from_scene(build_scene(spec))
+            cfg = StepConfig(dt=1e-4, mode=mode)
+            sweeps = [step(system, cfg).picard_iterations for _ in range(40)]
+            runs.append((sweeps, system))
+        (sweeps_a, sys_a), (sweeps_b, sys_b) = runs
+        assert sweeps_a == sweeps_b and max(sweeps_a) > 1
+        for pa, pb in zip(sys_a.particles, sys_b.particles):
+            assert np.array_equal(pa.motion.translation, pb.motion.translation)
+            assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
+            assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+
+
+_CERTIFICATE_SYSTEM: list = []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gap=st.floats(-2e-2, 2e-2),
+       speed=st.sampled_from([1e-3, 1e-2, 0.1, 0.3]))
+def test_skipped_pairings_are_apart(seed, gap, speed):
+    # two bumpy 80-triangle particles at a random contact pose, then three
+    # random rigid motions of both, each turning about the centre of mass
+    # by up to ``speed`` per axis and moving it as far: every pairing that
+    # the next sweep skips has an exact surrogate-triangle distance above
+    # its reach
+    if not _CERTIFICATE_SYSTEM:
+        spec = SceneSpec(kind="ParticleParticle", triangle_count=80, eta_r=2.6, seed=3)
+        _CERTIFICATE_SYSTEM.append(system_from_scene(build_scene(spec)))
+    system = _CERTIFICATE_SYSTEM[0]
+    forest = system.forest
+    p0, p1 = system.particles
+    rng = np.random.default_rng(seed)
+    # particle 1's lowest vertex along x sits ``gap`` beyond particle 0's highest
+    rot = RigidMotion.random_rotation(rng)
+    verts0 = p0.motion.apply_points(p0.body_tris.reshape(-1, 3))
+    verts1 = rot.apply_points(p1.body_tris.reshape(-1, 3))
+    motions = [p0.motion, RigidMotion(rot.rotation, verts0[np.argmax(verts0[:, 0])]
+                                      - verts1[np.argmin(verts1[:, 0])] + [gap, 0.0, 0.0])]
+    stats = StepStats()
+    detect = _FusedDetector(system, stats)
+    detect(motions)
+    for _ in range(3):
+        motions = [stepping.advance_motion(p, m, rng.uniform(-speed, speed, 3),
+                                           rng.uniform(-speed, speed, 3), 1.0)
+                   for p, m in zip(system.particles, motions)]
+        cut = copy.deepcopy(detect.cut)
+        moved = forest.moved(cut.motions, motions)
+        skip = cut.margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]]) > 0.0
+        before = stats.reused
+        detect(motions)
+        assert stats.reused - before == skip.sum()
+        a, b = cut.gi[skip], cut.gj[skip]
+        world = forest.world(motions, [(0, 1)])
+        reach = forest.eps[a].astype(np.float64) + forest.eps[b]
+        exact = comparison_batch(world[a], world[b], 0.5 * reach)
+        assert (exact.distance > reach).all()
 
 
 class TestMultiscalePicard:
@@ -517,7 +635,7 @@ class TestMultiscalePicard:
             assert np.linalg.norm(pa.omega - pb.omega) / scale_w < 5e-3 or scale_w < 1e-6
 
     def test_veto_blocks_removal_oscillation(self):
-        # adversarial: a pair breathing at the halo rim; the frontier only
+        # adversarial: a pair breathing at the halo rim; the cut only
         # refines within a step, so detection cannot oscillate
         system = two_sphere_system(gap=1.9e-2, speed=0.0, count=80)
         cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard",
@@ -607,8 +725,8 @@ class TestSeparatingAxisCull:
             return [step(system, cfg) for _ in range(12)], system
 
         with_cull, sys_a = run()
-        monkeypatch.setattr(stepping, "_separated",
-                            lambda a, b, reach: np.zeros(len(a), dtype=bool))
+        monkeypatch.setattr(stepping, "_margin",
+                            lambda a, b, reach: np.full(len(a), -np.inf))
         without, sys_b = run()
         assert [s.contacts_merged for s in with_cull] == [s.contacts_merged for s in without]
         assert [s.picard_iterations for s in with_cull] == [s.picard_iterations for s in without]
