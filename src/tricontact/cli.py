@@ -55,7 +55,6 @@ def _load_config(args) -> RunConfig:
         config.kernel.epsilon = args.epsilon
     if args.n_surrogate is not None:
         config.n_surrogate = args.n_surrogate
-    config.seed = args.seed
     config.scene.seed = args.seed
     # re-validate after overrides
     return RunConfig.from_dict(config.as_dict())

@@ -27,6 +27,7 @@ ANY = object()  # a retired key that never changed a run: every value loads
 # retired as a whole.
 RETIRED = {
     "workers": ANY,
+    "seed": ANY,  # the run's seed is ``scene.seed``
     "fit.beta_size": surrogate.BETA_SIZE,
     "fit.alpha_area": surrogate.ALPHA_AREA,
     "fit.alpha_inside": surrogate.ALPHA_INSIDE,
@@ -101,7 +102,6 @@ class RunConfig:
     kernel: KernelParams = field(default_factory=KernelParams)
     n_surrogate: int = 8
     n_steps: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -116,7 +116,6 @@ class RunConfig:
             "kernel": asdict(self.kernel),
             "n_surrogate": self.n_surrogate,
             "n_steps": self.n_steps,
-            "seed": self.seed,
         }
 
     @staticmethod

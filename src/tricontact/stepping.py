@@ -1,25 +1,24 @@
 """Time integrators: explicit Euler and implicit Euler with Picard sweeps.
 
 Every mode detects through one :class:`Forest`, which stacks all
-particles' tree and mesh rows into one id space, and ``_detector`` picks
-the mode's detection in one place.  Candidate pairs come from one
-bounding-sphere test over all particle pairs.  All kernel work takes one
-route, ``_kernel_pass``, and all tree detection one round, ``_refine``:
-count the checks, cull, run the kernel, split.  The Single modes detect
-flat: one kernel pass over all mesh-row pairings of every pair, the
-brute-force baseline, which reads no tree and culls nothing
-(:func:`single_level_contacts`).  ExplicitMultiscale and
-ImplicitSurrogateInPicard refine the trees of all pairs from their roots
-until no pairing splits (:func:`multiscale_contacts`).  A round splits
-only the taller side of a pairing, both sides when the heights are
-equal, and never a mesh side.  ImplicitMultiscalePicard, the fused
-scheme, unfolds to settled in every Picard sweep too, so each sweep is a
-complete detection and it takes the sweeps of ImplicitSurrogateInPicard;
-it no longer widens one level per sweep.  It carries the settled
-:class:`Cut` from sweep to sweep within a step and skips the pairings
-that the particles' motion since the last sweep cannot have brought into
-reach.  The three implicit modes share one Picard driver and differ only
-in this.
+particles' tree and mesh rows into one id space, and through one
+detector, ``_detector``: each detection runs one bounding-sphere test over
+all particle pairs at its poses, then the mode's detection, then one
+merge.  All kernel work takes one route, ``_kernel_pass``, and all tree
+detection one round, ``_refine``: count the checks, cull, run the kernel,
+split.  The Single modes detect flat: one kernel pass over all mesh-row
+pairings of every pair, the brute-force baseline, which reads no tree and
+culls nothing (:func:`single_level_contacts`).  The other three modes
+refine the trees of all pairs until no pairing splits
+(:func:`multiscale_contacts`).  A round splits only the taller side of a
+pairing, both sides when the heights are equal, and never a mesh side.
+ExplicitMultiscale and ImplicitSurrogateInPicard start from the roots in
+every detection.  ImplicitMultiscalePicard, the fused scheme, is
+ImplicitSurrogateInPicard plus a carried :class:`Cut`: it unfolds the cut
+that its last sweep left, so it finds the same contacts in the same
+sweeps, and skips the pairings that the particles' motion since then
+cannot have brought into reach.  The three implicit modes share one
+Picard driver.
 
 Comparison-based fallbacks run only for pairs of real mesh triangles,
 never on surrogate levels, and only mesh-level hits become contacts.
@@ -104,7 +103,9 @@ class Forest:
     index on the mesh level (height 0); ``tri`` holds the rows' body-frame
     triangles.  ``com[k]`` is particle ``k``'s body-frame centre of mass
     and ``radius[k]`` the largest distance from it to a vertex of the
-    tree's rows, nodes included.  A pairing is a pair of ids.
+    tree's rows, nodes included; ``bound[k]`` is the radius of its
+    broad-phase sphere, the largest distance to a mesh vertex plus the
+    halo.  A pairing is a pair of ids.
     """
 
     def __init__(self, particles: list[Particle]):
@@ -129,6 +130,10 @@ class Forest:
         self.com = np.array([p.mass.center_of_mass for p in particles], dtype=np.float64)
         self.radius = np.array([_length(self.tri[lo:hi].reshape(-1, 3) - c).max() for lo, hi, c
                                 in zip(self.offset[:-1], self.offset[1:], self.com)])
+        # in the mesh's dtype, unlike com
+        self.bound = np.array([float(np.linalg.norm(
+            p.body_tris.reshape(-1, 3) - p.mass.center_of_mass, axis=1).max()) + p.epsilon
+            for p in particles])
 
     def moved(self, before: list[RigidMotion], after: list[RigidMotion]) -> np.ndarray:
         """Per particle, a bound on how far any vertex of its rows moves from
@@ -140,11 +145,6 @@ class Forest:
             dr = m1.rotation_matrix().astype(np.float64) - m0.rotation_matrix()
             out[k] = np.linalg.norm(dc.astype(np.float64)) + np.linalg.norm(dr) * self.radius[k]
         return out
-
-    def roots(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Root pairings of the tree pairs ``(k, l)`` (positions in ``particles``)."""
-        pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
-        return self.offset[pairs[:, 0]], self.offset[pairs[:, 1]]
 
     def world(self, motions: list[RigidMotion], pairs, mesh_only: bool = False) -> np.ndarray:
         """World-frame triangles: the rows of each tree that ``pairs`` names
@@ -191,12 +191,6 @@ class Particle:
     omega: np.ndarray
     mass: MassProperties
     epsilon: float
-
-    def bound_radius(self) -> float:
-        com = self.mass.center_of_mass
-        r = np.linalg.norm(self.body_tris.reshape(-1, 3) - com, axis=1).max()
-        # the root halo already covers the geometry; either bound works
-        return float(r) + self.epsilon
 
 
 @dataclass
@@ -280,7 +274,7 @@ class StepStats:
 
 
 # ---------------------------------------------------------------------------
-# Detection: broad phase, flat and tree detection, one detector per mode.
+# Detection: broad phase, flat and tree detection, one detector for all modes.
 # ---------------------------------------------------------------------------
 
 
@@ -294,7 +288,7 @@ def broad_phase_pairs(system: System, motions: list[RigidMotion] | None = None) 
     motions = motions or [p.motion for p in particles]
     centers = np.array([m.apply_points(p.mass.center_of_mass)
                         for m, p in zip(motions, particles)]).reshape(-1, 3)
-    radii = np.array([p.bound_radius() for p in particles])
+    radii = system.forest.bound
     i, j = np.triu_indices(len(particles), 1)
     near = _length(centers[i] - centers[j]) <= radii[i] + radii[j]
     return list(zip(i[near].tolist(), j[near].tolist()))
@@ -368,12 +362,6 @@ def _margin(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarr
     return np.where(length > 0.0, margin, -np.inf)
 
 
-def _separated(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Mask of pairings that a separating axis proves farther apart than
-    ``reach``: a positive :func:`_margin`."""
-    return _margin(tri_a, tri_b, reach) > 0.0
-
-
 def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
             stats: StepStats):
     """One round of tree detection on the :class:`Forest` pairings
@@ -431,7 +419,9 @@ class Cut:
 
     @staticmethod
     def roots(forest: Forest, pairs) -> "Cut":
-        gi, gj = forest.roots(pairs)
+        """The root pairings of the tree pairs ``(k, l)`` (particle positions)."""
+        pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+        gi, gj = forest.offset[pairs[:, 0]], forest.offset[pairs[:, 1]]
         return Cut(gi, gj, np.full(gi.size, -np.inf))
 
 
@@ -470,48 +460,28 @@ def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     return Contacts.concat(found)
 
 
-class _FusedDetector:
-    """Per-sweep detection of the fused multiscale Picard scheme.
-
-    The broad phase runs once, at the start-of-step poses, and one
-    :class:`Cut` serves all candidate pairs for the step, starting at the
-    roots (each step makes a new detector).  Every sweep unfolds it to
-    settled at the guessed poses through :func:`multiscale_contacts`, so
-    each sweep is a complete mesh-level detection, and returns the merged
-    contacts.
-    """
-
-    def __init__(self, system: System, stats: StepStats):
-        self.system = system
-        self.stats = stats
-        self.pairs = broad_phase_pairs(system)
-        stats.broad_phase_pairs = len(self.pairs)
-        self.cut = Cut.roots(system.forest, self.pairs)
-
-    def __call__(self, guess_motions: list[RigidMotion]) -> Contacts:
-        found = multiscale_contacts(self.system.forest, guess_motions, self.pairs, self.stats,
-                                    self.cut)
-        return merge_contacts(found, [p.epsilon for p in self.system.particles])
-
-
 def _detector(system: System, mode: str, stats: StepStats):
     """``detect(motions) -> merged contacts`` for ``mode``, a complete
     mesh-level detection at the given poses in every mode.
 
-    The fused mode keeps its cut across calls (:class:`_FusedDetector`).
-    Every other mode detects afresh: the broad phase, then flat detection
-    (the Single modes) or the trees unfolded from their roots, and one
-    merge.
+    Each call runs the broad phase at ``motions``, then flat detection (the
+    Single modes) or the trees unfolded to settled, and one merge.  The
+    fused mode differs in one thing only: it unfolds a :class:`Cut` that it
+    keeps from call to call, remade from the roots whenever the broad phase
+    names other pairs (front tracking: Ehmann and Lin, Eurographics 2001).
     """
-    if mode == "ImplicitMultiscalePicard":
-        return _FusedDetector(system, stats)
+    cut = cut_pairs = None
 
     def detect(motions):
+        nonlocal cut, cut_pairs
         pairs = broad_phase_pairs(system, motions)
         stats.broad_phase_pairs = len(pairs)
-        flat = mode in ("ExplicitSingle", "ImplicitSingle")
-        find = single_level_contacts if flat else multiscale_contacts
-        found = find(system.forest, motions, pairs, stats)
+        if mode in ("ExplicitSingle", "ImplicitSingle"):
+            found = single_level_contacts(system.forest, motions, pairs, stats)
+        else:
+            if mode == "ImplicitMultiscalePicard" and pairs != cut_pairs:
+                cut, cut_pairs = Cut.roots(system.forest, pairs), pairs
+            found = multiscale_contacts(system.forest, motions, pairs, stats, cut)
         return merge_contacts(found, [p.epsilon for p in system.particles])
     return detect
 
@@ -600,17 +570,14 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
     on guessed end-of-step states, then the commit.
 
     Each sweep detects through :func:`_detector` at the guessed poses, a
-    complete mesh-level detection in every mode: ImplicitSingle and
-    ImplicitSurrogateInPicard detect afresh, and ImplicitMultiscalePicard
-    unfolds its cut to settled (splitting the taller side of a pairing,
-    both on equal heights, never a mesh side) and skips the pairings that
-    cannot have moved into reach, so it no longer widens one level per
-    sweep and takes the same sweeps as the other two.  Each particle
-    blends its new rates with the previous ones by a factor theta that
-    grows while successive raw forces agree in direction and shrinks when
-    they flip.  The sweep state is three arrays over the
-    particles: ``theta``, the previous raw wrench ``prev`` and the applied
-    rates ``applied``, the last two None before the first sweep.
+    complete mesh-level detection in every mode, so the three modes take
+    the same sweeps; ImplicitMultiscalePicard only skips, through its
+    carried cut, the pairings that cannot have moved into reach.  Each
+    particle blends its new rates with the previous ones by a factor theta
+    that grows while successive raw forces agree in direction and shrinks
+    when they flip.  The sweep state is three arrays over the particles:
+    ``theta``, the previous raw wrench ``prev`` and the applied rates
+    ``applied``, the last two None before the first sweep.
     """
     if cfg.mode not in IMPLICIT_MODES:
         raise ValueError(f"implicit_step cannot run mode {cfg.mode}")

@@ -88,7 +88,7 @@ class TestRun:
         assert code == 0
         report = load_report(report_path)
         assert report["config"]["n_steps"] == 1
-        assert report["config"]["seed"] == 5
+        assert report["config"]["scene"]["seed"] == 5
         assert report["config"]["scene"]["triangle_count"] == 20
 
     @pytest.mark.parametrize("section, key, value, expected", [
@@ -189,8 +189,8 @@ class TestRun:
         del old["fit"]
         for name in RETIRED:
             section, _, key = name.rpartition(".")
-            if section in ("scene", "step", "kernel"):
-                old[section].pop(key, None)
+            if section in ("", "scene", "step", "kernel"):
+                (old[section] if section else old).pop(key, None)
         assert load_report(out)["config"] == old
 
     def test_invalid_config_exit_code(self, tmp_path):

@@ -14,7 +14,7 @@ from tricontact.kernels import KernelParams, Kind, comparison_batch
 from tricontact.scenes import SceneSpec, build_scene
 from tricontact.contact import Contacts, merge_contacts
 from tricontact.stepping import (IMPLICIT_MODES, PicardDiverged,
-                                 StepConfig, StepStats, _FusedDetector,
+                                 StepConfig, StepStats, _detector,
                                  broad_phase_pairs, explicit_step,
                                  implicit_step, multiscale_contacts,
                                  single_level_contacts, step,
@@ -104,12 +104,16 @@ def test_broad_phase_is_the_sphere_test(kind, seed, spread, scale):
     motions = [RigidMotion.random_rotation(
         rng, translation=scale * (p.motion.translation + rng.normal(scale=spread, size=3)))
         for p in system.particles]
+    # each sphere: the largest distance from the centre of mass to a mesh
+    # vertex, plus the halo
+    bound = [float(np.linalg.norm(p.body_tris.reshape(-1, 3) - p.mass.center_of_mass,
+                                  axis=1).max()) + p.epsilon for p in system.particles]
     want = []
     for i, j in itertools.combinations(range(len(system.particles)), 2):
         p_i, p_j = system.particles[i], system.particles[j]
         gap = (motions[i].apply_points(p_i.mass.center_of_mass)
                - motions[j].apply_points(p_j.mass.center_of_mass))
-        if np.linalg.norm(gap) <= p_i.bound_radius() + p_j.bound_radius():
+        if np.linalg.norm(gap) <= bound[i] + bound[j]:
             want.append((i, j))
     assert broad_phase_pairs(system, motions) == want
 
@@ -318,7 +322,7 @@ def test_three_detections_agree(seed, gap):
         multiscale_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
     single = merge_contacts(
         single_level_contacts(system.forest, motions, [(0, 1)], StepStats()), eps)
-    fused = _FusedDetector(system, StepStats())(motions)
+    fused = _detector(system, "ImplicitMultiscalePicard", StepStats())(motions)
     for found in (multi, fused):
         assert len(found) == len(single)
         for a, b in zip(single, found):
@@ -438,28 +442,31 @@ def recording_unfolds(monkeypatch):
 
 
 class TestFusedFrontier:
-    def test_frontier_is_cut_after_every_sweep(self):
+    def test_frontier_is_cut_after_every_sweep(self, monkeypatch):
         # every (mesh tri of i, mesh tri of j) pair lies under exactly one
         # cut pairing, while the poses move from sweep to sweep, and every
         # sweep is settled: at its poses, no pairing of the cut that its
-        # margin does not prove apart splits again
+        # margin does not prove apart splits again.  A sweep whose poses
+        # take the pair out of bounding-sphere reach has an empty cut.
+        calls = recording_unfolds(monkeypatch)
         rng = np.random.default_rng(41)
         system = two_sphere_system(count=80)
         forest = system.forest
         for _ in range(6):
             motions = random_contact_pose(system, rng)
-            detect = _FusedDetector(system, StepStats())
+            detect = _detector(system, "ImplicitMultiscalePicard", StepStats())
             for _ in range(4):
                 shift = rng.normal(scale=2e-3, size=3)
                 moved = [motions[0], RigidMotion(motions[1].rotation,
                                                  motions[1].translation + shift)]
                 detect(moved)
-                cut = detect.cut
-                assert (cut_cover(forest, cut) == 1).all()
+                _, pairs, _, cut = calls[-1]
+                assert (cut_cover(forest, cut) == len(pairs)).all()
                 near = ~(cut.margin > 0.0)
                 _, _, (kids, _) = stepping._refine(forest, forest.world(moved, [(0, 1)]),
                                                    cut.gi[near], cut.gj[near], StepStats())
                 assert kids.size == 0
+        assert sum(len(pairs) for _, pairs, _, _ in calls) > 20
 
     def test_settled_sweep_is_complete_detection(self):
         # with fixed poses, the first sweep finds exactly the merged
@@ -469,7 +476,7 @@ class TestFusedFrontier:
         found_any = False
         for _ in range(8):
             motions = random_contact_pose(system, rng)
-            contacts = _FusedDetector(system, StepStats())(motions)
+            contacts = _detector(system, "ImplicitMultiscalePicard", StepStats())(motions)
             assert all(max(c.level) == 0 for c in contacts)
             single = merge_contacts(
                 single_level_contacts(system.forest, motions, [(0, 1)], StepStats()),
@@ -565,6 +572,37 @@ class TestFusedFrontier:
             assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
             assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
 
+    def test_pair_coming_into_reach_mid_step(self):
+        # the 80-triangle criterion-7 pair and a third sphere 0.021 to the
+        # left of it, moving at 20 with dt 1e-3: the bounding spheres of the
+        # new pair overlap only at the guessed end-of-step poses, and the
+        # fused mode takes the sweeps, contacts and final state of
+        # ImplicitSingle and ImplicitSurrogateInPicard, bitwise
+        spec = SceneSpec(kind="ParticleParticle", triangle_count=80,
+                         initial_gap=2e-3, approach_speed=0.5, seed=3)
+        scene = build_scene(spec)
+        first = scene.particles[0]
+        scene.particles.append(dataclasses.replace(
+            first, motion=RigidMotion(first.motion.rotation,
+                                      first.motion.translation - [1.021, 0.0, 0.0]),
+            velocity=np.array([20.0, 0.0, 0.0], dtype=REAL)))
+        start = system_from_scene(scene)
+        assert broad_phase_pairs(start) == [(0, 1)]
+        runs = []
+        for mode in IMPLICIT_MODES:
+            system = copy.deepcopy(start)
+            stats = step(system, StepConfig(dt=1e-3, mode=mode))
+            runs.append(((stats.picard_iterations, stats.contacts_merged,
+                          stats.broad_phase_pairs), system))
+        (want, sys_a), *others = runs
+        assert want[1:] == (2, 2) and sys_a.particles[2].v[0] < 20.0
+        for got, sys_b in others:
+            assert got == want
+            for pa, pb in zip(sys_a.particles, sys_b.particles):
+                assert np.array_equal(pa.motion.translation, pb.motion.translation)
+                assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
+                assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+
 
 _CERTIFICATE_SYSTEM: list = []
 
@@ -577,7 +615,8 @@ def test_skipped_pairings_are_apart(seed, gap, speed):
     # random rigid motions of both, each turning about the centre of mass
     # by up to ``speed`` per axis and moving it as far: every pairing that
     # the next sweep skips has an exact surrogate-triangle distance above
-    # its reach
+    # its reach, and the sweeps skip exactly the pairings whose margin
+    # outlasts the motion, none when the broad phase names other pairs
     if not _CERTIFICATE_SYSTEM:
         spec = SceneSpec(kind="ParticleParticle", triangle_count=80, eta_r=2.6, seed=3)
         _CERTIFICATE_SYSTEM.append(system_from_scene(build_scene(spec)))
@@ -592,23 +631,29 @@ def test_skipped_pairings_are_apart(seed, gap, speed):
     motions = [p0.motion, RigidMotion(rot.rotation, verts0[np.argmax(verts0[:, 0])]
                                       - verts1[np.argmin(verts1[:, 0])] + [gap, 0.0, 0.0])]
     stats = StepStats()
-    detect = _FusedDetector(system, stats)
-    detect(motions)
-    for _ in range(3):
-        motions = [stepping.advance_motion(p, m, rng.uniform(-speed, speed, 3),
-                                           rng.uniform(-speed, speed, 3), 1.0)
-                   for p, m in zip(system.particles, motions)]
-        cut = copy.deepcopy(detect.cut)
-        moved = forest.moved(cut.motions, motions)
-        skip = cut.margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]]) > 0.0
-        before = stats.reused
+    detect = _detector(system, "ImplicitMultiscalePicard", stats)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = recording_unfolds(patch)
         detect(motions)
-        assert stats.reused - before == skip.sum()
-        a, b = cut.gi[skip], cut.gj[skip]
-        world = forest.world(motions, [(0, 1)])
-        reach = forest.eps[a].astype(np.float64) + forest.eps[b]
-        exact = comparison_batch(world[a], world[b], 0.5 * reach)
-        assert (exact.distance > reach).all()
+        for _ in range(3):
+            motions = [stepping.advance_motion(p, m, rng.uniform(-speed, speed, 3),
+                                               rng.uniform(-speed, speed, 3), 1.0)
+                       for p, m in zip(system.particles, motions)]
+            _, pairs, _, cut = calls[-1]
+            moved = forest.moved(cut.motions, motions)
+            skip = cut.margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]]) > 0.0
+            before = stats.reused
+            detect(motions)
+            if calls[-1][1] != pairs:
+                # the pair left or entered bounding-sphere reach: the cut
+                # restarts from the roots and skips nothing
+                skip[:] = False
+            assert stats.reused - before == skip.sum()
+            a, b = cut.gi[skip], cut.gj[skip]
+            world = forest.world(motions, [(0, 1)])
+            reach = forest.eps[a].astype(np.float64) + forest.eps[b]
+            exact = comparison_batch(world[a], world[b], 0.5 * reach)
+            assert (exact.distance > reach).all()
 
 
 class TestMultiscalePicard:
@@ -673,7 +718,8 @@ NEAR = [0.0] + [s * r for r in (1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3) for s in (
        slivers=st.tuples(*[st.sampled_from([0.0, 1e-2, 1e-4, 1e-5])] * 2),
        shift=st.sampled_from([0.0, 1.0, 100.0]), eps=st.tuples(*[st.floats(1e-5, 0.1)] * 2),
        rel_gap=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(NEAR)),
-       dtype=st.sampled_from([np.float64, np.float32]))
+       dtype=st.sampled_from([d for d in (np.float64, np.float32)
+                              if np.finfo(d).eps >= np.finfo(REAL).eps]))
 # float32 rounding at the threshold, found with no rounding slack in the cull
 @example(seed=1, size=0.001, slivers=(1e-4, 1e-2), shift=100.0, eps=(0.09375, 1e-5),
          rel_gap=0.0, dtype=np.float32)
@@ -684,7 +730,9 @@ NEAR = [0.0] + [s * r for r in (1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3) for s in (
 def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap, dtype):
     # place B along a random axis u so that its projection gap to A along
     # the centroid line is the halo reach times (1 + rel_gap); whenever the
-    # cull clears the pairing, the exact kernel must find the two halos apart
+    # cull clears the pairing, the exact kernel must find the two halos apart.
+    # The program detects in REAL, and a triangle finer than REAL would be
+    # rounded by the reference, so no finer dtype is drawn
     rng = np.random.default_rng(seed)
     a = _triangle(rng, size, slivers[0])
     b = _triangle(rng, size, slivers[1])
@@ -698,7 +746,7 @@ def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap,
     tri_a = (a + offset)[None].astype(dtype)
     tri_b = (b + offset)[None].astype(dtype)
     assume(not degenerate_mask(np.concatenate([tri_a, tri_b])).any())
-    clear = stepping._separated(tri_a, tri_b, np.array([reach], dtype=dtype))
+    clear = stepping._margin(tri_a, tri_b, np.array([reach], dtype=dtype)) > 0.0
     if clear[0]:
         res = comparison_batch(tri_a, tri_b, 0.5 * float(dtype(reach)))
         assert res.kind[0] == np.int8(Kind.NO_CONTACT)
@@ -709,9 +757,9 @@ class TestSeparatingAxisCull:
     def test_clears_apart_keeps_near_and_coincident(self, sphere80):
         a = sphere80[:4]
         reach = np.full(4, 2e-2)
-        assert stepping._separated(a, a + [0.0, 0.0, 1.0], reach).all()
-        assert not stepping._separated(a, a + [0.0, 0.0, 1e-2], reach).any()
-        assert not stepping._separated(a, a, reach).any()
+        assert (stepping._margin(a, a + [0.0, 0.0, 1.0], reach) > 0.0).all()
+        assert not (stepping._margin(a, a + [0.0, 0.0, 1e-2], reach) > 0.0).any()
+        assert not (stepping._margin(a, a, reach) > 0.0).any()
 
     @pytest.mark.parametrize("mode", ["ExplicitMultiscale", "ImplicitSurrogateInPicard",
                                       "ImplicitMultiscalePicard"])
