@@ -143,6 +143,7 @@ def step_record(stats, wall_time_ms: float) -> dict:
         "broad_phase_pairs": stats.broad_phase_pairs,
         "culled": stats.culled,
         "reused": stats.reused,
+        "cut": stats.cut,
         "wall_time_ms": wall_time_ms,
     }
 
@@ -181,6 +182,7 @@ def build_report(config: RunConfig, steps: list[dict], system, wall_time_ms: flo
             "fallback_rate": fallback_rate,
             "culled": sum(s["culled"] for s in steps),
             "reused": sum(s["reused"] for s in steps),
+            "cut_max": max((s["cut"] for s in steps), default=0),
             "picard_iterations_total": picard_total,
             "picard_iterations_mean": picard_total / len(steps) if steps else 0.0,
             "contacts_total": contacts_total,

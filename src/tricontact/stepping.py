@@ -14,18 +14,19 @@ refine the trees of all pairs until no pairing splits
 pairing, both sides when the heights are equal, and never a mesh side.
 ExplicitMultiscale and ImplicitSurrogateInPicard start from the roots in
 every detection.  ImplicitMultiscalePicard, the fused scheme, is
-ImplicitSurrogateInPicard plus a carried :class:`Cut`: it unfolds the cut
-that its last sweep left, so it finds the same contacts in the same
-sweeps, and skips the pairings that the particles' motion since then
-cannot have brought into reach.  The three implicit modes share one
-Picard driver.
+ImplicitSurrogateInPicard plus a carried :class:`Cut`, ``System.cut``: it
+unfolds the cut that its last sweep left, in this step or the last one,
+so it finds the same contacts in the same sweeps, and skips the pairings
+that the particles' motion since then cannot have brought into reach.
+The three implicit modes share one Picard driver.
 
 Comparison-based fallbacks run only for pairs of real mesh triangles,
 never on surrogate levels, and only mesh-level hits become contacts.
 Tree pairings whose halos a separating axis proves apart skip the
 kernel; they still count as checks (pairings examined) and also as
 ``StepStats.culled``.  Pairings that the fused scheme skips on a
-positive margin are no checks; they count as ``StepStats.reused``.
+positive margin are no checks; they count as ``StepStats.reused``, and
+the size of the cut that it carries out of a step as ``StepStats.cut``.
 Counter reports are deterministic for identical configurations.
 Contacts stay one :class:`~tricontact.contact.Contacts` struct of arrays
 from the kernel hits to the wrench: built by :meth:`Forest.contacts`,
@@ -199,6 +200,9 @@ class System:
     gravity: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=REAL))
     time: float = 0.0
     step_index: int = 0
+    # the fused mode's carried cut (ImplicitMultiscalePicard), None before
+    # its first detection
+    cut: Cut | None = None
 
     @cached_property
     def forest(self) -> Forest:
@@ -246,6 +250,7 @@ class StepStats:
     broad_phase_pairs: int = 0
     culled: int = 0  # tree pairings proved clear before the kernel (also checks)
     reused: int = 0  # cut pairings skipped on a positive margin (no checks)
+    cut: int = 0  # pairings of the carried cut after the step (fused mode only)
 
     def record_checks(self, level_bin: int, count: int) -> None:
         """Count ``count`` pairings examined in ``level_bin`` in the current
@@ -303,13 +308,14 @@ _NO_IDS = np.zeros(0, dtype=np.int32)
 
 
 def _kernel_pass(forest: Forest, world: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 stats: StepStats) -> tuple[Contacts, np.ndarray]:
-    """Contacts and hybrid-kernel verdicts ``kind`` of the :class:`Forest`
-    pairings ``(a[k], b[k])``, ``_KERNEL_SLICE`` per kernel call (the kernels
-    work row by row, so slicing changes no result).  Each pairing's halo is
-    the mean of its rows' ``eps``; the comparison fallback runs on, and
-    contacts come from, mesh-level pairings only."""
-    found, kinds = [], [np.zeros(0, dtype=np.int8)]
+                 stats: StepStats, axes: bool = False) -> tuple[Contacts, np.ndarray, np.ndarray | None]:
+    """Contacts, hybrid-kernel verdicts ``kind`` and, with ``axes``, the
+    kernel's directions ``point_b - point_a`` (None without) of the
+    :class:`Forest` pairings ``(a[k], b[k])``, ``_KERNEL_SLICE`` per kernel
+    call (the kernels work row by row, so slicing changes no result).  Each
+    pairing's halo is the mean of its rows' ``eps``; the comparison
+    fallback runs on, and contacts come from, mesh-level pairings only."""
+    found, kinds, dirs = [], [np.zeros(0, dtype=np.int8)], [np.zeros((0, 3), dtype=REAL)]
     for s in range(0, a.size, _KERNEL_SLICE):
         sa, sb = a[s:s + _KERNEL_SLICE], b[s:s + _KERNEL_SLICE]
         mesh = np.maximum(forest.height[sa], forest.height[sb]) == 0
@@ -317,7 +323,9 @@ def _kernel_pass(forest: Forest, world: np.ndarray, a: np.ndarray, b: np.ndarray
                            0.5 * (forest.eps[sa] + forest.eps[sb]), allow_fallback=mesh)
         found.append(forest.contacts(res, mesh & (res.kind == np.int8(Kind.CONTACT)), sa, sb))
         kinds.append(res.kind)
-    return Contacts.concat(found), np.concatenate(kinds)
+        if axes:
+            dirs.append(res.point_b - res.point_a)
+    return Contacts.concat(found), np.concatenate(kinds), np.concatenate(dirs) if axes else None
 
 
 def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
@@ -337,19 +345,24 @@ def single_level_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     return _kernel_pass(forest, world, gi, gj, stats)[0]
 
 
-def _margin(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _margin(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray,
+            axis: np.ndarray | None = None) -> np.ndarray:
     """By how much a separating axis proves pairings farther apart than
     ``reach``: positive for a proof, -inf where there is no axis.
 
-    The axis is the unit vector u between the triangles' centroids (none
-    if they coincide); as ``|b - a| >= (b - a).u``, the gap ``min(b.u) -
-    max(a.u)`` less ``reach`` and a few rounding units of the pairing's
-    own largest coordinate is a margin by which the pairing is clear
-    (Gottschalk, Lin and Manocha, SIGGRAPH 1996; Ericson, *Real-Time
-    Collision Detection*, 5.2).  It stays a lower bound while the
-    vertices move by less than it in total."""
-    # vertex by vertex: numpy's reductions over short inner axes are slow
-    axis = tri_b[:, 0] + tri_b[:, 1] + tri_b[:, 2] - (tri_a[:, 0] + tri_a[:, 1] + tri_a[:, 2])
+    The axis is the unit vector u along ``axis``, one row per pairing, or,
+    without one, between the triangles' centroids; a zero row gives none.
+    As ``|b - a| >= (b - a).u``, the gap ``min(b.u) - max(a.u)`` less
+    ``reach`` and a few rounding units of the pairing's own largest
+    coordinate is a margin by which the pairing is clear (Gottschalk, Lin
+    and Manocha, SIGGRAPH 1996; Ericson, *Real-Time Collision Detection*,
+    5.2).  Along the kernel's own direction ``point_b - point_a`` it is the
+    lower bound L of GJK's termination gap (Gilbert, Johnson and Keerthi,
+    IEEE J. Robotics and Automation 1988).  It stays a lower bound while
+    the vertices move by less than it in total."""
+    if axis is None:
+        # vertex by vertex: numpy's reductions over short inner axes are slow
+        axis = tri_b[:, 0] + tri_b[:, 1] + tri_b[:, 2] - (tri_a[:, 0] + tri_a[:, 1] + tri_a[:, 2])
     length = np.sqrt(np.einsum("ij,ij->i", axis, axis))
     u = axis / np.where(length > 0.0, length, 1.0)[:, None]
     pa = np.einsum("ikj,ij->ik", tri_a, u)
@@ -362,34 +375,51 @@ def _margin(tri_a: np.ndarray, tri_b: np.ndarray, reach: np.ndarray) -> np.ndarr
     return np.where(length > 0.0, margin, -np.inf)
 
 
+def _margins(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
+             axis: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_margin` of the :class:`Forest` pairings ``(gi[k], gj[k])``
+    beyond the sum of their rows' ``eps``, along the rows of ``axis`` if
+    given, ``_SLICE`` at a time."""
+    return np.concatenate([np.zeros(0), *(
+        _margin(world[a], world[b], forest.eps[a] + forest.eps[b],
+                None if axis is None else axis[s:s + _SLICE])
+        for s in range(0, gi.size, _SLICE) for a, b in [(gi[s:s + _SLICE], gj[s:s + _SLICE])])])
+
+
 def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
-            stats: StepStats):
+            stats: StepStats, carry: bool = False):
     """One round of tree detection on the :class:`Forest` pairings
     ``(gi[k], gj[k])`` of any pairs.
 
     Every pairing counts as a check in its height bin (the larger height
-    of its sides).  Pairings with a positive :func:`_margin`, computed
-    ``_SLICE`` at a time, are culled; the rest take one
+    of its sides).  Pairings with a positive :func:`_margin` along the line
+    between their centroids are culled; the rest take one
     :func:`_kernel_pass`.  A pairing with contact or an unsettled verdict
     splits unless it is mesh-mesh: its taller side opens into its
     children, both sides when the heights are equal, and a mesh side never
     (Ericson, *Real-Time Collision Detection*, 6.3.2).  Returns the
     mesh-level contacts, the pairings that did not split with their
-    margins (-inf unless culled), and the children of those that did,
-    parents in order and each one's children in row-major order.
+    margins, and the children of those that did, parents in order and
+    each one's children in row-major order.  A culled pairing keeps its
+    cull margin and every other one -inf, except that with ``carry`` (a
+    cut that outlives the round) a NO_CONTACT pairing gets its margin
+    along the kernel's direction ``point_b - point_a``; no verdict depends
+    on it.
     """
     height = np.maximum(forest.height[gi], forest.height[gj])
     for lvl, count in enumerate(np.bincount(height)):
         stats.record_checks(lvl, int(count))
-    margin = np.concatenate([np.zeros(0), *(
-        _margin(world[a], world[b], forest.eps[a] + forest.eps[b])
-        for a, b in ((gi[s:s + _SLICE], gj[s:s + _SLICE]) for s in range(0, gi.size, _SLICE)))])
+    margin = _margins(forest, world, gi, gj)
     live = np.flatnonzero(~(margin > 0.0))
     margin[live] = -np.inf
     stats.culled += gi.size - live.size
-    contacts, kind = _kernel_pass(forest, world, gi[live], gj[live], stats)
+    contacts, kind, axis = _kernel_pass(forest, world, gi[live], gj[live], stats, carry)
+    clear = kind == np.int8(Kind.NO_CONTACT)
+    if carry:
+        apart = live[clear]
+        margin[apart] = _margins(forest, world, gi[apart], gj[apart], axis[clear])
     split = np.zeros(gi.size, dtype=bool)
-    split[live] = kind != np.int8(Kind.NO_CONTACT)
+    split[live] = ~clear
     split &= height > 0
     pi, pj = gi[split], gj[split]
     # the taller side opens, both on a tie; a side that does not open stays
@@ -407,22 +437,26 @@ def _refine(forest: Forest, world: np.ndarray, gi: np.ndarray, gj: np.ndarray,
 
 @dataclass
 class Cut:
-    """Pairings ``(gi[k], gj[k])`` of the pair trees of some tree pairs that
-    cover each of their mesh pairs exactly once, each with a ``margin`` by
-    which its halos are certified apart at the poses ``motions`` (-inf
-    where none is known; ``motions`` is None before the first detection)."""
+    """Pairings ``(gi[k], gj[k])`` of the pair trees of the tree pairs
+    ``pairs`` that cover each of their mesh pairs exactly once, each with a
+    ``margin`` by which its halos are certified apart at the poses
+    ``motions`` (-inf where none is known; ``motions`` is None before the
+    first detection).  ``committed`` holds the particles' motions as the
+    last step that carried the cut committed them, None before."""
 
     gi: np.ndarray
     gj: np.ndarray
     margin: np.ndarray
+    pairs: list[tuple[int, int]]
     motions: list[RigidMotion] | None = None
+    committed: list[RigidMotion] | None = None
 
     @staticmethod
     def roots(forest: Forest, pairs) -> "Cut":
         """The root pairings of the tree pairs ``(k, l)`` (particle positions)."""
-        pairs = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
-        gi, gj = forest.offset[pairs[:, 0]], forest.offset[pairs[:, 1]]
-        return Cut(gi, gj, np.full(gi.size, -np.inf))
+        ids = np.asarray(pairs, dtype=np.int32).reshape(-1, 2)
+        gi, gj = forest.offset[ids[:, 0]], forest.offset[ids[:, 1]]
+        return Cut(gi, gj, np.full(gi.size, -np.inf), list(pairs))
 
 
 def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
@@ -438,8 +472,11 @@ def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     skipped and counted as ``reused``, not as checks (conservative
     advancement: Mirtich, PhD thesis, Berkeley 1996).  The cut then
     becomes the settled one at ``motions``: the skipped pairings and every
-    round's pairings that did not split."""
+    round's pairings that did not split, whose NO_CONTACT verdicts keep
+    their margins along the kernel's direction (:func:`_refine`'s
+    ``carry``).  Without a cut, no such margin is computed."""
     world = forest.world(motions, pairs)
+    carry = cut is not None
     if cut is None:
         cut = Cut.roots(forest, pairs)
     margin = cut.margin
@@ -452,7 +489,7 @@ def multiscale_contacts(forest: Forest, motions: list[RigidMotion], pairs,
     gi, gj = cut.gi[~skip], cut.gj[~skip]
     found = []
     while gi.size:
-        contacts, stay, (gi, gj) = _refine(forest, world, gi, gj, stats)
+        contacts, stay, (gi, gj) = _refine(forest, world, gi, gj, stats, carry)
         found.append(contacts)
         kept.append(stay)
     cut.gi, cut.gj, cut.margin = map(np.concatenate, zip(*kept))
@@ -466,21 +503,22 @@ def _detector(system: System, mode: str, stats: StepStats):
 
     Each call runs the broad phase at ``motions``, then flat detection (the
     Single modes) or the trees unfolded to settled, and one merge.  The
-    fused mode differs in one thing only: it unfolds a :class:`Cut` that it
-    keeps from call to call, remade from the roots whenever the broad phase
-    names other pairs (front tracking: Ehmann and Lin, Eurographics 2001).
+    fused mode differs in one thing only: it unfolds the :class:`Cut`
+    ``system.cut``, remade from the roots whenever the broad phase names
+    other pairs (front tracking: Ehmann and Lin, Eurographics 2001).  The
+    detector keeps no state of its own.
     """
-    cut = cut_pairs = None
-
     def detect(motions):
-        nonlocal cut, cut_pairs
         pairs = broad_phase_pairs(system, motions)
         stats.broad_phase_pairs = len(pairs)
         if mode in ("ExplicitSingle", "ImplicitSingle"):
             found = single_level_contacts(system.forest, motions, pairs, stats)
         else:
-            if mode == "ImplicitMultiscalePicard" and pairs != cut_pairs:
-                cut, cut_pairs = Cut.roots(system.forest, pairs), pairs
+            cut = None
+            if mode == "ImplicitMultiscalePicard":
+                if system.cut is None or system.cut.pairs != pairs:
+                    system.cut = Cut.roots(system.forest, pairs)
+                cut = system.cut
             found = multiscale_contacts(system.forest, motions, pairs, stats, cut)
         return merge_contacts(found, [p.epsilon for p in system.particles])
     return detect
@@ -572,15 +610,25 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
     Each sweep detects through :func:`_detector` at the guessed poses, a
     complete mesh-level detection in every mode, so the three modes take
     the same sweeps; ImplicitMultiscalePicard only skips, through its
-    carried cut, the pairings that cannot have moved into reach.  Each
-    particle blends its new rates with the previous ones by a factor theta
-    that grows while successive raw forces agree in direction and shrinks
-    when they flip.  The sweep state is three arrays over the particles:
-    ``theta``, the previous raw wrench ``prev`` and the applied rates
-    ``applied``, the last two None before the first sweep.
+    carried cut, the pairings that cannot have moved into reach.  The cut
+    lives on the system and outlives the step only while every particle's
+    ``motion`` is the object that the step committed: a pose set from
+    outside (a reset, a teleport, a step in another mode) restarts it from
+    the roots.  The margins would stay sound either way, as they lose the
+    motion since they were certified; the rule makes a replayed trajectory
+    do the same work.  Each particle blends its new rates with the
+    previous ones by a factor theta that grows while successive raw forces
+    agree in direction and shrinks when they flip.  The sweep state is
+    three arrays over the particles: ``theta``, the previous raw wrench
+    ``prev`` and the applied rates ``applied``, the last two None before
+    the first sweep.
     """
     if cfg.mode not in IMPLICIT_MODES:
         raise ValueError(f"implicit_step cannot run mode {cfg.mode}")
+    fused = cfg.mode == "ImplicitMultiscalePicard"
+    if fused and system.cut is not None and (system.cut.committed is None or any(
+            p.motion is not m for p, m in zip(system.particles, system.cut.committed))):
+        system.cut = None
     stats = StepStats()
     detect = _detector(system, cfg.mode, stats)
     motions = [p.motion for p in system.particles]
@@ -635,6 +683,9 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
         p.motion = guess_motions[i]
         p.v = v_guess[i]
         p.omega = w_guess[i]
+    if fused:
+        system.cut.committed = [p.motion for p in system.particles]
+        stats.cut = int(system.cut.gi.size)
     system.time += cfg.dt
     system.step_index += 1
     return stats

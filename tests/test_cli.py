@@ -226,6 +226,20 @@ class TestRun:
         report = load_report(out)
         assert report["aggregate"]["reused"] == sum(s["reused"] for s in report["steps"]) > 0
 
+    @pytest.mark.parametrize("mode", ["ImplicitMultiscalePicard", "ImplicitSurrogateInPicard"])
+    def test_cut_in_steps_and_aggregate(self, mode, tmp_path):
+        # the size of the cut carried out of each step, and its maximum in
+        # the aggregate: 0 outside the fused mode
+        out, cfg_path = tmp_path / "r.json", tmp_path / "touching.json"
+        cfg_path.write_text(json.dumps({"scene": {"triangle_count": 80, "initial_gap": 2e-3}}))
+        code = run_cli("run", "--config", str(cfg_path), "--seed", "3", "--steps", "2",
+                       "--mode", mode, "--report", str(out))
+        assert code == 0
+        report = load_report(out)
+        cuts = [s["cut"] for s in report["steps"]]
+        assert report["aggregate"]["cut_max"] == max(cuts)
+        assert min(cuts) > 0 if mode == "ImplicitMultiscalePicard" else max(cuts) == 0
+
 
 class TestTreeCommands:
     @pytest.mark.parametrize("n_surrogate", ["1", "0"])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import cached_tree
 from tricontact import stepping
 from tricontact.geometry import REAL, RigidMotion, degenerate_mask
-from tricontact.kernels import KernelParams, Kind, comparison_batch
+from tricontact.kernels import KernelParams, Kind, comparison_batch, hybrid_batch
 from tricontact.scenes import SceneSpec, build_scene
-from tricontact.contact import Contacts, merge_contacts
+from tricontact.contact import Contacts, ForceModelParams, merge_contacts
 from tricontact.stepping import (IMPLICIT_MODES, PicardDiverged,
                                  StepConfig, StepStats, _detector,
                                  broad_phase_pairs, explicit_step,
@@ -428,13 +428,16 @@ def cut_cover(forest, cut):
 
 def recording_unfolds(monkeypatch):
     """Calls of ``stepping.multiscale_contacts`` with a cut, recorded as
-    (motions, pairs, contacts, cut after the call)."""
+    (motions, pairs, contacts, cut after the call, cut before it, pairings
+    it reused)."""
     calls, original = [], stepping.multiscale_contacts
 
     def recording(forest, motions, pairs, stats, cut=None):
+        before, reused = copy.deepcopy(cut), stats.reused
         found = original(forest, motions, pairs, stats, cut)
         if cut is not None:
-            calls.append((list(motions), pairs, found, copy.deepcopy(cut)))
+            calls.append((list(motions), pairs, found, copy.deepcopy(cut), before,
+                          stats.reused - reused))
         return found
 
     monkeypatch.setattr(stepping, "multiscale_contacts", recording)
@@ -460,13 +463,13 @@ class TestFusedFrontier:
                 moved = [motions[0], RigidMotion(motions[1].rotation,
                                                  motions[1].translation + shift)]
                 detect(moved)
-                _, pairs, _, cut = calls[-1]
+                _, pairs, _, cut, *_ = calls[-1]
                 assert (cut_cover(forest, cut) == len(pairs)).all()
                 near = ~(cut.margin > 0.0)
                 _, _, (kids, _) = stepping._refine(forest, forest.world(moved, [(0, 1)]),
                                                    cut.gi[near], cut.gj[near], StepStats())
                 assert kids.size == 0
-        assert sum(len(pairs) for _, pairs, _, _ in calls) > 20
+        assert sum(len(pairs) for _, pairs, *_ in calls) > 20
 
     def test_settled_sweep_is_complete_detection(self):
         # with fixed poses, the first sweep finds exactly the merged
@@ -521,13 +524,13 @@ class TestFusedFrontier:
         reused = sum(step(system, cfg).reused for _ in range(10))
         assert len(calls) > 10 and reused > 0
         eps = [p.epsilon for p in system.particles]
-        for motions, pairs, found, _ in calls:
+        for motions, pairs, found, *_ in calls:
             fused = merge_contacts(found, eps)
             fresh = merge_contacts(stepping.multiscale_contacts(
                 system.forest, motions, pairs, StepStats()), eps)
             for f in dataclasses.fields(Contacts):
                 assert np.array_equal(getattr(fused, f.name), getattr(fresh, f.name))
-        assert sum(len(found) for _, _, found, _ in calls) > 0
+        assert sum(len(found) for _, _, found, *_ in calls) > 0
 
     def test_cut_covers_trees_of_unequal_height(self, monkeypatch):
         # a ScaledPair whose refined side has the taller tree: pairings of
@@ -543,7 +546,7 @@ class TestFusedFrontier:
         assert sum(step(system, cfg).contacts_merged for _ in range(3)) > 0
         forest = system.forest
         assert len(calls) >= 3
-        for _, _, _, cut in calls:
+        for _, _, _, cut, *_ in calls:
             assert (cut_cover(forest, cut) == 1).all()
         # at the last poses the root pairing splits into the taller root's
         # children, each paired with the shorter root
@@ -555,22 +558,82 @@ class TestFusedFrontier:
         assert np.array_equal(gj, forest.kids[start:start + forest.kid_count[tall]])
 
     def test_final_states_equal_implicit_single(self):
-        # 40 steps of an 80-triangle pair: the fused mode's sweeps and final
-        # states equal ImplicitSingle's, bitwise
+        # 100 steps of the 80-triangle criterion-7 pair: the fused mode's
+        # sweeps and final states equal ImplicitSingle's, bitwise, and the
+        # cut carried from step to step, which never coarsens, stays bounded
         runs = []
         for mode in ("ImplicitSingle", "ImplicitMultiscalePicard"):
-            spec = SceneSpec(kind="ParticleParticle", triangle_count=80,
-                             initial_gap=2e-3, approach_speed=0.5, seed=3)
-            system = system_from_scene(build_scene(spec))
+            system = two_sphere_system(gap=2e-3, speed=0.5, count=80)
             cfg = StepConfig(dt=1e-4, mode=mode)
-            sweeps = [step(system, cfg).picard_iterations for _ in range(40)]
-            runs.append((sweeps, system))
-        (sweeps_a, sys_a), (sweeps_b, sys_b) = runs
-        assert sweeps_a == sweeps_b and max(sweeps_a) > 1
-        for pa, pb in zip(sys_a.particles, sys_b.particles):
-            assert np.array_equal(pa.motion.translation, pb.motion.translation)
-            assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
-            assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+            runs.append(([step(system, cfg) for _ in range(100)], system))
+        (single, sys_a), (fused, sys_b) = runs
+        sweeps = [s.picard_iterations for s in single]
+        assert sweeps == [s.picard_iterations for s in fused] and max(sweeps) > 1
+        assert_same_states(sys_a, sys_b)
+        assert all(s.cut == 0 for s in single)
+        first = next(s.cut for s in fused if s.contacts_merged)
+        # in float64 the first step in contact unfolds all that the cut
+        # ever needs; in float32 two level-1 pairings come into reach
+        # later in the contact, their exact distances falling below their
+        # reach, and the cut grows from 1,391 to 1,449 pairings
+        bound = first if REAL == np.float64 else 1.05 * first
+        assert 0 < first <= max(s.cut for s in fused) <= bound
+        assert sum(s.reused for s in fused[1:]) > 0
+
+    def test_replay_repeats_the_work(self):
+        # a reset to the initial state, as the benchmark's round makes it,
+        # restarts the cut: two replays of 10 steps give the per-step
+        # counters and final states of the run on the fresh system, bitwise
+        system = two_sphere_system(gap=2e-3, speed=0.5, count=80)
+        initial = [(p.motion.rotation.copy(), p.motion.translation.copy(), p.v.copy(),
+                    p.omega.copy()) for p in system.particles]
+        cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
+        runs = []
+        for _ in range(3):
+            for p, (q, t, v, w) in zip(system.particles, initial):
+                p.motion = RigidMotion(q.copy(), t.copy())
+                p.v, p.omega = v.copy(), w.copy()
+            system.time, system.step_index = 0.0, 0
+            runs.append(([dataclasses.asdict(step(system, cfg)) for _ in range(10)],
+                         copy.deepcopy(system)))
+        (fresh, sys_a), *replays = runs
+        checks = [sum(sum(h.values()) for h in s["sweep_histograms"]) for s in fresh]
+        assert max(checks[1:]) < checks[0] and sum(s["reused"] for s in fresh) > 0
+        for counters, sys_b in replays:
+            assert counters == fresh
+            assert_same_states(sys_a, sys_b)
+
+    def test_deep_copy_continues_alike(self):
+        # a copy taken mid-run carries the cut: it continues with the
+        # original's counters and states, bitwise
+        system = two_sphere_system(gap=2e-3, speed=0.5, count=80)
+        cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
+        for _ in range(5):
+            step(system, cfg)
+        twin = copy.deepcopy(system)
+        for _ in range(5):
+            assert dataclasses.asdict(step(twin, cfg)) == dataclasses.asdict(step(system, cfg))
+        assert_same_states(system, twin)
+
+    def test_hand_moved_particle_restarts_the_cut(self):
+        # a pose assigned between steps restarts the cut: the next step's
+        # counters and state equal those of a fresh system built at that state
+        cfg = StepConfig(dt=1e-4, mode="ImplicitMultiscalePicard")
+        system = two_sphere_system(gap=2e-3, speed=0.5, count=80)
+        for _ in range(5):
+            step(system, cfg)
+        moved = system.particles[1]
+        moved.motion = RigidMotion(moved.motion.rotation, moved.motion.translation + [2e-4, 0, 0])
+        fresh = two_sphere_system(gap=2e-3, speed=0.5, count=80)
+        for p, q in zip(fresh.particles, system.particles):
+            p.motion, p.v, p.omega = q.motion, q.v.copy(), q.omega.copy()
+        got, want = step(system, cfg), step(fresh, cfg)
+        assert got.contacts_merged > 0
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert_same_states(system, fresh)
+        # the next step carries the cut again: its first sweep unfolds less
+        first_sweep = [sum(s.sweep_histograms[0].values()) for s in (got, step(system, cfg))]
+        assert first_sweep[1] < first_sweep[0]
 
     def test_pair_coming_into_reach_mid_step(self):
         # the 80-triangle criterion-7 pair and a third sphere 0.021 to the
@@ -604,6 +667,13 @@ class TestFusedFrontier:
                 assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
 
 
+def assert_same_states(sys_a, sys_b):
+    for pa, pb in zip(sys_a.particles, sys_b.particles):
+        assert np.array_equal(pa.motion.translation, pb.motion.translation)
+        assert np.array_equal(pa.motion.rotation, pb.motion.rotation)
+        assert np.array_equal(pa.v, pb.v) and np.array_equal(pa.omega, pb.omega)
+
+
 _CERTIFICATE_SYSTEM: list = []
 
 
@@ -613,14 +683,17 @@ _CERTIFICATE_SYSTEM: list = []
 def test_skipped_pairings_are_apart(seed, gap, speed):
     # two bumpy 80-triangle particles at a random contact pose, then three
     # random rigid motions of both, each turning about the centre of mass
-    # by up to ``speed`` per axis and moving it as far: every pairing that
-    # the next sweep skips has an exact surrogate-triangle distance above
-    # its reach, and the sweeps skip exactly the pairings whose margin
-    # outlasts the motion, none when the broad phase names other pairs
+    # by up to ``speed`` per axis and moving it as far, then three fused
+    # steps of 1 at random velocities of that size and a near-zero contact
+    # stiffness, over which the cut is carried from step to step: every
+    # pairing that a sweep skips has an exact surrogate-triangle distance
+    # above its reach, and the sweeps skip exactly the pairings whose
+    # margin outlasts the motion, none when the broad phase names other
+    # pairs
     if not _CERTIFICATE_SYSTEM:
         spec = SceneSpec(kind="ParticleParticle", triangle_count=80, eta_r=2.6, seed=3)
         _CERTIFICATE_SYSTEM.append(system_from_scene(build_scene(spec)))
-    system = _CERTIFICATE_SYSTEM[0]
+    system = copy.deepcopy(_CERTIFICATE_SYSTEM[0])
     forest = system.forest
     p0, p1 = system.particles
     rng = np.random.default_rng(seed)
@@ -630,8 +703,9 @@ def test_skipped_pairings_are_apart(seed, gap, speed):
     verts1 = rot.apply_points(p1.body_tris.reshape(-1, 3))
     motions = [p0.motion, RigidMotion(rot.rotation, verts0[np.argmax(verts0[:, 0])]
                                       - verts1[np.argmin(verts1[:, 0])] + [gap, 0.0, 0.0])]
-    stats = StepStats()
-    detect = _detector(system, "ImplicitMultiscalePicard", stats)
+    detect = _detector(system, "ImplicitMultiscalePicard", StepStats())
+    cfg = StepConfig(dt=1.0, mode="ImplicitMultiscalePicard",
+                     force=ForceModelParams(k_s=1e-12))
     with pytest.MonkeyPatch.context() as patch:
         calls = recording_unfolds(patch)
         detect(motions)
@@ -639,21 +713,28 @@ def test_skipped_pairings_are_apart(seed, gap, speed):
             motions = [stepping.advance_motion(p, m, rng.uniform(-speed, speed, 3),
                                                rng.uniform(-speed, speed, 3), 1.0)
                        for p, m in zip(system.particles, motions)]
-            _, pairs, _, cut = calls[-1]
-            moved = forest.moved(cut.motions, motions)
-            skip = cut.margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]]) > 0.0
-            before = stats.reused
             detect(motions)
-            if calls[-1][1] != pairs:
-                # the pair left or entered bounding-sphere reach: the cut
-                # restarts from the roots and skips nothing
-                skip[:] = False
-            assert stats.reused - before == skip.sum()
-            a, b = cut.gi[skip], cut.gj[skip]
-            world = forest.world(motions, [(0, 1)])
-            reach = forest.eps[a].astype(np.float64) + forest.eps[b]
-            exact = comparison_batch(world[a], world[b], 0.5 * reach)
-            assert (exact.distance > reach).all()
+        for p, m in zip(system.particles, motions):
+            p.motion = m
+            p.v, p.omega = (rng.uniform(-speed, speed, 3).astype(REAL) for _ in range(2))
+        steps = [step(system, cfg) for _ in range(3)]
+    assert len(calls) > 6 and sum(s.picard_iterations for s in steps) == len(calls) - 4
+    for k, (motions, pairs, _, _, cut, reused) in enumerate(calls):
+        if k and pairs != calls[k - 1][1]:
+            # the pair left or entered bounding-sphere reach: the cut
+            # restarts from the roots and skips nothing
+            assert cut.motions is None
+        margin = cut.margin
+        if cut.motions is not None:
+            moved = forest.moved(cut.motions, motions)
+            margin = margin - (moved[forest.owner[cut.gi]] + moved[forest.owner[cut.gj]])
+        skip = margin > 0.0
+        assert reused == skip.sum()
+        a, b = cut.gi[skip], cut.gj[skip]
+        world = forest.world(motions, [(0, 1)])
+        reach = forest.eps[a].astype(np.float64) + forest.eps[b]
+        exact = comparison_batch(world[a], world[b], 0.5 * reach)
+        assert (exact.distance > reach).all()
 
 
 class TestMultiscalePicard:
@@ -719,20 +800,23 @@ NEAR = [0.0] + [s * r for r in (1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3) for s in (
        shift=st.sampled_from([0.0, 1.0, 100.0]), eps=st.tuples(*[st.floats(1e-5, 0.1)] * 2),
        rel_gap=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(NEAR)),
        dtype=st.sampled_from([d for d in (np.float64, np.float32)
-                              if np.finfo(d).eps >= np.finfo(REAL).eps]))
+                              if np.finfo(d).eps >= np.finfo(REAL).eps]),
+       axis=st.sampled_from(["centroids", "random", "kernel"]))
 # float32 rounding at the threshold, found with no rounding slack in the cull
 @example(seed=1, size=0.001, slivers=(1e-4, 1e-2), shift=100.0, eps=(0.09375, 1e-5),
-         rel_gap=0.0, dtype=np.float32)
+         rel_gap=0.0, dtype=np.float32, axis="centroids")
 # a float32 false contact at distance 0 with a 1e-4 sliver, from the
 # comparison kernel's edge-triangle crossing test
 @example(seed=46125, size=1.0, slivers=(0.01, 1e-4), shift=0.0, eps=(0.0625, 0.0625),
-         rel_gap=1.0, dtype=np.float32)
-def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap, dtype):
+         rel_gap=1.0, dtype=np.float32, axis="centroids")
+def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap, dtype, axis):
     # place B along a random axis u so that its projection gap to A along
-    # the centroid line is the halo reach times (1 + rel_gap); whenever the
-    # cull clears the pairing, the exact kernel must find the two halos apart.
-    # The program detects in REAL, and a triangle finer than REAL would be
-    # rounded by the reference, so no finer dtype is drawn
+    # u is the halo reach times (1 + rel_gap); whenever the margin along
+    # the drawn axis (the centroid line, a random unit vector, or the
+    # hybrid kernel's own direction point_b - point_a) clears the pairing,
+    # the exact kernel must find the two halos apart.  The program detects
+    # in REAL, and a triangle finer than REAL would be rounded by the
+    # reference, so no finer dtype is drawn
     rng = np.random.default_rng(seed)
     a = _triangle(rng, size, slivers[0])
     b = _triangle(rng, size, slivers[1])
@@ -746,7 +830,17 @@ def test_separating_axis_cull_is_sound(seed, size, slivers, shift, eps, rel_gap,
     tri_a = (a + offset)[None].astype(dtype)
     tri_b = (b + offset)[None].astype(dtype)
     assume(not degenerate_mask(np.concatenate([tri_a, tri_b])).any())
-    clear = stepping._margin(tri_a, tri_b, np.array([reach], dtype=dtype)) > 0.0
+    if axis == "centroids":
+        direction = None
+    elif axis == "random":
+        direction = rng.normal(size=(1, 3))
+        direction /= np.linalg.norm(direction)
+    else:
+        res = hybrid_batch(tri_a, tri_b, None, 0.5 * reach)
+        direction = res.point_b - res.point_a
+    if direction is not None:
+        direction = direction.astype(dtype)
+    clear = stepping._margin(tri_a, tri_b, np.array([reach], dtype=dtype), direction) > 0.0
     if clear[0]:
         res = comparison_batch(tri_a, tri_b, 0.5 * float(dtype(reach)))
         assert res.kind[0] == np.int8(Kind.NO_CONTACT)
@@ -774,7 +868,7 @@ class TestSeparatingAxisCull:
 
         with_cull, sys_a = run()
         monkeypatch.setattr(stepping, "_margin",
-                            lambda a, b, reach: np.full(len(a), -np.inf))
+                            lambda a, b, reach, axis=None: np.full(len(a), -np.inf))
         without, sys_b = run()
         assert [s.contacts_merged for s in with_cull] == [s.contacts_merged for s in without]
         assert [s.picard_iterations for s in with_cull] == [s.picard_iterations for s in without]
