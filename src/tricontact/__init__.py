@@ -6,8 +6,7 @@ detection, plus a benchmark CLI that reports algorithmic work counters.
 """
 
 from .geometry import RigidMotion
-from .kernels import (DegenerateTriangle, KernelCounters, KernelParams, Kind,
-                      gradient_of_J)
+from .kernels import KernelCounters, KernelParams, Kind, gradient_of_J
 from .contact import (Contacts, ForceModelParams, MassProperties,
                       contact_force, mass_properties_from_mesh, merge_contacts)
 from .surrogate import (SurrogateTree, build_surrogate_tree,

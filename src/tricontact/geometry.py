@@ -14,11 +14,12 @@ precision.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 REAL = np.float32 if os.environ.get("TRICONTACT_REAL") == "float32" else np.float64
+DEGENERATE_REL_TOL = 1e-12  # see degenerate_mask
 
 
 def triangle(v1, v2, v3) -> np.ndarray:
@@ -53,14 +54,14 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(triangle_cross(tris), axis=1)
 
 
-def degenerate_mask(tris: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Flag triangles whose squared area is below ``rel_tol * longest_edge**4``."""
+def degenerate_mask(tris: np.ndarray) -> np.ndarray:
+    """Flag triangles whose squared area is below ``DEGENERATE_REL_TOL * longest_edge**4``."""
     tris = as_triangles(tris)
     cross = triangle_cross(tris)
     sq_area = 0.25 * np.einsum("ij,ij->i", cross, cross)
     edges = tris[:, [1, 2, 0]] - tris
     longest_sq = np.einsum("ijk,ijk->ij", edges, edges).max(axis=1)
-    return (longest_sq == 0.0) | (sq_area < rel_tol * longest_sq * longest_sq)
+    return (longest_sq == 0.0) | (sq_area < DEGENERATE_REL_TOL * longest_sq * longest_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +71,30 @@ def degenerate_mask(tris: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 _QUAT_NORM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class RigidMotion:
-    """Rotate-then-translate transform with a unit quaternion rotation."""
+    """Rotate-then-translate transform with a unit quaternion rotation; an
+    immutable value, whose arrays are read-only copies of the arguments."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0], dtype=REAL))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=REAL))
+    rotation: np.ndarray = (1.0, 0.0, 0.0, 0.0)
+    translation: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=REAL).reshape(4)
-        self.translation = np.asarray(self.translation, dtype=REAL).reshape(3)
-        self._renormalize()
-
-    def _renormalize(self):
-        norm = float(np.linalg.norm(self.rotation))
+        rotation = np.array(self.rotation, dtype=REAL).reshape(4)
+        norm = float(np.linalg.norm(rotation))
         if norm == 0.0:
             raise ValueError("zero quaternion")
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            self.rotation = self.rotation / norm
+            rotation = rotation / norm
+        translation = np.array(self.translation, dtype=REAL).reshape(3)
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
 
-    @staticmethod
-    def identity() -> "RigidMotion":
-        return RigidMotion()
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor, read-only again
+        return RigidMotion, (self.rotation, self.translation)
 
     @staticmethod
     def from_axis_angle(axis, angle: float, translation=(0.0, 0.0, 0.0)) -> "RigidMotion":

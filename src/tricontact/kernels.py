@@ -43,10 +43,6 @@ from .geometry import REAL, as_triangles, degenerate_mask
 _TINY = 1e-30
 
 
-class DegenerateTriangle(ValueError):
-    """Raised when the comparison kernel receives a near-zero-area triangle."""
-
-
 class Kind(IntEnum):
     NO_CONTACT = 0
     CONTACT = 1
@@ -191,7 +187,7 @@ def closest_point_triangle_batch(points: np.ndarray, tris: np.ndarray):
 
 def _closest_segment_segment(p1, q1, p2, q2):
     """Closest points ``(c1, c2)`` between segments [p1,q1] and [p2,q2]
-    (batched)."""
+    (batched).  A segment of squared length at most ``_TINY`` is a point."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -204,7 +200,8 @@ def _closest_segment_segment(p1, q1, p2, q2):
 
     s = np.where(denom > _TINY, np.clip((b * f - c * e) / np.where(denom > _TINY, denom, 1.0), 0.0, 1.0), 0.0)
     e_safe = np.where(e > _TINY, e, 1.0)
-    t = (b * s + f) / e_safe
+    # a point as second segment: t < 0 takes the first one's closest point
+    t = np.where(e > _TINY, (b * s + f) / e_safe, -1.0)
 
     a_safe = np.where(a > _TINY, a, 1.0)
     low = t < 0.0
@@ -271,13 +268,17 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     Each kind of feature test runs as one stacked batch over all pairs:
     the six vertex-triangle tests, the nine edge-edge tests and the six
     edge-plane crossings.  Every operation works row by row, so stacking
-    changes no result.  Degenerate triangles must be filtered by the caller.
+    changes no result.  Any pair of finite triangles is accepted: one that
+    ``degenerate_mask`` flags has no face but is the union of its edges, so
+    the vertex tests against it and the edge crossings through it are void.
     """
     A = as_triangles(tri_a)
     B = as_triangles(tri_b)
     n = A.shape[0]
     eps = _as_eps(eps, n)
     vertices = np.arange(3)
+    # faceless[r]: the face read by vertex and crossing test r (B's, then A's) is missing
+    faceless = np.repeat(degenerate_mask(np.concatenate([B, A])).reshape(2, n), 3, axis=0)
 
     # the triangle each vertex or edge of the other triangle is tested against
     other = np.concatenate([np.tile(B, (3, 1, 1)), np.tile(A, (3, 1, 1))])
@@ -294,6 +295,7 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     cand_pb = np.concatenate([closest[0], pts[1], c2.reshape(9, n, 3)])
     diff = (cand_pa - cand_pb).reshape(-1, 3)
     cand_d2 = np.einsum("ij,ij->i", diff, diff).reshape(15, n)
+    cand_d2[:6][faceless] = np.inf
 
     best = np.argmin(cand_d2, axis=0)
     idx = np.arange(n)
@@ -305,7 +307,7 @@ def comparison_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     cross_ok, cross_pts = _segment_triangle_crossings(
         np.concatenate([_rows(A, _EDGE_START), _rows(B, _EDGE_START)]),
         np.concatenate([_rows(A, _EDGE_END), _rows(B, _EDGE_END)]), other)
-    cross_ok = cross_ok.reshape(6, n)
+    cross_ok = cross_ok.reshape(6, n) & ~faceless
     cross_pts = cross_pts.reshape(6, n, 3)
 
     intersecting = cross_ok.any(axis=0)
@@ -563,12 +565,7 @@ def hybrid_batch(tri_a: np.ndarray, tri_b: np.ndarray, counters: KernelCounters 
     open_mask &= allow_fallback
     m = int(open_mask.sum())
     if m:
-        sub_a = A[open_mask]
-        sub_b = B[open_mask]
-        bad = degenerate_mask(sub_a) | degenerate_mask(sub_b)
-        if bad.any():
-            raise DegenerateTriangle("degenerate triangle in comparison fallback")
-        res.splice(open_mask, comparison_batch(sub_a, sub_b, eps[open_mask]))
+        res.splice(open_mask, comparison_batch(A[open_mask], B[open_mask], eps[open_mask]))
         if counters is not None:
             counters.comparison_invocations += m
             counters.fallback_invocations += m

@@ -40,12 +40,16 @@ def _points(tris: np.ndarray, bary: np.ndarray) -> np.ndarray:
     )
 
 
-def point_triangle_distance_ref(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+def point_triangle_distance_ref(points: np.ndarray, tris: np.ndarray,
+                                edges_only=False) -> np.ndarray:
     """Reference point-to-triangle distance, independent of the library.
 
     Takes the minimum of the in-triangle plane projection (when the foot
     lies inside, decided by barycentric signs) and the three point-segment
-    distances.  ``points``: (n, 3); ``tris``: (n, 3, 3).
+    distances.  ``points``: (n, 3); ``tris``: (n, 3, 3).  Where
+    ``edges_only`` (a bool or (n,) mask) holds, the triangle is a
+    zero-area one, the union of its edges, and only the point-segment
+    distances count.
     """
     points = np.asarray(points, dtype=np.float64)
     tris = np.asarray(tris, dtype=np.float64)
@@ -73,16 +77,41 @@ def point_triangle_distance_ref(points: np.ndarray, tris: np.ndarray) -> np.ndar
     det = np.maximum(uu * vv - uv * uv, 1e-300)
     s = (vv * wu - uv * wv) / det
     t = (uu * wv - uv * wu) / det
-    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0) & ~np.asarray(edges_only)
     return np.where(inside, np.minimum(best, dist_plane), best)
 
 
-def _one_sided_min(sample_tris, target_tris, grid):
+def segment_distance_ref(p1, q1, p2, q2, iterations: int = 100) -> float:
+    """Distance between segments [p1,q1] and [p2,q2], either possibly a
+    point, independent of the library: the distance from ``p1 + s (q1 -
+    p1)`` to the second segment is convex in ``s``, so a ternary search
+    over ``s`` in [0, 1] (interval shrinking by 2/3 per iteration) finds
+    its minimum."""
+    p1, q1, p2, q2 = (np.asarray(x, dtype=np.float64) for x in (p1, q1, p2, q2))
+
+    def dist(s):
+        x = p1 + s * (q1 - p1)
+        d = q2 - p2
+        dd = d @ d
+        t = 0.0 if dd == 0.0 else min(max((x - p2) @ d / dd, 0.0), 1.0)
+        return float(np.linalg.norm(x - (p2 + t * d)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(iterations):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if dist(m1) <= dist(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(dist(lo), dist(hi))
+
+
+def _one_sided_min(sample_tris, target_tris, grid, edges_only):
     """Min over sampled surface points of one side to the other triangle."""
     m, p = sample_tris.shape[0], grid.shape[0]
     pts = _points(sample_tris, grid).reshape(m * p, 3)
     tiled = np.repeat(target_tris, p, axis=0)
-    d = point_triangle_distance_ref(pts, tiled).reshape(m, p)
+    d = point_triangle_distance_ref(pts, tiled, np.repeat(edges_only, p)).reshape(m, p)
     best = np.argmin(d, axis=1)
     return d[np.arange(m), best], grid[best]
 
@@ -90,7 +119,8 @@ def _one_sided_min(sample_tris, target_tris, grid):
 def sampling_distance_batch(tri_a: np.ndarray, tri_b: np.ndarray,
                             coarse_step: float = 1.0 / 20.0,
                             fine_step: float = 1.0 / 200.0,
-                            chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+                            chunk: int = 2048,
+                            edges_only=(False, False)) -> tuple[np.ndarray, np.ndarray]:
     """Minimum triangle-triangle distance by one-sided grid sampling.
 
     Each triangle's surface is sampled on a barycentric grid against the
@@ -98,11 +128,14 @@ def sampling_distance_batch(tri_a: np.ndarray, tri_b: np.ndarray,
     then on a fine local window around the best coarse sample.  The result
     can only overestimate the true minimum; the excess is bounded by the
     fine grid step times the sampled side's longest edge (the sampled-side
-    Lipschitz constant of the distance).  Returns ``(distance, bound)``.
+    Lipschitz constant of the distance).  ``edges_only`` holds a bool or
+    (n,) mask per side: where set, that side's triangle has zero area and
+    is the union of its edges.  Returns ``(distance, bound)``.
     """
     tri_a = np.asarray(tri_a, dtype=np.float64)
     tri_b = np.asarray(tri_b, dtype=np.float64)
     n = tri_a.shape[0]
+    flat_a, flat_b = (np.broadcast_to(f, (n,)) for f in edges_only)
     out = np.empty(n)
     bound = np.empty(n)
     coarse = bary_grid(coarse_step)
@@ -121,8 +154,8 @@ def sampling_distance_batch(tri_a: np.ndarray, tri_b: np.ndarray,
         A, B = tri_a[sl], tri_b[sl]
         best = np.full(A.shape[0], np.inf)
         per_side = {}
-        for tag, sample, target in (("a", A, B), ("b", B, A)):
-            d, at = _one_sided_min(sample, target, coarse)
+        for tag, sample, target, flat in (("a", A, B, flat_b[sl]), ("b", B, A, flat_a[sl])):
+            d, at = _one_sided_min(sample, target, coarse, flat)
             local = at[:, None, :] + window[None, :, :]
             np.clip(local, 0.0, 1.0, out=local)
             over = local.sum(axis=2) > 1.0
@@ -135,8 +168,8 @@ def sampling_distance_batch(tri_a: np.ndarray, tri_b: np.ndarray,
                 + local[:, :, 1, None] * (sample[:, 2] - sample[:, 0])[:, None, :]
             ).reshape(m * p, 3)
             tiled = np.repeat(target, p, axis=0)
-            d_fine = point_triangle_distance_ref(pts, tiled).reshape(m, p).min(axis=1)
-            per_side[tag] = np.minimum(d, d_fine)
+            d_fine = point_triangle_distance_ref(pts, tiled, np.repeat(flat, p))
+            per_side[tag] = np.minimum(d, d_fine.reshape(m, p).min(axis=1))
         out[sl] = np.minimum(per_side["a"], per_side["b"])
         pick_a = per_side["a"] <= per_side["b"]
         bound[sl] = fine_step * np.where(pick_a, edge_len["a"][sl], edge_len["b"][sl])

@@ -12,7 +12,7 @@ from tricontact.contact import (Contacts, MassProperties, OpenMesh, ZeroNormal,
                                 accumulate, contact_force, contacts_from_segments,
                                 immovable_mass, mass_properties_from_mesh,
                                 merge_contacts, reduced_mass_sqrt)
-from tricontact.geometry import RigidMotion, triangle
+from tricontact.geometry import REAL, RigidMotion, triangle
 from tricontact.kernels import KernelParams
 from tricontact.stepping import (Forest, Particle, StepConfig, StepStats, System,
                                  single_level_contacts)
@@ -342,8 +342,10 @@ def test_force_assembly_properties(seed, n_particles, n_contacts):
     # bounds on the summed terms: |f| <= k_s sqrt(M), lever arms <= |x| + |c|
     f_scale = 1.0 + n_contacts * StepConfig().force.k_s * np.sqrt(3.0)
     t_scale = f_scale * (np.abs(contacts.position).max(initial=0.0) + np.abs(coms).max())
-    assert np.abs(force.sum(axis=0)).max() <= 1e-12 * f_scale
+    # 1e-12 in float64, as many rounding units of REAL in any precision
+    tol = 1e-12 * np.finfo(REAL).eps / np.finfo(np.float64).eps
+    assert np.abs(force.sum(axis=0)).max() <= tol * f_scale
     angular = (torque + np.cross(coms, force)).sum(axis=0)
-    assert np.abs(angular).max() <= 1e-12 * t_scale
-    assert np.abs(force - ref_force).max() <= 1e-12 * f_scale
-    assert np.abs(torque - ref_torque).max() <= 1e-12 * t_scale
+    assert np.abs(angular).max() <= tol * t_scale
+    assert np.abs(force - ref_force).max() <= tol * f_scale
+    assert np.abs(torque - ref_torque).max() <= tol * t_scale

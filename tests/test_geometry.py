@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from tricontact.geometry import (REAL, RigidMotion, degenerate_mask, load_obj,
 class TestRigidMotion:
     def test_identity_is_noop(self, rng):
         tris = rng.normal(size=(5, 3, 3)).astype(REAL)
-        assert np.array_equal(RigidMotion.identity().apply_points(tris), tris)
+        assert np.array_equal(RigidMotion().apply_points(tris), tris)
 
     def test_translation_only(self):
         tri = triangle([0, 0, 0], [1, 0, 0], [0, 1, 0])
@@ -39,8 +43,24 @@ class TestRigidMotion:
             m = m.compose(RigidMotion.random_rotation(rng))
         assert abs(np.linalg.norm(m.rotation) - 1.0) < 1e-9
 
+    def test_is_a_value(self, rng):
+        # the arrays are read-only copies of the arguments, the fields
+        # cannot be assigned, and copies and pickles stay read-only
+        q, t = rng.normal(size=4), rng.normal(size=3)
+        m = RigidMotion(q / np.linalg.norm(q), t)
+        t0, t[:] = t.astype(REAL), 0.0
+        assert np.array_equal(m.translation, t0)
+        for motion in (m, copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert np.array_equal(motion.rotation, m.rotation)
+            assert np.array_equal(motion.translation, m.translation)
+            for name in ("rotation", "translation"):
+                with pytest.raises(ValueError):
+                    getattr(motion, name)[0] = 0.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(motion, name, np.zeros(4))
+
     def test_empty_soup(self):
-        out = RigidMotion.identity().apply_points(np.empty((0, 3, 3)))
+        out = RigidMotion().apply_points(np.empty((0, 3, 3)))
         assert out.shape == (0, 3, 3)
 
 

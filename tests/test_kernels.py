@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (central_difference, comparison_batch_reference,
                      iterative_batch_reference, mesh_pair_population,
-                     sampling_distance_batch)
+                     point_triangle_distance_ref, sampling_distance_batch,
+                     segment_distance_ref)
 
 from tricontact import kernels
 from tricontact.geometry import REAL, RigidMotion, triangle
-from tricontact.kernels import (ALPHA_ITERATIVE, C_FACTOR, DegenerateTriangle, KernelCounters,
-                                KernelParams, Kind, comparison_batch, functional_value,
+from tricontact.kernels import (ALPHA_ITERATIVE, C_FACTOR, KernelCounters, KernelParams, Kind,
+                                _closest_segment_segment, comparison_batch, functional_value,
                                 gradient_of_J, hybrid_batch, iterative_batch)
 
 from conftest import sphere_triangles
@@ -90,6 +93,108 @@ class TestComparison:
         # sampling can only overestimate; its excess is grid-resolution bounded
         assert (exact <= oracle + 1e-9).all()
         assert (oracle - exact <= bound + 1e-9).all()
+
+
+def test_segment_to_point():
+    # the second segment is a point: the closest point of the first is the
+    # foot of the perpendicular, not the first segment's start
+    c1, c2 = _closest_segment_segment(*(np.array([v], dtype=REAL) for v in
+                                        ([0, 0, 0], [2, 0, 0], [1, 1, 0], [1, 1, 0])))
+    assert np.array_equal(c1, [[1, 0, 0]]) and np.array_equal(c2, [[1, 1, 0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), points=st.tuples(st.booleans(), st.booleans()),
+       parallel=st.booleans(), size=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_closest_segment_segment_against_reference(seed, points, parallel, size):
+    # random segments, either one possibly a point or the two parallel: the
+    # closest points lie on their segments, and their distance is the
+    # reference's, to a few rounding units of the largest coordinate
+    rng = np.random.default_rng(seed)
+    p1, q1, p2, q2 = size * rng.normal(size=(4, 3))
+    if parallel:
+        q2 = p2 + rng.uniform(-2.0, 2.0) * (q1 - p1)
+    if points[0]:
+        q1 = p1
+    if points[1]:
+        q2 = p2
+    seg = [np.array([x], dtype=REAL) for x in (p1, q1, p2, q2)]
+    c1, c2 = _closest_segment_segment(*seg)
+    p1, q1, p2, q2 = (x[0] for x in seg)
+    slack = 16.0 * np.finfo(REAL).eps * np.abs(seg).max()
+    assert segment_distance_ref(c1[0], c1[0], p1, q1) <= slack
+    assert segment_distance_ref(c2[0], c2[0], p2, q2) <= slack
+    assert abs(np.linalg.norm(c1[0] - c2[0]) - segment_distance_ref(p1, q1, p2, q2)) <= slack
+
+
+FLAT_KINDS = ("face", "collinear", "zero edge", "coincident")
+
+
+def _kinded_triangle(rng, kind):
+    """A random triangle with a face, or a zero-area one: three collinear
+    vertices, a repeated vertex, or one point three times."""
+    a, b, c = rng.normal(size=(3, 3))
+    if kind == "collinear":
+        c = a + rng.uniform(-1.0, 2.0) * (b - a)
+    elif kind == "zero edge":
+        c = a
+    elif kind == "coincident":
+        b = c = a
+    return rng.permutation(np.array([a, b, c]))
+
+
+def degenerate_pair(seed, kinds, spread, size, shift, planar):
+    """Triangles of the two ``kinds``, the second moved by ``spread`` times
+    a random vector; with ``planar`` and one side a face, the zero-area
+    side is projected into the face's plane.  Both are scaled by ``size``,
+    moved by ``shift`` times a random vector and made in ``REAL``."""
+    rng = np.random.default_rng(seed)
+    tris = [_kinded_triangle(rng, kind) for kind in kinds]
+    tris[1] += spread * rng.normal(size=3)
+    if planar and "face" in kinds:
+        face = tris[kinds.index("face")]
+        normal = np.cross(face[1] - face[0], face[2] - face[0])
+        normal /= np.linalg.norm(normal)
+        flat = tris[1 - kinds.index("face")]
+        flat -= np.outer((flat - face[0]) @ normal, normal)
+    offset = shift * rng.normal(size=3)
+    return [(size * tri + offset).astype(REAL) for tri in tris]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.tuples(*[st.sampled_from(FLAT_KINDS)] * 2).filter(lambda k: k != ("face", "face")),
+       spread=st.sampled_from([0.0, 0.3, 1.0, 3.0]), size=st.sampled_from([1e-3, 1.0, 1e3]),
+       shift=st.sampled_from([0.0, 1.0, 100.0]), planar=st.booleans())
+# false contacts at distance 0 of a kernel that took a zero-area triangle
+# for a face: two collinear triangles 1.95 apart, a zero-edge and a
+# collinear one 1,833 apart, collinear and face 664 apart, face and
+# collinear 0.056 apart
+@example(seed=3893875792, kinds=("collinear", "collinear"), spread=0.3, size=1.0, shift=1.0,
+         planar=True)
+@example(seed=1807245002, kinds=("zero edge", "collinear"), spread=0.3, size=1e3, shift=100.0,
+         planar=False)
+@example(seed=3907307437, kinds=("collinear", "face"), spread=0.3, size=1e3, shift=100.0,
+         planar=False)
+@example(seed=3655293915, kinds=("face", "collinear"), spread=0.3, size=1.0, shift=1.0,
+         planar=False)
+def test_comparison_on_degenerate_pairs(seed, kinds, spread, size, shift, planar):
+    # a zero-area triangle, on one side or both, is the union of its edges:
+    # the kernel's distance is the sampling oracle's, which samples both
+    # sides against the exact distance to the other, to the oracle's grid
+    # bound and a few rounding units of the largest coordinate; the closest
+    # points lie on their triangles and are that distance apart
+    tri_a, tri_b = degenerate_pair(seed, kinds, spread, size, shift, planar)
+    flat = [kind != "face" for kind in kinds]
+    res = comparison_batch(tri_a[None], tri_b[None], 1e-2 * size)
+    want, bound = sampling_distance_batch(tri_a[None], tri_b[None], edges_only=flat)
+    slack = 16.0 * np.finfo(REAL).eps * max(np.abs(tri_a).max(), np.abs(tri_b).max())
+    got = float(res.distance[0])
+    assert got <= want[0] + slack
+    assert want[0] - got <= bound[0] + slack
+    assert point_triangle_distance_ref(res.point_a, tri_a[None], flat[0])[0] <= slack
+    assert point_triangle_distance_ref(res.point_b, tri_b[None], flat[1])[0] <= slack
+    assert abs(np.linalg.norm(res.point_a[0] - res.point_b[0]) - got) <= slack
 
 
 class TestIterative:
@@ -255,17 +360,19 @@ class TestHybrid:
             assert np.array_equal(got[fallback], getattr(cm, name)[fallback]), name
             assert np.array_equal(got[~fallback], getattr(it, name)[~fallback]), name
 
-    def test_degenerate_propagates_only_from_fallback(self):
+    def test_degenerate_pair_takes_the_exact_distance(self):
+        # a collinear triangle is the segment from 0 to 2 on the x axis,
+        # which pierces the other triangle at x = 0.75; the iterative kernel
+        # leaves the pair open and the fallback finds the crossing
         bad = triangle([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        far = offset(UNIT, dz=1.0)
-        # a settled pair never consults the comparison kernel
-        r = hybrid_batch(bad, far, None, EPS)
-        assert r.kind[0] != Kind.NOT_TERMINATED
-        # an open one does, and the comparison kernel cannot take it
         crossing = triangle([-1, -1, 1], [2, 1, 1], [1, 0, -1])
         assert iterative_batch(bad, crossing, EPS).kind[0] == Kind.NOT_TERMINATED
-        with pytest.raises(DegenerateTriangle):
-            hybrid_batch(bad, crossing, None, EPS)
+        counters = KernelCounters()
+        r = hybrid_batch([bad, crossing], [crossing, bad], counters, EPS)
+        assert counters.fallback_invocations == 2
+        assert (r.kind == Kind.CONTACT).all() and (r.distance == 0.0).all()
+        assert np.array_equal(r.point_a, [[0.75, 0, 0]] * 2)
+        assert np.array_equal(r.point_b, r.point_a)
 
 
 class TestBatchClosest:
