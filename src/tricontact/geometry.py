@@ -74,7 +74,8 @@ _QUAT_NORM_TOL = 1e-9
 @dataclass(frozen=True)
 class RigidMotion:
     """Rotate-then-translate transform with a unit quaternion rotation; an
-    immutable value, whose arrays are read-only copies of the arguments."""
+    immutable value, whose arrays are read-only copies of the arguments and
+    whose rotation matrix is built once, with the motion."""
 
     rotation: np.ndarray = (1.0, 0.0, 0.0, 0.0)
     translation: np.ndarray = (0.0, 0.0, 0.0)
@@ -87,10 +88,20 @@ class RigidMotion:
         if abs(norm - 1.0) > _QUAT_NORM_TOL:
             rotation = rotation / norm
         translation = np.array(self.translation, dtype=REAL).reshape(3)
-        rotation.setflags(write=False)
-        translation.setflags(write=False)
+        w, x, y, z = (float(c) for c in rotation)
+        matrix = np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ],
+            dtype=REAL,
+        )
+        for arr in (rotation, translation, matrix):
+            arr.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "_matrix", matrix)
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor, read-only again
@@ -111,20 +122,13 @@ class RigidMotion:
         return RigidMotion(q / np.linalg.norm(q), np.asarray(translation, dtype=REAL))
 
     def rotation_matrix(self) -> np.ndarray:
-        w, x, y, z = (float(c) for c in self.rotation)
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ],
-            dtype=REAL,
-        )
+        """The read-only ``(3, 3)`` rotation matrix, built once per motion."""
+        return self._matrix
 
     def apply_points(self, points: np.ndarray) -> np.ndarray:
         """Rotate then translate an (..., 3) array of points."""
         points = np.asarray(points, dtype=REAL)
-        return points @ self.rotation_matrix().T + self.translation
+        return points @ self._matrix.T + self.translation
 
     def compose(self, other: "RigidMotion") -> "RigidMotion":
         """Motion equivalent to applying ``other`` first, then ``self``."""

@@ -358,14 +358,12 @@ def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
     return out
 
 
-def _norm(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Lengths of per-coordinate vectors ``(3, n)`` into ``out``, summed as
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Lengths of per-coordinate vectors ``(3, n)``, summed as
     ``np.linalg.norm`` sums a row: ``sqrt((u0² + u1²) + u2²)``."""
-    np.multiply(u[0], u[0], out=out)
-    np.multiply(u[1], u[1], out=tmp)
-    out += tmp
-    np.multiply(u[2], u[2], out=tmp)
-    out += tmp
+    out = u[0] * u[0]
+    out += u[1] * u[1]
+    out += u[2] * u[2]
     return np.sqrt(out, out=out)
 
 
@@ -381,21 +379,17 @@ def _pair_max_sq_edge(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalty(x: np.ndarray, alpha: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _penalty(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Penalty part of the functional at coordinates ``x = (a1, b1, a2, b2)``
-    of shape ``(4, n)`` into ``out``: ``alpha`` times the sum, in this order,
-    of each triangle's ``max(0, a - 1)``, ``max(0, -a)``, ``max(0, b - 1)``,
+    of shape ``(4, n)``: ``alpha`` times the sum, in this order, of each
+    triangle's ``max(0, a - 1)``, ``max(0, -a)``, ``max(0, b - 1)``,
     ``max(0, -b)`` and ``max(0, a + b - 1)``."""
-    out.fill(0.0)
+    out = np.zeros_like(x[0])
     for a, b in ((x[0], x[1]), (x[2], x[3])):
         for c in (a, b):
-            np.subtract(c, 1.0, out=tmp)
-            out += np.maximum(0.0, tmp, out=tmp)
-            np.negative(c, out=tmp)
-            out += np.maximum(0.0, tmp, out=tmp)
-        np.add(a, b, out=tmp)
-        tmp -= 1.0
-        out += np.maximum(0.0, tmp, out=tmp)
+            out += np.maximum(0.0, c - 1.0)
+            out += np.maximum(0.0, -c)
+        out += np.maximum(0.0, a + b - 1.0)
     out *= alpha
     return out
 
@@ -425,10 +419,12 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     separation can only overestimate the true distance.
 
     After ``N_ITERATIVE`` sweeps a pair counts as settled when the
-    functional change between the two last sweeps is within ``C_FACTOR *
-    eps`` and the contact-point movement is within ``MOVE_FACTOR * eps``
-    (the functional test alone is blind for deep pairs whose functional
-    value sits below the threshold scale).  Settled pairs with a small
+    functional changed by at most ``C_FACTOR * eps`` over the last sweep
+    and the contact point (the midpoint of the separating segment) moved by
+    at most ``MOVE_FACTOR * eps`` (the functional test alone is blind for
+    deep pairs whose functional value sits below the threshold scale).  So
+    both are evaluated twice, before and after the last sweep; with one
+    sweep, before it is the start iterate.  Settled pairs with a small
     quadratic value are contacts, settled pairs with a large one are
     non-contacts, everything else is left open.  The penalty weight
     ``ALPHA_ITERATIVE``, the regulariser ``ALPHA_REGULARISER`` and the start
@@ -444,7 +440,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     eps = _as_eps(eps, n)
     va, vb = _coordinates(A), _coordinates(B)
     # scratch rows and one scratch vector
-    t, u, w = (np.empty(n, dtype=REAL) for _ in range(3))
+    t, u = np.empty(n, dtype=REAL), np.empty(n, dtype=REAL)
     vec = np.empty((3, n), dtype=REAL)
 
     e1a, e2a = va[1] - va[0], va[2] - va[0]
@@ -476,34 +472,29 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
         out += np.multiply(x[1], e2a, out=vec)
         return out
 
-    def functional(out):
-        out = _dot(d, d, out, w)
-        out *= 0.5
-        out += _penalty(x, alpha_it, t, u)
-        return out
-
-    j_total, j_old = functional(np.empty(n, dtype=REAL)), np.empty(n, dtype=REAL)
     partner = (1, 0, 3, 2)  # coordinate sharing the a + b <= 1 penalty
-    # contact-point movement between the two last sweeps; the functional
-    # change alone cannot flag still-moving iterates once J is below the
-    # threshold scale (deep contacts), so both are tracked
-    midpoint = on_a(np.empty((3, n), dtype=REAL))
-    midpoint -= np.multiply(d, 0.5, out=vec)
-    new_mid = np.empty((3, n), dtype=REAL)
-    move = np.empty(n, dtype=REAL)
-    for _ in range(N_ITERATIVE):
-        j_old, j_total = j_total, j_old
+    for sweep in range(N_ITERATIVE):
+        if sweep == N_ITERATIVE - 1:
+            # the functional and the contact point (the midpoint of the
+            # separating segment) before the last sweep; the functional
+            # change alone cannot flag still-moving iterates once J is below
+            # the threshold scale (deep contacts), so both are compared
+            j_old = _dot(d, d, np.empty(n, dtype=REAL), u)
+            j_old *= 0.5
+            j_old += _penalty(x, alpha_it)
+            mid_old = on_a(np.empty((3, n), dtype=REAL))
+            mid_old -= np.multiply(d, 0.5, out=vec)
         for k, e in enumerate(dirs):
             # descent substep on the quadratic part along the coordinate,
             # then the constraint substep: a Newton step on the coordinate's
             # penalty terms (Dirac kink terms dropped) that returns any
             # violated penalty to its boundary, i.e. clips the move to the
-            # admissible interval
+            # admissible interval [0, hi]; with the slide's interval below,
+            # no coordinate goes under +0.0, so none needs a clamp
             target = _dot(d, e, t, u)
             target /= denom[k]
             np.subtract(x[k], target, out=target)
-            hi = np.maximum(x[partner[k]], 0.0, out=u)
-            np.subtract(1.0, hi, out=hi)
+            hi = np.subtract(1.0, x[partner[k]], out=u)
             np.maximum(0.0, hi, out=hi)
             np.clip(target, 0.0, hi, out=target)
             step = np.subtract(target, x[k], out=u)
@@ -516,28 +507,25 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
                 s = _dot(d, e3, t, u)
                 np.negative(s, out=s)
                 s /= den3
-                lo = np.maximum(x[k], 0.0, out=u)
-                np.negative(lo, out=lo)
-                np.clip(s, lo, np.maximum(x[k - 1], 0.0, out=w), out=s)
+                np.clip(s, np.negative(x[k], out=u), x[k - 1], out=s)
                 x[k - 1] -= s
                 x[k] += s
                 d += np.multiply(s, e3, out=vec)
-        functional(j_total)
-        on_a(new_mid)
-        new_mid -= np.multiply(d, 0.5, out=vec)
-        _norm(np.subtract(new_mid, midpoint, out=vec), move, u)
-        midpoint, new_mid = new_mid, midpoint
 
+    # after the last sweep, J is jh plus the penalty and the contact point
+    # is point_a - d / 2
     jh = _dot(d, d, t, u)
     jh *= 0.5
-    settled = (np.abs(j_total - j_old) <= C_FACTOR * eps) & (move <= MOVE_FACTOR * eps)
+    point_a = on_a(np.empty((3, n), dtype=REAL))
+    move =_norm(point_a - np.multiply(d, 0.5, out=vec) - mid_old)
+    settled = ((np.abs(jh + _penalty(x, alpha_it) - j_old) <= C_FACTOR * eps)
+               & (move <= MOVE_FACTOR * eps))
     contact = settled & (jh <= 2.0 * eps * eps)
 
     kind = np.full(n, np.int8(Kind.NOT_TERMINATED))
     kind[settled & ~contact] = np.int8(Kind.NO_CONTACT)
     kind[contact] = np.int8(Kind.CONTACT)
 
-    point_a = on_a(np.empty((3, n), dtype=REAL))
     point_b = np.multiply(x[2], e1b, out=np.empty((3, n), dtype=REAL))
     point_b += vb[0]
     point_b += np.multiply(x[3], e2b, out=vec)
@@ -590,8 +578,7 @@ def _functional_terms(t1, t2, coords):
 def functional_value(t1, t2, a1, b1, a2, b2) -> float:
     """Value of the penalised distance functional at given coordinates."""
     _, d, x, alpha = _functional_terms(t1, t2, (a1, b1, a2, b2))
-    penalty = _penalty(x, alpha, np.empty(1, dtype=REAL), np.empty(1, dtype=REAL))
-    return 0.5 * float((d * d).sum()) + float(penalty[0])
+    return 0.5 * float((d * d).sum()) + float(_penalty(x, alpha)[0])
 
 
 def gradient_of_J(t1, t2, a1, b1, a2, b2) -> np.ndarray:

@@ -635,7 +635,7 @@ def implicit_step(system: System, cfg: StepConfig) -> StepStats:
     v_guess = [p.v.copy() for p in system.particles]
     w_guess = [p.omega.copy() for p in system.particles]
     guess_motions = list(motions)
-    theta = np.ones(len(system.particles))
+    theta = np.ones(len(system.particles), dtype=REAL)
     prev = applied = None
 
     for sweep in range(cfg.max_picard_iterations):

@@ -46,10 +46,9 @@ def point_triangle_distance_ref(points: np.ndarray, tris: np.ndarray,
 
     Takes the minimum of the in-triangle plane projection (when the foot
     lies inside, decided by barycentric signs) and the three point-segment
-    distances.  ``points``: (n, 3); ``tris``: (n, 3, 3).  Where
-    ``edges_only`` (a bool or (n,) mask) holds, the triangle is a
-    zero-area one, the union of its edges, and only the point-segment
-    distances count.
+    distances.  ``points``: (n, 3); ``tris``: (n, 3, 3).  A zero-area
+    triangle is the union of its edges, and so is one where ``edges_only``
+    (a bool or (n,) mask) holds: only the point-segment distances count.
     """
     points = np.asarray(points, dtype=np.float64)
     tris = np.asarray(tris, dtype=np.float64)
@@ -77,7 +76,9 @@ def point_triangle_distance_ref(points: np.ndarray, tris: np.ndarray,
     det = np.maximum(uu * vv - uv * uv, 1e-300)
     s = (vv * wu - uv * wv) / det
     t = (uu * wv - uv * wu) / det
-    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0) & ~np.asarray(edges_only)
+    # a zero-area target has no plane: its clamped determinant would let any
+    # foot test as inside
+    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0) & (nn > 0.0) & ~np.asarray(edges_only)
     return np.where(inside, np.minimum(best, dist_plane), best)
 
 

@@ -59,6 +59,25 @@ class TestRigidMotion:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(motion, name, np.zeros(4))
 
+    def test_rotation_matrix_is_built_once(self, rng):
+        # one read-only matrix per motion, the quaternion formula's, which
+        # copies and pickles rebuild through the constructor
+        q = rng.normal(size=4)
+        m = RigidMotion(q / np.linalg.norm(q), rng.normal(size=3))
+        w, x, y, z = (float(c) for c in m.rotation)
+        want = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]],
+                        dtype=REAL)
+        assert m.rotation_matrix() is m.rotation_matrix()
+        for motion in (m, copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            matrix = motion.rotation_matrix()
+            assert matrix.dtype == REAL and np.array_equal(matrix, want)
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+            pts = rng.normal(size=(4, 3)).astype(REAL)
+            assert np.array_equal(motion.apply_points(pts), pts @ want.T + m.translation)
+
     def test_empty_soup(self):
         out = RigidMotion().apply_points(np.empty((0, 3, 3)))
         assert out.shape == (0, 3, 3)

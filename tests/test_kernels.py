@@ -95,6 +95,14 @@ class TestComparison:
         assert (oracle - exact <= bound + 1e-9).all()
 
 
+def test_point_triangle_reference_on_a_zero_area_triangle():
+    # a collinear triangle has no plane to project on: only its edges count,
+    # with or without the mask
+    point, tri = np.array([[0.5, 1.0, 0.0]]), np.array([[[0, 0, 0], [1, 0, 0], [2, 0, 0]]])
+    for edges_only in (False, True):
+        assert point_triangle_distance_ref(point, tri, edges_only)[0] == 1.0
+
+
 def test_segment_to_point():
     # the second segment is a point: the closest point of the first is the
     # foot of the perpendicular, not the first segment's start
@@ -469,7 +477,11 @@ class TestAgainstReference:
             assert a.shape == b.shape and a.dtype == b.dtype, (label, name)
             assert np.abs(a - b).max() <= tol, (label, name)
 
-    def test_iterative(self, rng):
+    @pytest.mark.parametrize("sweeps", [1, 2, 4])
+    def test_iterative(self, rng, monkeypatch, sweeps):
+        # the reference reads the sweep count at call time; at one sweep the
+        # settle test compares the start iterate with the first sweep's
+        monkeypatch.setattr(kernels, "N_ITERATIVE", sweeps)
         for label, (A, B) in self.batches(rng):
             eps = rng.uniform(1e-3, 5e-2, size=len(A))
             self.assert_agree(label, iterative_batch(A, B, eps),

@@ -362,6 +362,16 @@ class TestImplicit:
             assert np.abs(pa.motion.translation - pb.motion.translation).max() < 1e-5
             assert np.abs(pa.v - pb.v).max() < 1e-5
 
+    @pytest.mark.parametrize("mode", EXPLICIT_MODES + IMPLICIT_MODES)
+    def test_state_keeps_the_precision(self, mode):
+        # a step in contact keeps every particle's state in the run's
+        # precision, also through the relaxation factor of the implicit modes
+        system = two_sphere_system(gap=2e-3)
+        step(system, StepConfig(dt=1e-4, mode=mode))
+        for p in system.particles:
+            for value in (p.v, p.omega, p.motion.translation):
+                assert value.dtype == REAL, mode
+
     @pytest.mark.parametrize("mode", IMPLICIT_MODES)
     def test_divergence_guard(self, mode):
         system = two_sphere_system(gap=2e-3)
