@@ -1,17 +1,19 @@
 """Contacts as arrays, redundancy merging, and the normal spring force model.
 
 A detection's contacts are one :class:`Contacts` struct of arrays, from the
-kernel hits to the wrench.  A contact lives on the shortest segment between
-two triangles (weighted by the halo widths when they differ); its normal
-points toward the closest point on the first triangle and has magnitude at
-most that side's halo width.  Forces follow the plain normal spring
-calibrated by a spring constant, scaled by the square root of the pair's
-reduced mass, with no tangential friction and no empirical damping.
+kernel hits to the wrench.  A contact joins two mesh triangles of a particle
+pair and lives on the shortest segment between them (weighted by the halo
+widths when they differ); its normal points toward the closest point on the
+first triangle and has magnitude at most that side's halo width.  Forces
+follow the plain normal spring calibrated by a spring constant, scaled by
+the square root of the pair's reduced mass, with no tangential friction and
+no empirical damping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,20 +35,19 @@ class ContactPoint:
     position: np.ndarray          # x(c): halo-weighted point of the segment
     normal: np.ndarray            # n(c): from x(c) toward the first triangle
     pair: tuple[int, int]         # (particle id, particle id)
-    source: tuple[int, int]       # mesh triangle or tree node id per side
-    level: tuple[int, int]        # surrogate height per side (0 = mesh level)
+    source: tuple[int, int]       # mesh triangle per side
     eps: tuple[float, float]      # halo width per side
+    level: ClassVar[tuple[int, int]] = (0, 0)  # surrogate height per side: mesh only
 
 
 @dataclass(eq=False)
 class Contacts:
-    """One row per contact: ``(n, 2)`` int64 ``pair``, ``source`` and
-    ``level`` (first side first), ``(n, 3)`` ``position`` and ``normal``,
-    ``(n, 2)`` float64 ``eps``.  Iterating yields :class:`ContactPoint` rows."""
+    """One row per contact: ``(n, 2)`` int64 ``pair`` and ``source`` (first
+    side first), ``(n, 3)`` ``position`` and ``normal``, ``(n, 2)`` float64
+    ``eps``.  Iterating yields :class:`ContactPoint` rows."""
 
     pair: np.ndarray
     source: np.ndarray
-    level: np.ndarray
     position: np.ndarray
     normal: np.ndarray
     eps: np.ndarray
@@ -62,22 +63,21 @@ class Contacts:
         return Contacts(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def sorted(self) -> "Contacts":
-        """The rows in (pair, level, source) order; equal keys keep theirs."""
-        return self.take(np.lexsort((self.source[:, 1], self.source[:, 0], self.level[:, 1],
-                                     self.level[:, 0], self.pair[:, 1], self.pair[:, 0])))
+        """The rows in (pair, source) order; equal keys keep theirs."""
+        return self.take(np.lexsort((self.source[:, 1], self.source[:, 0], self.pair[:, 1],
+                                     self.pair[:, 0])))
 
     def __len__(self) -> int:
         return self.pair.shape[0]
 
     def __iter__(self):
-        rows = zip(self.pair.tolist(), self.source.tolist(), self.level.tolist(),
-                   self.eps.tolist())
-        for k, (pair, source, level, eps) in enumerate(rows):
+        rows = zip(self.pair.tolist(), self.source.tolist(), self.eps.tolist())
+        for k, (pair, source, eps) in enumerate(rows):
             yield ContactPoint(self.position[k], self.normal[k], tuple(pair), tuple(source),
-                               tuple(level), tuple(eps))
+                               tuple(eps))
 
 
-_EMPTY = Contacts(*(np.zeros((0, 2), dtype=np.int64) for _ in range(3)),
+_EMPTY = Contacts(*(np.zeros((0, 2), dtype=np.int64) for _ in range(2)),
                  np.zeros((0, 3), dtype=REAL), np.zeros((0, 3), dtype=REAL), np.zeros((0, 2)))
 
 
@@ -123,15 +123,15 @@ def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def contacts_from_segments(point_a, point_b, eps, pair, source, level) -> Contacts:
+def contacts_from_segments(point_a, point_b, eps, pair, source) -> Contacts:
     """One contact per shortest segment ``point_a[k] -> point_b[k]``.
 
     The contact divides the segment in the ratio ``eps_a : eps_b`` of the
     two sides' halo widths from the first side (the midpoint for equal
     halos), so the halo-overlap condition reads the same from both sides.
     Its normal points back to ``point_a``; coincident points (intersecting
-    geometry) give a zero normal.  ``eps``, ``pair``, ``source`` and
-    ``level`` are per-side values, broadcast to ``(n, 2)``.
+    geometry) give a zero normal.  ``eps``, ``pair`` and ``source`` are
+    per-side values, broadcast to ``(n, 2)``.
     """
     point_a = np.asarray(point_a, dtype=REAL).reshape(-1, 3)
     point_b = np.asarray(point_b, dtype=REAL).reshape(-1, 3)
@@ -141,20 +141,20 @@ def contacts_from_segments(point_a, point_b, eps, pair, source, level) -> Contac
     position = point_a + w[:, None] * (point_b - point_a)
     normal = point_a - position
     normal[_length(normal) < 1e-12] = 0.0
-    ids = (np.broadcast_to(np.asarray(x, dtype=np.int64), (n, 2)) for x in (pair, source, level))
+    ids = (np.broadcast_to(np.asarray(x, dtype=np.int64), (n, 2)) for x in (pair, source))
     return Contacts(*ids, position, normal, eps)
 
 
 def merge_contacts(contacts: Contacts, epsilon) -> Contacts:
-    """Fuse redundant contacts of each particle pair and pair of levels.
+    """Fuse redundant contacts of each particle pair.
 
-    Greedy in (pair, level, source) order: the first contact of a pair and
-    level not yet placed takes every later unplaced one of its pair and
-    level within the radius ``epsilon`` (or, given one halo width per
-    particle id, the pair's smaller one), for all pairs and levels at once,
-    until all are placed.  A cluster keeps its first member's ids and halos,
-    the mean position and the mean normal rescaled to the members' mean
-    magnitude; a contact alone in its cluster comes back unchanged.
+    Greedy in (pair, source) order: the first contact of a pair not yet
+    placed takes every later unplaced one of its pair within the radius
+    ``epsilon`` (or, given one halo width per particle id, the pair's
+    smaller one), for all pairs at once, until all are placed.  A cluster
+    keeps its first member's ids and halos, the mean position and the mean
+    normal rescaled to the members' mean magnitude; a contact alone in its
+    cluster comes back unchanged.
     """
     c = contacts.sorted()
     n = len(c)
@@ -162,8 +162,7 @@ def merge_contacts(contacts: Contacts, epsilon) -> Contacts:
     if radius.ndim:
         radius = np.minimum(radius[c.pair[:, 0]], radius[c.pair[:, 1]])
     radius = np.broadcast_to(radius, (n,))
-    key = np.concatenate([c.pair, c.level], axis=1)
-    group = np.cumsum(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+    group = np.cumsum(np.r_[True, (c.pair[1:] != c.pair[:-1]).any(axis=1)])
     rep = np.empty(n, dtype=np.int64)
     todo = np.arange(n)
     while todo.size:

@@ -68,7 +68,8 @@ def degenerate_mask(tris: np.ndarray) -> np.ndarray:
 # Rigid motions: unit quaternion (w, x, y, z) plus translation.
 # ---------------------------------------------------------------------------
 
-_QUAT_NORM_TOL = 1e-9
+# at least a few rounding units of REAL: a unit quaternion stays as it is
+_QUAT_NORM_TOL = max(1e-9, 4 * float(np.finfo(REAL).eps))
 
 
 @dataclass(frozen=True)

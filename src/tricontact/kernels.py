@@ -53,7 +53,9 @@ class Kind(IntEnum):
 # the pair's halo of its two settle tests, the penalty weight and diagonal
 # regulariser as factors on the pair's largest squared edge length (so the
 # update is invariant under uniform scaling), and the start value of every
-# barycentric coordinate.
+# barycentric coordinate.  The kernel's iterates stay in the barycentric
+# box, where the penalty is zero, so ALPHA_ITERATIVE defines J only for the
+# verification functions functional_value and gradient_of_J.
 N_ITERATIVE = 4
 C_FACTOR = 1.0
 MOVE_FACTOR = 0.25
@@ -67,7 +69,8 @@ class KernelParams:
     """The run's finest-level halo width ``epsilon`` (relative to a particle
     diameter of one), which ``build_scene`` takes.  The kernels' settings are
     the constants ``N_ITERATIVE``, ``C_FACTOR``, ``MOVE_FACTOR``,
-    ``ALPHA_ITERATIVE``, ``ALPHA_REGULARISER`` and ``START_COORD``."""
+    ``ALPHA_REGULARISER`` and ``START_COORD``; ``ALPHA_ITERATIVE`` weighs
+    the penalty of J for ``functional_value`` and ``gradient_of_J`` only."""
 
     epsilon: float = 1e-2
 
@@ -424,11 +427,14 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     at most ``MOVE_FACTOR * eps`` (the functional test alone is blind for
     deep pairs whose functional value sits below the threshold scale).  So
     both are evaluated twice, before and after the last sweep; with one
-    sweep, before it is the start iterate.  Settled pairs with a small
-    quadratic value are contacts, settled pairs with a large one are
-    non-contacts, everything else is left open.  The penalty weight
-    ``ALPHA_ITERATIVE``, the regulariser ``ALPHA_REGULARISER`` and the start
-    coordinate ``START_COORD`` are read at each call, like the other three.
+    sweep, before it is the start iterate.  The substeps and slides keep
+    every iterate in the barycentric box, where the penalty is zero, so the
+    functional compared is its quadratic part ``½‖x_A − x_B‖²`` and the
+    penalty weight ``ALPHA_ITERATIVE`` is not read here.  Settled pairs
+    with a small quadratic value are contacts, settled pairs with a large
+    one are non-contacts, everything else is left open.  The regulariser
+    ``ALPHA_REGULARISER`` and the start coordinate ``START_COORD`` are read
+    at each call, like the sweep count and the settle factors.
 
     The batch is worked on per coordinate: vectors are ``(3, n)`` arrays
     and each coordinate a length-n row, updated in place in a few
@@ -446,9 +452,7 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
     e1a, e2a = va[1] - va[0], va[2] - va[0]
     e1b, e2b = vb[1] - vb[0], vb[2] - vb[0]
     dirs = (e1a, e2a, -e1b, -e2b)  # d(diff)/d(coord k)
-    sq = _pair_max_sq_edge(va, vb)
-    alpha_it = ALPHA_ITERATIVE * sq
-    alpha_reg = ALPHA_REGULARISER * sq
+    alpha_reg = ALPHA_REGULARISER * _pair_max_sq_edge(va, vb)
 
     def denominator(e):
         return np.maximum(_dot(e, e, np.empty(n, dtype=REAL), t) + alpha_reg, _TINY)
@@ -481,7 +485,6 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
             # the threshold scale (deep contacts), so both are compared
             j_old = _dot(d, d, np.empty(n, dtype=REAL), u)
             j_old *= 0.5
-            j_old += _penalty(x, alpha_it)
             mid_old = on_a(np.empty((3, n), dtype=REAL))
             mid_old -= np.multiply(d, 0.5, out=vec)
         for k, e in enumerate(dirs):
@@ -512,14 +515,13 @@ def iterative_batch(tri_a: np.ndarray, tri_b: np.ndarray, eps) -> BatchResult:
                 x[k] += s
                 d += np.multiply(s, e3, out=vec)
 
-    # after the last sweep, J is jh plus the penalty and the contact point
-    # is point_a - d / 2
+    # after the last sweep, J is jh (no penalty acts in the box) and the
+    # contact point is point_a - d / 2
     jh = _dot(d, d, t, u)
     jh *= 0.5
     point_a = on_a(np.empty((3, n), dtype=REAL))
-    move =_norm(point_a - np.multiply(d, 0.5, out=vec) - mid_old)
-    settled = ((np.abs(jh + _penalty(x, alpha_it) - j_old) <= C_FACTOR * eps)
-               & (move <= MOVE_FACTOR * eps))
+    move = _norm(point_a - np.multiply(d, 0.5, out=vec) - mid_old)
+    settled = (np.abs(jh - j_old) <= C_FACTOR * eps) & (move <= MOVE_FACTOR * eps)
     contact = settled & (jh <= 2.0 * eps * eps)
 
     kind = np.full(n, np.int8(Kind.NOT_TERMINATED))

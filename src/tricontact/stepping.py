@@ -160,11 +160,9 @@ class Forest:
 
     def contacts(self, res, hits: np.ndarray, a: np.ndarray, b: np.ndarray) -> Contacts:
         """Contacts of the kernel results ``res`` at ``hits`` of the pairings
-        ``(a, b)``: per side the halo, the owner (the pair), the source and
-        the height (the level)."""
+        ``(a, b)``: per side the halo, the owner (the pair) and the source."""
         a, b = a[hits], b[hits]
-        sides = (np.stack([row[a], row[b]], axis=1)
-                 for row in (self.eps, self.owner, self.source, self.height))
+        sides = (np.stack([row[a], row[b]], axis=1) for row in (self.eps, self.owner, self.source))
         return contacts_from_segments(res.point_a[hits], res.point_b[hits], *sides)
 
 
@@ -546,14 +544,12 @@ def advance_motion(p: Particle, motion: RigidMotion, v: np.ndarray,
     """Translate by v dt and rotate by omega dt about the world centre of mass."""
     com_w = motion.apply_points(p.mass.center_of_mass)
     speed = float(np.linalg.norm(omega))
+    rot = motion  # only its rotation is read
     if speed > 0.0:
-        delta = RigidMotion.from_axis_angle(np.asarray(omega) / speed, speed * dt)
-        rot = delta.compose(RigidMotion(motion.rotation, np.zeros(3)))
-    else:
-        rot = RigidMotion(motion.rotation, np.zeros(3))
+        rot = RigidMotion.from_axis_angle(np.asarray(omega) / speed, speed * dt).compose(motion)
     new_com = com_w + np.asarray(v, dtype=REAL) * dt
-    translation = new_com - rot.apply_points(p.mass.center_of_mass)
-    return RigidMotion(rot.rotation, translation)
+    com_turned = np.asarray(p.mass.center_of_mass, dtype=REAL) @ rot.rotation_matrix().T
+    return RigidMotion(rot.rotation, new_com - com_turned)
 
 
 # ---------------------------------------------------------------------------

