@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import REAL, as_triangles
+from .geometry import REAL, as_triangles, cross
 
 
 class ZeroNormal(ValueError):
@@ -245,7 +245,7 @@ def accumulate(contacts: Contacts, forces: np.ndarray, masses: list[MassProperti
     signed = np.stack([forces, -forces], axis=1).reshape(-1, 3)
     arms = np.repeat(contacts.position, 2, axis=0) - com_world[who]
     force = _sums(who, signed, n)
-    torque = _sums(who, np.cross(arms, signed), n)
+    torque = _sums(who, cross(arms, signed), n)
     dv, domega = np.zeros((2, n, 3), dtype=REAL)
     for i, mass in enumerate(masses):
         if mass.immovable:
@@ -253,7 +253,7 @@ def accumulate(contacts: Contacts, forces: np.ndarray, masses: list[MassProperti
             continue
         rot = rotations[i]
         inertia_w = rot @ mass.inertia_tensor @ rot.T
-        gyro = np.cross(omegas[i], inertia_w @ omegas[i])
+        gyro = cross(omegas[i], inertia_w @ omegas[i])
         dv[i] = force[i] / mass.mass
         domega[i] = np.linalg.solve(inertia_w, torque[i] - gyro)
     return force, torque, dv, domega
@@ -273,7 +273,7 @@ def mass_properties_from_mesh(triangles: np.ndarray, density: float = 1.0) -> Ma
     """
     tris = as_triangles(triangles).astype(np.float64)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    det = np.einsum("ij,ij->i", a, cross(b, c))
     volume = det.sum() / 6.0
     if volume <= 0.0:
         raise OpenMesh(f"signed volume {volume:.3e} is not positive")

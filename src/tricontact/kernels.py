@@ -38,7 +38,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .geometry import REAL, as_triangles, degenerate_mask
+from .geometry import REAL, as_triangles, cross, degenerate_mask
 
 _TINY = 1e-30
 
@@ -148,42 +148,45 @@ def closest_point_triangle_batch(points: np.ndarray, tris: np.ndarray):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    n = p.shape[0]
-    u = np.zeros(n, dtype=REAL)  # weight along ab
-    w = np.zeros(n, dtype=REAL)  # weight along ac
-    done = np.zeros(n, dtype=bool)
-
-    def claim(mask):
-        fresh = mask & ~done
-        done[fresh] = True
-        return fresh
-
-    # vertex A
-    claim((d1 <= 0.0) & (d2 <= 0.0))
-    # vertex B
-    m = claim((d3 >= 0.0) & (d4 <= d3))
-    u[m] = 1.0
-    # edge AB
-    m = claim((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0))
-    u[m] = d1[m] / np.where(d1[m] - d3[m] == 0.0, 1.0, d1[m] - d3[m])
-    # vertex C
-    m = claim((d6 >= 0.0) & (d5 <= d6))
-    w[m] = 1.0
-    # edge AC
-    m = claim((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0))
-    w[m] = d2[m] / np.where(d2[m] - d6[m] == 0.0, 1.0, d2[m] - d6[m])
-    # edge BC
-    m = claim((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0))
-    denom = (d4[m] - d3[m]) + (d5[m] - d6[m])
-    t = (d4[m] - d3[m]) / np.where(denom == 0.0, 1.0, denom)
-    u[m] = 1.0 - t
-    w[m] = t
-    # interior
-    m = ~done
-    denom = va[m] + vb[m] + vc[m]
-    denom = np.where(denom == 0.0, 1.0, denom)
-    u[m] = vb[m] / denom
-    w[m] = vc[m] / denom
+    # The weights (u along ab, w along ac) of every region, for every row:
+    # each np.where hands a region's rows its weights, from the lowest
+    # priority to the highest, so a row ends with the first region it lies
+    # in.  A region's weights at rows outside it may overflow; they are
+    # never taken.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # interior
+        denom = va + vb + vc
+        denom = np.where(denom == 0.0, 1.0, denom)
+        u = vb / denom
+        w = vc / denom
+        # edge BC
+        d43 = d4 - d3
+        d56 = d5 - d6
+        m = (va <= 0.0) & (d43 >= 0.0) & (d56 >= 0.0)
+        denom = d43 + d56
+        t = d43 / np.where(denom == 0.0, 1.0, denom)
+        u = np.where(m, 1.0 - t, u)
+        w = np.where(m, t, w)
+        # edge AC
+        m = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
+        u = np.where(m, 0.0, u)
+        w = np.where(m, d2 / np.where(d2 - d6 == 0.0, 1.0, d2 - d6), w)
+        # vertex C
+        m = (d6 >= 0.0) & (d5 <= d6)
+        u = np.where(m, 0.0, u)
+        w = np.where(m, 1.0, w)
+        # edge AB
+        m = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
+        u = np.where(m, d1 / np.where(d1 - d3 == 0.0, 1.0, d1 - d3), u)
+        w = np.where(m, 0.0, w)
+        # vertex B
+        m = (d3 >= 0.0) & (d4 <= d3)
+        u = np.where(m, 1.0, u)
+        w = np.where(m, 0.0, w)
+        # vertex A
+        m = (d1 <= 0.0) & (d2 <= 0.0)
+        u = np.where(m, 0.0, u)
+        w = np.where(m, 0.0, w)
 
     return a + u[:, None] * ab + w[:, None] * ac
 
@@ -241,7 +244,7 @@ def _segment_triangle_crossings(p, q, tris):
     """
     p, q, tris = (np.asarray(x, dtype=np.float64) for x in (p, q, as_triangles(tris)))
     a = tris[:, 0]
-    n = np.cross(tris[:, 1] - a, tris[:, 2] - a)
+    n = cross(tris[:, 1] - a, tris[:, 2] - a)
     dp = np.einsum("ij,ij->i", p - a, n)
     dq = np.einsum("ij,ij->i", q - a, n)
     crossing = dp * dq < 0.0

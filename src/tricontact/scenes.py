@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .geometry import REAL, RigidMotion, mesh_to_triangles, triangle_areas
+from .geometry import REAL, RigidMotion, cross, mesh_to_triangles, triangle_areas
 
 
 class InvalidSpec(ValueError):
@@ -245,7 +245,7 @@ def closed_surface_check(verts: np.ndarray, faces: np.ndarray) -> dict:
     )
     tris = mesh_to_triangles(verts, faces)
     areas_ok = bool((triangle_areas(tris) > 0.0).all())
-    volume = float(np.einsum("ij,ij->i", tris[:, 0], np.cross(tris[:, 1], tris[:, 2])).sum() / 6.0)
+    volume = float(np.einsum("ij,ij->i", tris[:, 0], cross(tris[:, 1], tris[:, 2])).sum() / 6.0)
     return {
         "ok": paired and areas_ok and volume > 0.0,
         "edges_paired": paired,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import REAL, as_triangles
+from .geometry import REAL, as_triangles, cross
 from .kernels import closest_point_triangle_batch
 
 
@@ -40,9 +40,9 @@ class EmptyMesh(ValueError):
 # ---------------------------------------------------------------------------
 # Fit functional: max-distance hugging + area regulariser + outside penalty.
 #
-# The descent is batched over many independent fit problems of the same
-# child count, which is what makes whole-tree construction cheap.  Its
-# weights and controls are fixed, as in the paper.
+# The descent is batched over many independent fit problems, of one child
+# count or of several, which is what makes whole-tree construction cheap.
+# Its weights and controls are fixed, as in the paper.
 # ---------------------------------------------------------------------------
 
 BETA_SIZE = 8             # even exponent of the max-distance term
@@ -56,57 +56,86 @@ SHRINK = 0.5              # backtracking factor of a rejected step
 GROW = 1.5                # growth factor of an accepted step
 
 
-def _fit_setup(children: np.ndarray):
-    """Precompute child-dependent constants for a (m, c, 3, 3) batch.
+def _batches(children) -> list:
+    """``children`` as a list of ``(m, c, 3, 3)`` batches: a list as it is,
+    one batch as a list of one."""
+    return [children] if isinstance(children, np.ndarray) else list(children)
 
-    The area weight is relative, ``ALPHA_AREA * (mean child area)**2``, so
-    the fit is scale invariant.
+
+def _fit_setup(children):
+    """Child-only constants of one ``(m, c, 3, 3)`` batch, or of a list of
+    batches fitted together, their rows in order.
+
+    Returns the child triangles repeated for every surrogate vertex, the
+    vertex row (into ``tris.reshape(-1, 3)``) that each repeated child is
+    measured from, the area weight of every row, and per batch its child
+    normals repeated per child vertex and their dot products with the child
+    vertices.  The area weight is relative, ``ALPHA_AREA * (mean child
+    area)**2``, so the area term does not change with the mesh's scale.
     """
-    m, c = children.shape[0], children.shape[1]
-    flat = children.reshape(m, c * 3, 3)  # child vertices per problem
-    cross = np.cross(children[:, :, 1] - children[:, :, 0], children[:, :, 2] - children[:, :, 0])
-    norm = np.linalg.norm(cross, axis=2, keepdims=True)
-    normals = cross / np.where(norm > 0.0, norm, 1.0)          # (m, c, 3)
-    normals_rep = np.repeat(normals, 3, axis=1)                # per child vertex
-    areas = 0.5 * norm[..., 0]
-    mean_area = areas.mean(axis=1)
-    alpha_area = ALPHA_AREA * mean_area * mean_area            # (m,)
-    return flat, normals_rep, alpha_area
+    targets, vertex_rows, alpha_area, planes = [], [], [], []
+    start = 0
+    for batch in _batches(children):
+        m, c = batch.shape[0], batch.shape[1]
+        flat = batch.reshape(m, c * 3, 3)                           # child vertices per problem
+        normal = cross(batch[:, :, 1] - batch[:, :, 0], batch[:, :, 2] - batch[:, :, 0])
+        norm = np.linalg.norm(normal, axis=2, keepdims=True)
+        normals_rep = np.repeat(normal / np.where(norm > 0.0, norm, 1.0), 3, axis=1)
+        mean_area = (0.5 * norm[..., 0]).mean(axis=1)
+        alpha_area.append(ALPHA_AREA * mean_area * mean_area)      # (m,)
+        planes.append((normals_rep, np.einsum("ipk,ipk->ip", flat, normals_rep)))
+        targets.append(np.repeat(batch[:, None], 3, axis=1).reshape(m * 3 * c, 3, 3))
+        vertex_rows.append(np.repeat(np.arange(start, start + 3 * m), c))
+        start += 3 * m
+    return (np.concatenate(targets), np.concatenate(vertex_rows),
+            np.concatenate(alpha_area), planes)
 
 
-def _fit_terms(tris, children, flat, normals_rep, alpha_area):
+def _fit_terms(tris, children, targets, vertex_rows, alpha_area, planes):
     """Fit energy ``(m,)`` and its gradient ``(m, 3, 3)`` at the ``(m, 3, 3)``
-    triangles ``tris``; the other arguments are ``_fit_setup``'s."""
-    m, c = children.shape[0], children.shape[1]
+    triangles ``tris``, the rows of ``children``'s batches in order; the
+    other arguments are ``_fit_setup``'s.
+
+    Every row-wise term runs once over all rows; only the sums over a row's
+    children run per batch, each in its batch's ``(m, c)`` layout.
+    """
     # point-triangle distances: each of the 3 surrogate vertices vs each child
-    q = np.repeat(tris.reshape(m, 3, 1, 3), c, axis=2).reshape(m * 3 * c, 3)
-    t = np.repeat(children[:, None, :, :, :], 3, axis=1).reshape(m * 3 * c, 3, 3)
-    closest = closest_point_triangle_batch(q, t)
-    diff = (q - closest).reshape(m, 3, c, 3)
-    dist = np.linalg.norm(diff, axis=3)
-    size = (dist.reshape(m, 3 * c) ** BETA_SIZE).sum(axis=1) / BETA_SIZE
-    grad = np.einsum("ivc,ivck->ivk", dist ** (BETA_SIZE - 2), diff)
+    q = tris.reshape(-1, 3)[vertex_rows]
+    diff = q - closest_point_triangle_batch(q, targets)
+    dist = np.linalg.norm(diff, axis=1)
+    dist_size = dist ** BETA_SIZE
+    dist_grad = dist ** (BETA_SIZE - 2)
+
+    size, size_grad, inside, inside_grad = [], [], [], []
+    row = pt = 0
+    for batch, (normals_rep, plane) in zip(_batches(children), planes):
+        m, c = batch.shape[0], batch.shape[1]
+        rows, pts = slice(row, row + m), slice(pt, pt + m * 3 * c)
+        size.append(dist_size[pts].reshape(m, 3 * c).sum(axis=1) / BETA_SIZE)
+        size_grad.append(np.einsum("ivc,ivck->ivk", dist_grad[pts].reshape(m, 3, c),
+                                   diff[pts].reshape(m, 3, c, 3)))
+        # outside penalty, gated by the child outward normals
+        outside = np.maximum(0.0, np.einsum("ivk,ipk->ivp", tris[rows], normals_rep)
+                             - plane[:, None, :])
+        inside.append(ALPHA_INSIDE / BETA_NORMAL * (outside ** BETA_NORMAL).sum(axis=(1, 2)))
+        inside_grad.append(ALPHA_INSIDE * np.einsum("ivp,ipk->ivk",
+                                                    outside ** (BETA_NORMAL - 1), normals_rep))
+        row, pt = rows.stop, pts.stop
 
     u = tris[:, 1] - tris[:, 0]
     v = tris[:, 2] - tris[:, 0]
-    n = np.cross(u, v)
+    n = cross(u, v)
     nn = np.maximum(np.einsum("ij,ij->i", n, n), 1e-300)
     area = 0.5 * alpha_area / nn
     coef = (-0.5 * alpha_area / nn ** 2)[:, None]
-    g_u = coef * 2.0 * np.cross(v, n)
-    g_v = coef * 2.0 * np.cross(n, u)
+    g_u = coef * 2.0 * cross(v, n)
+    g_v = coef * 2.0 * cross(n, u)
+    grad = np.concatenate(size_grad)
     grad[:, 1] += g_u
     grad[:, 2] += g_v
     grad[:, 0] += -g_u - g_v
-
-    # outside penalty, gated by the child outward normals
-    s = np.einsum("ivk,ipk->ivp", tris, normals_rep) - np.einsum(
-        "ipk,ipk->ip", flat, normals_rep
-    )[:, None, :]
-    outside = np.maximum(0.0, s)
-    inside = ALPHA_INSIDE / BETA_NORMAL * (outside ** BETA_NORMAL).sum(axis=(1, 2))
-    grad += ALPHA_INSIDE * np.einsum("ivp,ipk->ivk", outside ** (BETA_NORMAL - 1), normals_rep)
-    return size + area + inside, grad
+    grad += np.concatenate(inside_grad)
+    return np.concatenate(size) + area + np.concatenate(inside), grad
 
 
 def _seed_batch(children: np.ndarray) -> np.ndarray:
@@ -117,8 +146,10 @@ def _seed_batch(children: np.ndarray) -> np.ndarray:
     return children[np.arange(children.shape[0]), pick].copy()
 
 
-def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
-    """Fit one surrogate triangle per problem of a (m, c, 3, 3) batch.
+def fit_surrogate_triangle_batch(children) -> np.ndarray:
+    """Fit one surrogate triangle per problem of a ``(m, c, 3, 3)`` batch, or
+    of a list of batches with different child counts, fitted together and
+    returned as one ``(sum m, 3, 3)`` array, their rows in order.
 
     Gradient descent with backtracking from a copied child triangle, in one
     loop that scores one candidate per row per pass: a live row whose
@@ -128,17 +159,19 @@ def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
     trials in a row, when its step falls to ``1e-14 * diam / gnorm``, or on
     a zero gradient.  Every returned triangle scores no worse than its
     seed.  Rows depend on their own problem only, so batching changes no
-    bits, and a batch costs as many energy evaluations as its slowest row.
+    bits, and a call costs as many energy evaluations as its slowest row.
     """
-    children = np.asarray(children, dtype=REAL)
-    if children.ndim != 4 or children.shape[0] == 0 or children.shape[1] == 0:
-        raise EmptyInput("expected a non-empty (m, c, 3, 3) batch")
-    m = children.shape[0]
-    setup = _fit_setup(children)
+    batches = [np.asarray(batch, dtype=REAL) for batch in _batches(children)]
+    if not batches or any(b.ndim != 4 or b.shape[0] == 0 or b.shape[1] == 0 for b in batches):
+        raise EmptyInput("expected non-empty (m, c, 3, 3) batches")
+    setup = _fit_setup(batches)
 
-    tris = _seed_batch(children)
-    energy, grad = _fit_terms(tris, children, *setup)
-    diam = np.maximum(np.ptp(children.reshape(m, -1, 3), axis=1).max(axis=1), 1e-12)
+    tris = np.concatenate([_seed_batch(batch) for batch in batches])
+    energy, grad = _fit_terms(tris, batches, *setup)
+    m = tris.shape[0]
+    diam = np.concatenate([np.ptp(batch.reshape(len(batch), -1, 3), axis=1).max(axis=1)
+                           for batch in batches])
+    diam = np.maximum(diam, 1e-12)
     step = INITIAL_STEP * diam
     steps = np.zeros(m, dtype=np.int64)   # accepted steps
     failed = np.zeros(m, dtype=np.int64)  # failed trials since the last step
@@ -150,7 +183,7 @@ def fit_surrogate_triangle_batch(children: np.ndarray) -> np.ndarray:
             return tris
         scale = np.where(gnorm > 0.0, step / np.maximum(gnorm, 1e-300), 0.0)
         cand = tris - scale[:, None, None] * grad
-        cand_energy, cand_grad = _fit_terms(cand, children, *setup)
+        cand_energy, cand_grad = _fit_terms(cand, batches, *setup)
         better = live & (cand_energy < energy)
         worse = live & ~better
         improvement = energy[better] - cand_energy[better]
@@ -354,17 +387,19 @@ def _batch_fit_and_chain(tree, ids, tri, eps):
     """Fit the triangles of nodes ``ids`` to their children and chain the halos.
 
     ``tri`` and ``eps`` hold the rows of every child id, mesh triangles
-    included, and receive the fitted nodes; nodes are grouped by child
-    count so the descent vectorises.
+    included, and receive the fitted nodes; the nodes are batched by child
+    count, and all batches are fitted in one descent.
     """
     counts = tree.kid_count[ids]
-    for count in np.unique(counts):
-        group = ids[counts == count]
-        rows = tree.kids[tree.kid_start[group][:, None] + np.arange(count)]
-        batch = tri[rows]
-        fitted = fit_surrogate_triangle_batch(batch)
-        tri[group] = fitted
-        eps[group] = conservative_epsilon(fitted, batch, eps[rows])
+    groups = [ids[counts == count] for count in np.unique(counts)]
+    rows = [tree.kids[tree.kid_start[group][:, None] + np.arange(tree.kid_count[group[0]])]
+            for group in groups]
+    batches = [tri[r] for r in rows]
+    fitted = np.split(fit_surrogate_triangle_batch(batches),
+                      np.cumsum([group.size for group in groups])[:-1])
+    for group, r, batch, part in zip(groups, rows, batches, fitted):
+        tri[group] = part
+        eps[group] = conservative_epsilon(part, batch, eps[r])
 
 
 def build_surrogate_tree(triangles: np.ndarray, n_surrogate: int, seed: int = 0,

@@ -6,7 +6,7 @@ differences, contact wrenches from a loop over single contacts.  The kernel
 references at the end are the batch kernels' first versions; they share the
 row-wise feature helpers with the library and differ from it in layout.  The
 surrogate-fit reference is the fit's first version, a descent loop around a
-backtracking loop.
+backtracking loop, and the tree-fit reference fits one child count at a time.
 """
 
 import math
@@ -299,6 +299,69 @@ def _penalty_value(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return alpha * p
 
 
+def closest_point_triangle_reference(points, tris) -> np.ndarray:
+    """``closest_point_triangle_batch`` as first written: the seven regions
+    claim their rows in priority order, and only claimed rows are computed."""
+    p = np.asarray(points, dtype=REAL)
+    tris = as_triangles(tris)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab = b - a
+    ac = c - a
+    ap = p - a
+
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
+
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    n = p.shape[0]
+    u = np.zeros(n, dtype=REAL)  # weight along ab
+    w = np.zeros(n, dtype=REAL)  # weight along ac
+    done = np.zeros(n, dtype=bool)
+
+    def claim(mask):
+        fresh = mask & ~done
+        done[fresh] = True
+        return fresh
+
+    # vertex A
+    claim((d1 <= 0.0) & (d2 <= 0.0))
+    # vertex B
+    m = claim((d3 >= 0.0) & (d4 <= d3))
+    u[m] = 1.0
+    # edge AB
+    m = claim((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0))
+    u[m] = d1[m] / np.where(d1[m] - d3[m] == 0.0, 1.0, d1[m] - d3[m])
+    # vertex C
+    m = claim((d6 >= 0.0) & (d5 <= d6))
+    w[m] = 1.0
+    # edge AC
+    m = claim((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0))
+    w[m] = d2[m] / np.where(d2[m] - d6[m] == 0.0, 1.0, d2[m] - d6[m])
+    # edge BC
+    m = claim((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0))
+    denom = (d4[m] - d3[m]) + (d5[m] - d6[m])
+    t = (d4[m] - d3[m]) / np.where(denom == 0.0, 1.0, denom)
+    u[m] = 1.0 - t
+    w[m] = t
+    # interior
+    m = ~done
+    denom = va[m] + vb[m] + vc[m]
+    denom = np.where(denom == 0.0, 1.0, denom)
+    u[m] = vb[m] / denom
+    w[m] = vc[m] / denom
+
+    return a + u[:, None] * ab + w[:, None] * ac
+
+
 def comparison_batch_reference(tri_a, tri_b, eps) -> BatchResult:
     """The comparison kernel as fifteen feature tests in a loop, one batch each."""
     A = as_triangles(tri_a)
@@ -488,7 +551,9 @@ def iterative_batch_reference(tri_a, tri_b, eps) -> BatchResult:
 # at most ``MAX_FIT_ITERATIONS`` iterations, each backtracking every row for
 # up to 40 trials until the slowest row of the iteration finds its step.
 # ``tests/test_surrogate.py`` checks that the production fit's single trial
-# loop gives the same rows.  The ``exits`` tally is the only addition.
+# loop gives the same rows.  The ``exits`` tally is the only addition.  The
+# tree-fit reference fits each height's nodes in one descent per child count,
+# where the production build fits all of them in one.
 # ---------------------------------------------------------------------------
 
 
@@ -545,3 +610,16 @@ def fit_reference(children):
         active &= moved
     exits["cap"] = int(active.sum())
     return tris, exits
+
+
+def batch_fit_and_chain_reference(tree, ids, tri, eps):
+    """``surrogate._batch_fit_and_chain`` as first written: one fit and one
+    halo chain per child count of the nodes ``ids``."""
+    counts = tree.kid_count[ids]
+    for count in np.unique(counts):
+        group = ids[counts == count]
+        rows = tree.kids[tree.kid_start[group][:, None] + np.arange(count)]
+        batch = tri[rows]
+        fitted = surrogate.fit_surrogate_triangle_batch(batch)
+        tri[group] = fitted
+        eps[group] = surrogate.conservative_epsilon(fitted, batch, eps[rows])

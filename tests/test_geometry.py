@@ -4,9 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tricontact.geometry import (_QUAT_NORM_TOL, REAL, RigidMotion, degenerate_mask, load_obj,
-                                 mesh_to_triangles, save_obj, triangle)
+from tricontact.geometry import (_QUAT_NORM_TOL, REAL, RigidMotion, cross, degenerate_mask,
+                                 load_obj, mesh_to_triangles, save_obj, triangle)
 
 
 class TestRigidMotion:
@@ -165,3 +167,22 @@ class TestObj:
         path = tmp_path / "mesh.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf -4 -3 -1\n")
         assert load_obj(path)[1].tolist() == [[0, 1, 3]]
+
+
+# pairs of input shapes that broadcast: (3,), (n, 3) and (a, b, 3)
+SHAPE_PAIRS = [((3,), (3,)), ((7, 3), (7, 3)), ((3,), (7, 3)), ((1, 3), (7, 3)),
+               ((2, 5, 3), (2, 5, 3)), ((5, 3), (2, 5, 3)), ((2, 5, 3), (3,))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shapes=st.sampled_from(SHAPE_PAIRS),
+       dtypes=st.tuples(*[st.sampled_from([np.float64, np.float32])] * 2),
+       size=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_cross_is_np_cross(seed, shapes, dtypes, size):
+    # in float64, float32 or mixed, the written-out cross product is
+    # np.cross, bits and dtype
+    rng = np.random.default_rng(seed)
+    u, v = ((size * rng.normal(size=shape)).astype(dtype) for shape, dtype in zip(shapes, dtypes))
+    got, want = cross(u, v), np.cross(u, v)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

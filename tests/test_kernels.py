@@ -1,18 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (central_difference, comparison_batch_reference,
-                     iterative_batch_reference, mesh_pair_population,
+from oracles import (central_difference, closest_point_triangle_reference,
+                     comparison_batch_reference, iterative_batch_reference, mesh_pair_population,
                      point_triangle_distance_ref, sampling_distance_batch,
                      segment_distance_ref)
 
 from tricontact import kernels
 from tricontact.geometry import REAL, RigidMotion, triangle
 from tricontact.kernels import (ALPHA_ITERATIVE, C_FACTOR, KernelCounters, KernelParams, Kind,
-                                _closest_segment_segment, comparison_batch, functional_value,
-                                gradient_of_J, hybrid_batch, iterative_batch)
+                                _closest_segment_segment, closest_point_triangle_batch,
+                                comparison_batch, functional_value, gradient_of_J, hybrid_batch,
+                                iterative_batch)
 
 from conftest import sphere_triangles
 
@@ -204,6 +207,29 @@ def test_comparison_on_degenerate_pairs(seed, kinds, spread, size, shift, planar
     assert point_triangle_distance_ref(res.point_a, tri_a[None], flat[0])[0] <= slack
     assert point_triangle_distance_ref(res.point_b, tri_b[None], flat[1])[0] <= slack
     assert abs(np.linalg.norm(res.point_a[0] - res.point_b[0]) - got) <= slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       size=st.sampled_from([1e-3, 1.0, 1e3]), shift=st.sampled_from([0.0, 1.0, 100.0]))
+def test_closest_point_matches_first_version(seed, n, size, shift):
+    # triangles with a face or of zero area (collinear, a repeated vertex,
+    # one point), queried from a vertex, an edge or anywhere: the np.where
+    # chains give the bits of the masked first version, and the rows of the
+    # regions a point does not lie in raise no floating-point warning
+    rng = np.random.default_rng(seed)
+    tris = np.array([_kinded_triangle(rng, kind) for kind in rng.choice(FLAT_KINDS, n)])
+    rows, k = np.arange(n), rng.integers(3, size=n)
+    on_edge = tris[rows, k] + rng.uniform(size=(n, 1)) * (tris[rows, (k + 1) % 3] - tris[rows, k])
+    points = np.choose(rng.integers(3, size=n)[:, None],
+                       [tris[rows, k], on_edge, 2.0 * rng.normal(size=(n, 3))])
+    offset = shift * rng.normal(size=3)
+    tris, points = ((size * x + offset).astype(REAL) for x in (tris, points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = closest_point_triangle_batch(points, tris)
+    want = closest_point_triangle_reference(points, tris)
+    assert got.dtype == want.dtype == REAL and got.tobytes() == want.tobytes()
 
 
 class TestIterative:
